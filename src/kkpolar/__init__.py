@@ -1,6 +1,7 @@
 """Universal lower and upper bounds on discrete potentials of spherical
 (k,k)-designs: quadrature rules, one-sided Hermite interpolants, design
-tests, and heuristic sphere extremization, plus a CLI front end.
+tests, exact covering radius, and multistart sphere extremization, plus a
+CLI front end.
 
 Typical use:
 

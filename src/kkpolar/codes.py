@@ -1,9 +1,11 @@
 """Spherical codes: validated point sets, reference designs, moment tests,
 the squared-inner-product Waring identity, covering radius, and JSON I/O.
 
-The covering radius search is a heuristic global minimization (exact on the
-circle, multistart elsewhere), so its value is an upper estimate of the
-true min; structured seeds make it exact on the symmetric catalog codes.
+The covering radius is exact: an angle sweep on the circle, and the nearest
+facet of the convex hull of the antipodal closure elsewhere.  Only codes
+whose hull may have more than HULL_FACET_CAP facets fall back to a
+multistart search, whose value is an upper estimate of the true minimum
+(covering_radius_kind says which applies).
 """
 
 from __future__ import annotations
@@ -15,13 +17,18 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
-from .errors import CodeFormatError, PreconditionError
+from .errors import CodeFormatError, NumericalDegeneracyError, PreconditionError
 from .polynomials import gegenbauer, monomial_moment
 from .sphere_opt import nm_polish
 
 _NORM_TOL = 1e-12
 _DUP_TOL = 1e-12
+# Qhull is not started when the Upper Bound Theorem allows the hull of +-C
+# more facets than this: its time and memory grow with the facet count
+# (a random 120-point code in R^8 has about 4e5 facets and takes 15 s).
+HULL_FACET_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -139,26 +146,76 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
-def _structured_seeds(points: np.ndarray) -> list[np.ndarray]:
-    """Candidate deep points with exact closed forms on symmetric codes:
-    normalized pairwise sums/differences, coordinate axes, and (for small
-    codes) all sign combinations of the full point sum."""
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of norm above 1e-9, normalized.  Each norm is a BLAS dot
+    product of the row with itself, the arithmetic np.linalg.norm uses on a
+    single vector, so the rows come out bitwise as a per-row loop makes them."""
+    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+    keep = norms > 1e-9
+    return rows[keep] / norms[keep, None]
+
+
+def _structured_seeds(points: np.ndarray) -> np.ndarray:
+    """Candidate deep points with exact closed forms on symmetric codes, as
+    rows: the code points, coordinate axes, normalized pairwise sums and
+    differences (pairs i < j in order, sum before difference), and (for
+    small codes) all sign combinations of the full point sum."""
     m, n = points.shape
-    seeds = [points[i] for i in range(m)]
-    seeds.extend(np.eye(n))
-    for i in range(m):
-        for j in range(i + 1, m):
-            for combo in (points[i] + points[j], points[i] - points[j]):
-                nrm = np.linalg.norm(combo)
-                if nrm > 1e-9:
-                    seeds.append(combo / nrm)
+    i, j = np.triu_indices(m, 1)
+    pairs = np.stack([points[i] + points[j], points[i] - points[j]], axis=1)
+    parts = [points, np.eye(n), _unit_rows(pairs.reshape(-1, n))]
     if m <= 10:
-        for signs in itertools.product((1.0, -1.0), repeat=m - 1):
-            combo = points[0] + np.tensordot(np.array(signs), points[1:], axes=1)
-            nrm = np.linalg.norm(combo)
-            if nrm > 1e-9:
-                seeds.append(combo / nrm)
-    return seeds
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=m - 1)),
+                         dtype=float).reshape(2 ** (m - 1), m - 1)
+        combos = points[0] + np.matmul(signs[:, None, :], points[1:])[:, 0, :]
+        parts.append(_unit_rows(combos))
+    return np.vstack(parts)
+
+
+def _null_direction(points: np.ndarray) -> np.ndarray | None:
+    """A unit vector orthogonal to every point when the points do not span
+    R^n (numpy's matrix_rank tolerance), else None."""
+    m, n = points.shape
+    _, sing, vt = np.linalg.svd(points, full_matrices=m < n)
+    if m >= n and sing[-1] > sing[0] * m * np.finfo(float).eps:
+        return None
+    return vt[-1]
+
+
+def max_hull_facets(n: int, vertices: int) -> int:
+    """Upper Bound Theorem: the most facets an n-polytope with this many
+    vertices can have, attained by the cyclic polytope (vertices > n)."""
+    return (math.comb(vertices - (n + 1) // 2, n // 2)
+            + math.comb(vertices - n // 2 - 1, (n + 1) // 2 - 1))
+
+
+def _hull_over_cap(n: int, size: int) -> bool:
+    return max_hull_facets(n, 2 * size) > HULL_FACET_CAP
+
+
+def _covering_radius_search(points: np.ndarray, seed: int,
+                            restarts: int | None) -> tuple[float, np.ndarray]:
+    """Multistart fallback: structured plus grid/random seeds, the best
+    screened candidates polished by derivative-free local minimization in
+    tangent coordinates.  An upper estimate of the true minimum."""
+    n = points.shape[1]
+    parts = [_structured_seeds(points)]
+    if n == 3:
+        parts.append(_fibonacci_sphere(1500))
+    rng = np.random.default_rng(seed)
+    count = max(64, restarts or 0)
+    raw = rng.standard_normal((count, n))
+    parts.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+
+    mat = np.vstack(parts)
+    scores = np.max(np.abs(mat @ points.T), axis=1)
+    order = np.argsort(scores)
+    best_val, best_x = math.inf, None
+    for idx in order[:12]:
+        val, x = nm_polish(lambda y: _window_objective(points, y), mat[idx])
+        if val < best_val:
+            best_val, best_x = val, x
+    return best_val, best_x
 
 
 def covering_radius_r(code: SphericalCode, seed: int = 0,
@@ -166,32 +223,45 @@ def covering_radius_r(code: SphericalCode, seed: int = 0,
     """Depth of the deepest hole: min over the sphere of max_i |x . x_i|,
     with the minimizing witness.
 
-    Exact on S^1 by angle sweep.  Elsewhere: structured plus grid/random
-    seeds, the best screened candidates polished by derivative-free local
-    minimization in tangent coordinates.  The result is an upper estimate
-    of the true minimum.
+    Exact on S^1 by angle sweep.  For n >= 3, max_i |x . x_i| is the
+    support function of the convex hull of +-C, whose minimum over unit x
+    is the distance from the origin to the nearest facet, attained at that
+    facet's normal; the value returned is max_i |w . x_i| at the normalized
+    witness w.  Points that do not span R^n give 0, attained at a direction
+    orthogonal to all of them.  When the hull may have more than
+    HULL_FACET_CAP facets, the multistart search runs instead (seed and
+    restarts apply only there) and the value is an upper estimate.  Raises
+    NumericalDegeneracyError when Qhull rejects a code that spans R^n by
+    numpy's rank test but lies within roundoff of a hyperplane.
     """
     pts = code.points
     if code.n == 2:
         return _covering_radius_circle(pts)
+    null = _null_direction(pts)
+    if null is not None:
+        return 0.0, null
+    if _hull_over_cap(code.n, code.size):
+        return _covering_radius_search(pts, seed, restarts)
+    try:
+        hull = ConvexHull(np.vstack([pts, -pts]))
+    except QhullError as exc:
+        raise NumericalDegeneracyError(
+            f"covering radius: Qhull failed on a full-rank code: {exc}") from exc
+    # facets satisfy a . y + b <= 0 inside with |a| = 1; the origin is
+    # interior, so the nearest facet has the largest (least negative) b
+    normal = hull.equations[int(np.argmax(hull.equations[:, -1])), :-1]
+    witness = normal / np.linalg.norm(normal)
+    return float(np.max(np.abs(pts @ witness))), witness
 
-    seeds = _structured_seeds(pts)
-    if code.n == 3:
-        seeds.extend(_fibonacci_sphere(1500))
-    rng = np.random.default_rng(seed)
-    count = max(64, restarts or 0)
-    raw = rng.standard_normal((count, code.n))
-    seeds.extend(raw / np.linalg.norm(raw, axis=1, keepdims=True))
 
-    mat = np.vstack(seeds)
-    scores = np.max(np.abs(mat @ pts.T), axis=1)
-    order = np.argsort(scores)
-    best_val, best_x = math.inf, None
-    for idx in order[:12]:
-        val, x = nm_polish(lambda y: _window_objective(pts, y), mat[idx])
-        if val < best_val:
-            best_val, best_x = val, x
-    return best_val, best_x
+def covering_radius_kind(code: SphericalCode) -> str:
+    """How covering_radius_r obtains its value on this code: "exact" (angle
+    sweep, rank deficiency or convex hull) or "upper_estimate" (the
+    multistart search past the facet cap)."""
+    if (code.n == 2 or not _hull_over_cap(code.n, code.size)
+            or _null_direction(code.points) is not None):
+        return "exact"
+    return "upper_estimate"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Universal bounds on the extremes of discrete potentials over spherical
-(k,k)-designs, with heuristic extremization and design certification.
+(k,k)-designs, with sphere extremization and design certification.
 
 For a potential h and a code C the quantity of interest is the sum
 U(x) = sum_i h(x . x_i) over directions x on the sphere.  Quadrature rules
@@ -15,8 +15,10 @@ the same size, independent of the particular point configuration:
   * anchored rule at s < 1, interpolant above -> upper bound on the minimum,
     valid for codes whose covering radius stays below s
 
-Extremization is a heuristic global search (exact on the circle), so its
-results are estimates: an upper estimate of the minimum and a lower
+Extremization is a multistart global search (exact on the circle): local
+searches from screened seeds, refined with the exact gradient of the
+potential sum where g' allows it.  A search can miss the global optimum,
+so its results are estimates: an upper estimate of the minimum and a lower
 estimate of the maximum.  Sandwich checks remain sound with estimates on
 those sides.
 """
@@ -32,7 +34,8 @@ import numpy as np
 from scipy import optimize
 
 from .codes import (DesignCertificate, SphericalCode, _fibonacci_sphere,
-                    _structured_seeds, covering_radius_r, is_kk_design)
+                    _structured_seeds, covering_radius_kind,
+                    covering_radius_r, is_kk_design)
 from .errors import NumericalDegeneracyError, PreconditionError
 from .interpolants import (Side, _interpolate, _scheme_from_nodes, build_H2k,
                            build_H2k_s, build_H2k_tilde, verify_one_sided)
@@ -42,7 +45,7 @@ from .quadrature import (largest_gauss_node, rule_alpha, rule_beta,
                          verify_exactness)
 from .signed_measure import ADMISSIBILITY_MARGIN, build_context, rule_lambda
 from .sphere_opt import (nm_polish, projected_gradient_descent,
-                         stationarity_norm)
+                         stationarity_norm, tangent_bfgs, tangent_component)
 
 SANDWICH_SLACK = 1e-8
 _MARGIN_GRID = 2001
@@ -59,8 +62,9 @@ class Direction(Enum):
 class ExtremizationResult:
     """Outcome of a sphere extremization.  value equals the potential sum
     at argpoint; restarts counts local searches run; stationarity_norm is
-    the projected numerical gradient at the argpoint (diagnostic only,
-    meaningless at kinks and poles)."""
+    the norm of the Riemannian gradient at the argpoint: exact where the
+    search used the analytic g', otherwise a central-difference estimate
+    (diagnostic only, meaningless at kinks and poles)."""
 
     value: float
     argpoint: tuple[float, ...]
@@ -307,6 +311,35 @@ def potential_U(x, code: SphericalCode, pot: Potential) -> float:
     return _u_sum(code.points, pot, x / nrm)
 
 
+def _gradient_oracle(points: np.ndarray, pot: Potential, sgn: float,
+                     probe: np.ndarray):
+    """fg(x) -> (sgn U(x), its Euclidean gradient 2 sgn sum_i g'(u_i)
+    (x . x_i) x_i) when g' is analytic, accepts arrays and is finite at
+    u = 0 and at the probe directions; None otherwise, and the caller
+    falls back to derivative-free refinement."""
+    if pot.derivative_kind != "analytic":
+        return None
+    dots = probe @ points.T
+    u = np.append(np.minimum(dots * dots, 1.0), 0.0)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            slopes = np.asarray(pot.eval_g_prime(u), dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if slopes.shape != u.shape or not np.all(np.isfinite(slopes)):
+        return None
+
+    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
+        d = points @ x
+        uu = np.minimum(d * d, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            value = sgn * float(np.sum(_g_of_u(pot, uu)))
+            grad = (2.0 * sgn) * (points.T @ (pot.eval_g_prime(uu) * d))
+        return value, grad
+
+    return fg
+
+
 def _lat_long_grid(res: int = 36) -> np.ndarray:
     """Hemisphere latitude-longitude grid (the potential sum is even in x,
     so one hemisphere suffices); rings thin toward the pole."""
@@ -352,17 +385,23 @@ def _extremize_circle(points: np.ndarray, pot: Potential,
 
 def extremize(code: SphericalCode, pot: Potential, direction: Direction,
               seed: int = 0, restarts: Optional[int] = None) -> ExtremizationResult:
-    """Heuristic global extremum of the potential sum over the sphere.
+    """Global extremum of the potential sum over the sphere, by multistart
+    local search.
 
     A potential infinite at the endpoints attains an infinite maximum at
     any code point; that case is reported without search.  On the circle
     an angle sweep is essentially exact.  Elsewhere structured seeds
     (code points, axes, normalized pairwise sums, sign combinations), a
-    latitude-longitude grid in R^3, and random directions are screened;
-    the best survivors are refined by projected-gradient descent with
-    numerical gradients followed by a derivative-free polish.  MIN results
-    are upper estimates of the true minimum, MAX results lower estimates
-    of the true maximum.
+    latitude-longitude grid in R^3, and random directions are screened,
+    and the ten best are refined.  When g' is analytic, accepts arrays and
+    is finite at u = 0 and at those seeds, each is refined by BFGS in
+    tangent coordinates with the exact gradient
+    2 sum_i g'(u_i) (x . x_i) x_i, and stationarity_norm is the exact
+    Riemannian gradient norm.  Otherwise (numeric or scalar-only g', or a
+    g' singular at u = 0 such as p-frames with p < 2) each is refined by
+    descent along central-difference gradients followed by a Nelder-Mead
+    polish.  MIN results are upper estimates of the true minimum, MAX
+    results lower estimates of the true maximum.
     """
     direction = Direction(direction)
     pts = code.points
@@ -378,7 +417,7 @@ def extremize(code: SphericalCode, pot: Potential, direction: Direction,
     def f(x: np.ndarray) -> float:
         return sgn * _u_sum(pts, pot, x)
 
-    seeds = _structured_seeds(pts)
+    seeds = [_structured_seeds(pts)]
     if code.n == 3:
         seeds.append(_lat_long_grid())
         seeds.append(_fibonacci_sphere(600))
@@ -388,19 +427,29 @@ def extremize(code: SphericalCode, pot: Potential, direction: Direction,
     mat = np.vstack(seeds)
     vals = sgn * _u_batch(pts, pot, mat)
     order = np.argsort(vals)
+    survivors = mat[order[:10]]
+    fg = _gradient_oracle(pts, pot, sgn, survivors)
 
-    best_val, best_x, runs = math.inf, mat[int(order[0])], 0
-    for idx in order[:10]:
-        val, x = projected_gradient_descent(f, mat[int(idx)])
-        val2, x2 = nm_polish(f, x)
-        if val2 < val:
-            val, x = val2, x2
+    best_val, best_x, runs = math.inf, survivors[0], 0
+    for x0 in survivors:
+        if fg is not None:
+            val, x = tangent_bfgs(fg, x0)
+        else:
+            val, x = projected_gradient_descent(f, x0)
+            val2, x2 = nm_polish(f, x)
+            if val2 < val:
+                val, x = val2, x2
         runs += 1
         if val < best_val:
             best_val, best_x = val, x
+    if fg is not None:
+        slope = float(np.linalg.norm(tangent_component(best_x, fg(best_x)[1])))
+        stationarity = slope if math.isfinite(slope) else math.inf
+    else:
+        stationarity = stationarity_norm(f, best_x)
     return ExtremizationResult(
         value=_u_sum(pts, pot, best_x), argpoint=tuple(best_x),
-        restarts=runs, stationarity_norm=stationarity_norm(f, best_x))
+        restarts=runs, stationarity_norm=stationarity)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +469,10 @@ class CheckResult:
 @dataclass(frozen=True)
 class CertificationReport:
     """Everything certify_design found: the design test, the applicable
-    universal bounds, both extremization estimates, and the list of
-    sandwich and exactness checks with their outcomes."""
+    universal bounds, both extremization estimates, the covering radius
+    with how it was obtained ("exact" or "upper_estimate", see
+    covering_radius_kind), and the list of sandwich and exactness checks
+    with their outcomes."""
 
     n: int
     k: int
@@ -432,6 +483,7 @@ class CertificationReport:
     minimum: ExtremizationResult
     maximum: ExtremizationResult
     covering_radius: float
+    covering_radius_kind: str
     checks: tuple[CheckResult, ...]
 
     @property
@@ -449,6 +501,7 @@ class CertificationReport:
             "minimum": self.minimum.to_dict(),
             "maximum": self.maximum.to_dict(),
             "covering_radius": self.covering_radius,
+            "covering_radius_kind": self.covering_radius_kind,
             "checks": [c.to_dict() for c in self.checks],
             "all_passed": self.all_passed,
         }
@@ -534,7 +587,9 @@ def certify_design(code: SphericalCode, k: int, pot: Potential,
     return CertificationReport(
         n=n, k=k, N=size, potential=pot.name, design=cert,
         bounds=tuple(bounds), minimum=minimum, maximum=maximum,
-        covering_radius=radius, checks=tuple(checks))
+        covering_radius=radius,
+        covering_radius_kind=covering_radius_kind(code),
+        checks=tuple(checks))
 
 
 def average_check(code: SphericalCode, k: int, samples: int = 10_000,

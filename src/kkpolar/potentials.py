@@ -44,9 +44,11 @@ class Potential:
     """h(t) = g(t*t), so h is even by construction.
 
     eval_g maps u in [0,1] to an extended real (math.inf allowed only at
-    u = 1); eval_g_prime maps u in (0,1) to a real.  sign_certificate is
-    the analytic certificate (k, u_max) -> SignState, or None for user
-    potentials, which are then certified by sampling.
+    u = 1); eval_g_prime maps u in (0,1) to a real, and the built-in ones
+    also act elementwise on arrays and are finite at u = 0 wherever g' has
+    a finite limit there.  sign_certificate is the analytic certificate
+    (k, u_max) -> SignState, or None for user potentials, which are then
+    certified by sampling.
     """
 
     name: str
@@ -134,10 +136,20 @@ def riesz_sym(m: float) -> Potential:
         out = np.where(arr >= 1.0, np.inf, val)
         return out if arr.ndim else float(out)
 
-    def gp(u: float) -> float:
-        r = math.sqrt(u)
+    def slope(r):
         return (a / r) * ((2.0 - 2.0 * r) ** (-a - 1.0)
                           - (2.0 + 2.0 * r) ** (-a - 1.0))
+
+    # removable singularity at u = 0: the bracket is 2^(-a) (a+1) r + O(r^3)
+    limit = a * (a + 1.0) * 2.0 ** -a
+
+    def gp(u):
+        if np.ndim(u) == 0:
+            r = math.sqrt(u)
+            return slope(r) if r != 0.0 else limit
+        r = np.sqrt(np.asarray(u, dtype=float))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(r == 0.0, limit, slope(r))
 
     return Potential(
         name=f"riesz:m={m:g}",
@@ -157,9 +169,13 @@ def gaussian_sym() -> Potential:
         out = np.cosh(np.sqrt(arr))
         return out if arr.ndim else float(out)
 
-    def gp(u: float) -> float:
-        r = math.sqrt(u)
-        return math.sinh(r) / (2.0 * r)
+    def gp(u):
+        if np.ndim(u) == 0:
+            r = math.sqrt(u)
+            return math.sinh(r) / (2.0 * r) if r != 0.0 else 0.5
+        r = np.sqrt(np.asarray(u, dtype=float))
+        with np.errstate(invalid="ignore"):
+            return np.where(r == 0.0, 0.5, np.sinh(r) / (2.0 * r))
 
     return Potential(
         name="cosh",

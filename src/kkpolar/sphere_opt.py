@@ -1,9 +1,11 @@
 """Local minimization of scalar objectives over the unit sphere.
 
-Shared by the covering-radius search and potential extremization.  All
-routines are derivative-free-friendly: objectives may be nonsmooth (max of
-absolute inner products, fractional powers) or take infinite values away
-from the search region.
+Shared by the covering-radius fallback search and potential extremization.
+Smooth objectives with an exact gradient are refined by BFGS in tangent
+coordinates (tangent_bfgs).  The derivative-free routines (Nelder-Mead, and
+descent along central-difference gradients) serve objectives that may be
+nonsmooth (max of absolute inner products, fractional powers) or take
+infinite values away from the search region.
 """
 
 from __future__ import annotations
@@ -19,6 +21,43 @@ def tangent_basis(x: np.ndarray) -> np.ndarray:
     # the projector has n-1 unit singular values; their left vectors span
     # the tangent plane at x
     return u[:, sing > 0.5]
+
+
+def tangent_component(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Projection of v onto the tangent plane at the unit vector x; for a
+    Euclidean gradient v this is the Riemannian gradient on the sphere."""
+    return v - (v @ x) * x
+
+
+def tangent_bfgs(fg, x0: np.ndarray) -> tuple[float, np.ndarray]:
+    """BFGS in tangent coordinates with an exact gradient, in two rounds,
+    the second re-centred at the first one's result.  fg(x) returns the
+    objective and its Euclidean gradient at a unit vector x; in the chart
+    z -> (x + T z)/|x + T z| the gradient is T^t P grad / |x + T z|, with
+    P the tangent projection at the image point.  Returns (value, point)
+    with the point on the sphere; a round that does not lower the value is
+    discarded."""
+    x = x0 / np.linalg.norm(x0)
+    fx = fg(x)[0]
+    for _ in range(2):
+        tangent = tangent_basis(x)
+
+        def local(z):
+            cand = x + tangent @ z
+            radius = np.linalg.norm(cand)
+            point = cand / radius
+            value, grad = fg(point)
+            return value, tangent.T @ tangent_component(point, grad) / radius
+
+        res = optimize.minimize(local, np.zeros(x.shape[0] - 1), jac=True,
+                                method="BFGS", options={"gtol": 1e-12})
+        cand = x + tangent @ res.x
+        cand /= np.linalg.norm(cand)
+        fc = fg(cand)[0]
+        if not fc <= fx:
+            break
+        x, fx = cand, fc
+    return fx, x
 
 
 def nm_polish(f, x0: np.ndarray, rounds: int = 2,

@@ -157,6 +157,7 @@ class TestCertify:
         assert report["all_passed"] is True
         kinds = [b["kind"] for b in report["bounds"]]
         assert "ULB_ALPHA" in kinds
+        assert report["covering_radius_kind"] == "exact"
 
     def test_seeded_runs_are_byte_identical(self, capsys):
         argv = ["certify", "--code", "catalog:onb:4", "--k", "1",

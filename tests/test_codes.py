@@ -1,15 +1,24 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kkpolar.codes import (
     CATALOG_DESIGNS,
+    HULL_FACET_CAP,
     SphericalCode,
+    _covering_radius_search,
+    _hull_over_cap,
+    _structured_seeds,
     catalog,
+    covering_radius_kind,
     covering_radius_r,
     is_kk_design,
+    max_hull_facets,
     load_code,
     moment,
     save_code,
@@ -185,6 +194,87 @@ class TestCoveringRadius:
         code = catalog(name)
         r, _ = covering_radius_r(code)
         assert r >= largest_gauss_node(code.n, k) - 1e-9
+
+    @pytest.mark.parametrize("name", sorted(n for n in CATALOG_DESIGNS
+                                            if catalog(n).n >= 3))
+    def test_hull_matches_search_on_catalog(self, name):
+        code = catalog(name)
+        r, _ = covering_radius_r(code)
+        searched, _ = _covering_radius_search(code.points, 0, None)
+        assert r == pytest.approx(searched, abs=1e-12)
+        assert covering_radius_kind(code) == "exact"
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(3, 6), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_hull_radius_property(self, n, data, seed):
+        code = random_code(n, data.draw(st.integers(n, 40)), seed)
+        r, witness = covering_radius_r(code)
+        assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
+        assert r == pytest.approx(np.max(np.abs(code.points @ witness)), abs=1e-12)
+        rng = np.random.default_rng(seed)
+        dirs = rng.standard_normal((4096, n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        sampled = np.min(np.max(np.abs(dirs @ code.points.T), axis=1))
+        assert r <= sampled + 1e-12
+        searched, _ = _covering_radius_search(code.points, 0, None)
+        assert r <= searched + 1e-12
+
+    @pytest.mark.parametrize("points", [
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.8, 0.0]],
+        random_code(3, 10, 7).points @ np.eye(3, 4),
+    ], ids=["fewer_points_than_dimensions", "coordinate_hyperplane"])
+    def test_rank_deficient_is_zero(self, points):
+        code = SphericalCode.from_points(points)
+        r, witness = covering_radius_r(code)
+        assert r == 0.0
+        assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(code.points @ witness)) <= 1e-12
+        assert covering_radius_kind(code) == "exact"
+
+    def test_upper_bound_theorem_counts(self):
+        assert max_hull_facets(2, 7) == 7
+        assert max_hull_facets(3, 12) == 20
+        # the cyclic 4-polytope with 8 vertices has 20 facets
+        assert max_hull_facets(4, 8) == 20
+
+    def test_facet_cap_sends_large_codes_to_search(self):
+        assert max_hull_facets(8, 240) > HULL_FACET_CAP
+        assert _hull_over_cap(8, 120)
+        assert covering_radius_kind(random_code(8, 120, 0)) == "upper_estimate"
+        for n, size in [(3, 200), (5, 40), (6, 12), (6, 40)]:
+            assert not _hull_over_cap(n, size)
+
+
+def structured_seeds_loop(points):
+    """Per-row reference for the vectorized _structured_seeds."""
+    m, n = points.shape
+    seeds = [points[i] for i in range(m)]
+    seeds.extend(np.eye(n))
+    for i in range(m):
+        for j in range(i + 1, m):
+            for combo in (points[i] + points[j], points[i] - points[j]):
+                nrm = np.linalg.norm(combo)
+                if nrm > 1e-9:
+                    seeds.append(combo / nrm)
+    if m <= 10:
+        for signs in itertools.product((1.0, -1.0), repeat=m - 1):
+            combo = points[0] + np.tensordot(np.array(signs), points[1:], axes=1)
+            nrm = np.linalg.norm(combo)
+            if nrm > 1e-9:
+                seeds.append(combo / nrm)
+    return np.vstack(seeds)
+
+
+class TestStructuredSeeds:
+    @pytest.mark.parametrize("code", [
+        catalog("cube_half"), catalog("onb:4"), catalog("cell24_half"),
+        catalog("icosahedron_half"), catalog("polygon_half:5"),
+        random_code(3, 1, 0), random_code(5, 10, 1), random_code(8, 11, 2),
+        random_code(3, 40, 3),
+    ], ids=lambda c: f"{c.n}x{c.size}")
+    def test_same_rows_as_loop(self, code):
+        assert np.array_equal(_structured_seeds(code.points),
+                              structured_seeds_loop(code.points))
 
 
 class TestWelch:

@@ -1,5 +1,6 @@
 """Bound assembly, sphere extremization, and design certification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 
 from kkpolar.codes import CATALOG_DESIGNS, SphericalCode, catalog
 from kkpolar.errors import PreconditionError
+from kkpolar import polarization
 from kkpolar.polarization import (BoundReport, Direction, average_check,
                                   certify_design, extremize, lower_bound,
                                   potential_U, upper_bound_finite,
                                   upper_bound_s)
 from kkpolar.polynomials import integrate_mu, monomial_moment
 from kkpolar.potentials import (gaussian_sym, monomial_2k, negate, p_frame,
-                                riesz_sym, user_potential)
+                                parse_potential, riesz_sym, user_potential)
 from kkpolar.quadrature import largest_gauss_node, rule_alpha, rule_beta
 
 
@@ -100,6 +102,74 @@ class TestExtremize:
     def test_direction_accepts_value_string(self):
         res = extremize(catalog("onb:3"), monomial_2k(1), "MIN")
         assert res.value == pytest.approx(1.0, abs=1e-10)
+
+
+def random_code(n, size, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((size, n))
+    return SphericalCode.from_points(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+
+
+def derivative_free(pot):
+    """The same potential marked as having a numeric g', which sends
+    extremize down the derivative-free refinement chain."""
+    return dataclasses.replace(pot, derivative_kind="numeric")
+
+
+def assert_not_worse(fast, slow, direction, rel=1e-12):
+    sgn = 1.0 if direction is Direction.MIN else -1.0
+    assert sgn * (fast.value - slow.value) <= rel * max(1.0, abs(slow.value))
+
+
+class TestGradientPath:
+    @pytest.mark.parametrize("name,k", sorted(CATALOG_DESIGNS.items()))
+    def test_catalog_extrema_match_derivative_free_chain(self, name, k):
+        code = catalog(name)
+        for text in ("riesz:m=2", "pframe:p=4", "cosh", f"monomial:k={k}"):
+            pot = parse_potential(text)
+            for direction in Direction:
+                fast = extremize(code, pot, direction)
+                if math.isinf(fast.value):
+                    continue
+                slow = extremize(code, derivative_free(pot), direction)
+                assert fast.value == pytest.approx(slow.value, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_codes_never_worse_and_stationary(self, seed):
+        n = 3 + seed % 6
+        size = int(np.random.default_rng(seed).integers(n, 61))
+        code = random_code(n, size, seed)
+        pot = [riesz_sym(1), p_frame(4), gaussian_sym(), monomial_2k(2)][seed % 4]
+        for direction in Direction:
+            fast = extremize(code, pot, direction, seed=seed)
+            if math.isinf(fast.value):
+                continue
+            slow = extremize(code, derivative_free(pot), direction, seed=seed)
+            assert_not_worse(fast, slow, direction)
+            assert fast.stationarity_norm <= 1e-6
+
+    @pytest.mark.parametrize("pot,polished", [
+        (riesz_sym(2), False),
+        (p_frame(4), False),
+        (p_frame(1.5), True),
+        (user_potential("cosh_fd", lambda u: np.cosh(np.sqrt(u))), True),
+        (user_potential("cosh_scalar", lambda u: math.cosh(math.sqrt(u)),
+                        lambda u: math.sinh(math.sqrt(u)) / (2 * math.sqrt(u))), True),
+    ], ids=lambda v: getattr(v, "name", ""))
+    def test_derivative_free_chain_kept_where_g_prime_unusable(self, pot, polished,
+                                                              monkeypatch):
+        calls = []
+        original = polarization.nm_polish
+
+        def counting(f, x0, *args, **kwargs):
+            calls.append(1)
+            return original(f, x0, *args, **kwargs)
+
+        monkeypatch.setattr(polarization, "nm_polish", counting)
+        res = extremize(catalog("cube_half"), pot, Direction.MIN)
+        assert bool(calls) is polished
+        assert res.value == pytest.approx(
+            potential_U(np.array(res.argpoint), catalog("cube_half"), pot), rel=1e-15)
 
 
 class TestLowerBound:

@@ -68,6 +68,38 @@ class TestDerivatives:
             assert pot.eval_g_prime(u) == pytest.approx(fd, rel=1e-6)
 
 
+class TestArrayDerivatives:
+    """The sphere extremizer evaluates g' on arrays; the interpolants call
+    it on scalars, so both forms must agree (to a few ulps: numpy's
+    vectorized pow and sinh round differently from libm's)."""
+
+    @pytest.mark.parametrize("pot", ALL_BUILTINS, ids=lambda p: p.name)
+    def test_scalar_and_array_agree(self, pot):
+        u = np.linspace(0.01, 0.99, 99)
+        arr = np.asarray(pot.eval_g_prime(u))
+        assert arr.shape == u.shape
+        scalar = np.array([pot.eval_g_prime(float(v)) for v in u])
+        np.testing.assert_allclose(arr, scalar, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("pot", ALL_BUILTINS, ids=lambda p: p.name)
+    def test_array_matches_central_difference(self, pot):
+        u = np.linspace(0.02, 0.95, 48)
+        step = 1e-6
+        fd = (pot.eval_g(u + step) - pot.eval_g(u - step)) / (2 * step)
+        np.testing.assert_allclose(pot.eval_g_prime(u), fd, rtol=1e-6)
+
+    @pytest.mark.parametrize("pot,limit", [
+        (riesz_sym(1.0), 0.5 * 1.5 * 2.0 ** -0.5),
+        (riesz_sym(2.0), 2.0 / 2.0),
+        (riesz_sym(3.0), 1.5 * 2.5 * 2.0 ** -1.5),
+        (gaussian_sym(), 0.5),
+    ], ids=lambda v: getattr(v, "name", ""))
+    def test_removable_limit_at_zero(self, pot, limit):
+        assert pot.eval_g_prime(0.0) == pytest.approx(limit, rel=1e-15)
+        assert pot.eval_g_prime(np.array([0.0]))[0] == pytest.approx(limit, rel=1e-15)
+        assert pot.eval_g_prime(1e-12) == pytest.approx(limit, rel=1e-9)
+
+
 class TestCertifySign:
     def test_pframe4_k1(self):
         assert certify_sign(p_frame(4), 1, 1.0) is SignState.NONNEGATIVE
