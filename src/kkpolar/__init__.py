@@ -25,12 +25,12 @@ from .polarization import (BoundReport, CertificationReport, CheckResult,
 from .polynomials import (GegenbauerFamily, Polynomial, gegenbauer,
                           integrate_mu, monomial_moment, substitute_t_squared)
 from .potentials import (Potential, SignState, arcsine, certify_sign, eval_h,
-                         gaussian_sym, monomial_2k, negate, p_frame,
+                         gaussian_sym, monomial_2k, p_frame,
                          parse_potential, riesz_sym, user_potential)
 from .quadrature import (QuadratureRule, largest_gauss_node, rule_alpha,
                          rule_beta, verify_exactness)
 from .signed_measure import (SignedMeasureContext, admissible_range,
-                             build_context, rule_lambda, signed_inner_product)
+                             build_context, rule_lambda)
 
 __version__ = "0.1.0"
 
@@ -45,9 +45,9 @@ __all__ = [
     "certify_design", "certify_sign", "covering_radius_r", "eval_h",
     "extremize", "gaussian_sym", "gegenbauer", "hermite_confluent",
     "integrate_mu", "is_kk_design", "largest_gauss_node", "load_code",
-    "lower_bound", "moment", "monomial_2k", "monomial_moment", "negate",
+    "lower_bound", "moment", "monomial_2k", "monomial_moment",
     "p_frame", "parse_potential", "potential_U", "riesz_sym", "rule_alpha",
-    "rule_beta", "rule_lambda", "save_code", "signed_inner_product",
+    "rule_beta", "rule_lambda", "save_code",
     "substitute_t_squared", "upper_bound_finite", "upper_bound_s",
     "user_potential", "verify_exactness", "verify_one_sided",
 ]

@@ -3,9 +3,10 @@ the squared-inner-product Waring identity, covering radius, and JSON I/O.
 
 The covering radius is exact: an angle sweep on the circle, and the nearest
 facet of the convex hull of the antipodal closure elsewhere.  Only codes
-whose hull may have more than HULL_FACET_CAP facets fall back to a
-multistart search, whose value is an upper estimate of the true minimum
-(covering_radius_kind says which applies).
+whose hull may have more than HULL_FACET_CAP facets, and nearly flat codes
+that Qhull rejects, fall back to a multistart search, whose value is an
+upper estimate of the true minimum (covering_radius_kind says which
+applies).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import CodeFormatError, NumericalDegeneracyError, PreconditionError
+from .errors import CodeFormatError, PreconditionError
 from .polynomials import gegenbauer, monomial_moment
 from .sphere_opt import nm_polish
 
@@ -218,6 +219,30 @@ def _covering_radius_search(points: np.ndarray, seed: int,
     return best_val, best_x
 
 
+def _exact_covering(code: SphericalCode) -> tuple[float, np.ndarray] | None:
+    """Exact covering radius and witness, or None where only the multistart
+    search applies: past the facet cap, or when Qhull rejects a code that
+    spans R^n by numpy's rank test but lies within roundoff of a
+    hyperplane."""
+    pts = code.points
+    if code.n == 2:
+        return _covering_radius_circle(pts)
+    null = _null_direction(pts)
+    if null is not None:
+        return 0.0, null
+    if _hull_over_cap(code.n, code.size):
+        return None
+    try:
+        hull = ConvexHull(np.vstack([pts, -pts]))
+    except QhullError:
+        return None
+    # facets satisfy a . y + b <= 0 inside with |a| = 1; the origin is
+    # interior, so the nearest facet has the largest (least negative) b
+    normal = hull.equations[int(np.argmax(hull.equations[:, -1])), :-1]
+    witness = normal / np.linalg.norm(normal)
+    return float(np.max(np.abs(pts @ witness))), witness
+
+
 def covering_radius_r(code: SphericalCode, seed: int = 0,
                       restarts: int | None = None) -> tuple[float, np.ndarray]:
     """Depth of the deepest hole: min over the sphere of max_i |x . x_i|,
@@ -229,39 +254,21 @@ def covering_radius_r(code: SphericalCode, seed: int = 0,
     facet's normal; the value returned is max_i |w . x_i| at the normalized
     witness w.  Points that do not span R^n give 0, attained at a direction
     orthogonal to all of them.  When the hull may have more than
-    HULL_FACET_CAP facets, the multistart search runs instead (seed and
-    restarts apply only there) and the value is an upper estimate.  Raises
-    NumericalDegeneracyError when Qhull rejects a code that spans R^n by
-    numpy's rank test but lies within roundoff of a hyperplane.
+    HULL_FACET_CAP facets, or Qhull rejects a nearly flat code, the
+    multistart search runs instead (seed and restarts apply only there) and
+    the value is an upper estimate.
     """
-    pts = code.points
-    if code.n == 2:
-        return _covering_radius_circle(pts)
-    null = _null_direction(pts)
-    if null is not None:
-        return 0.0, null
-    if _hull_over_cap(code.n, code.size):
-        return _covering_radius_search(pts, seed, restarts)
-    try:
-        hull = ConvexHull(np.vstack([pts, -pts]))
-    except QhullError as exc:
-        raise NumericalDegeneracyError(
-            f"covering radius: Qhull failed on a full-rank code: {exc}") from exc
-    # facets satisfy a . y + b <= 0 inside with |a| = 1; the origin is
-    # interior, so the nearest facet has the largest (least negative) b
-    normal = hull.equations[int(np.argmax(hull.equations[:, -1])), :-1]
-    witness = normal / np.linalg.norm(normal)
-    return float(np.max(np.abs(pts @ witness))), witness
+    exact = _exact_covering(code)
+    if exact is not None:
+        return exact
+    return _covering_radius_search(code.points, seed, restarts)
 
 
 def covering_radius_kind(code: SphericalCode) -> str:
     """How covering_radius_r obtains its value on this code: "exact" (angle
     sweep, rank deficiency or convex hull) or "upper_estimate" (the
-    multistart search past the facet cap)."""
-    if (code.n == 2 or not _hull_over_cap(code.n, code.size)
-            or _null_direction(code.points) is not None):
-        return "exact"
-    return "upper_estimate"
+    multistart search)."""
+    return "exact" if _exact_covering(code) is not None else "upper_estimate"
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,9 @@ class Side(Enum):
 @dataclass(frozen=True)
 class InterpolationScheme:
     """Confluent interpolation data in u: (u, multiplicity) pairs with
-    multiplicity 2 only at interior touch points, plus the side constraint
-    on the domain [0, u_max] (so [-sqrt(u_max), sqrt(u_max)] in t)."""
+    multiplicity 2 only at interior touch points."""
 
     u_nodes: tuple[tuple[float, int], ...]
-    side: Side
-    u_max: float
 
     @property
     def condition_count(self) -> int:
@@ -97,7 +94,7 @@ def hermite_confluent(scheme: InterpolationScheme,
 
 
 def _scheme_from_nodes(t_nodes: Sequence[float], top_simple: bool,
-                       u_max: float, side: Side) -> InterpolationScheme:
+                       u_max: float) -> InterpolationScheme:
     """Map symmetric t-nodes to u-scheme entries: positive nodes double up,
     a node at 0 contributes a single condition, and when the largest node
     is the domain endpoint it stays simple."""
@@ -111,7 +108,7 @@ def _scheme_from_nodes(t_nodes: Sequence[float], top_simple: bool,
         entries.append((u_max, 1))
     else:
         entries.extend((x * x, 2) for x in pos)
-    return InterpolationScheme(tuple(entries), side, u_max)
+    return InterpolationScheme(tuple(entries))
 
 
 def _interpolate(scheme: InterpolationScheme, pot: Potential, k: int) -> Polynomial:
@@ -135,7 +132,7 @@ def build_H2k(n: int, k: int, pot: Potential) -> Polynomial:
             f"below-side interpolant at interior nodes needs a nonnegative "
             f"derivative certificate; {pot.name} gave {state.value} for k={k}")
     scheme = _scheme_from_nodes(rule_alpha(n, k).nodes, top_simple=False,
-                                u_max=1.0, side=Side.BELOW)
+                                u_max=1.0)
     return _interpolate(scheme, pot, k)
 
 
@@ -153,7 +150,7 @@ def build_H2k_tilde(n: int, k: int, pot: Potential) -> Polynomial:
             f"endpoint-node interpolation needs h(1) finite; {pot.name} "
             f"has h(1) = {pot.h_at_1}")
     scheme = _scheme_from_nodes(rule_beta(n, k).nodes, top_simple=True,
-                                u_max=1.0, side=Side.BELOW)
+                                u_max=1.0)
     return _interpolate(scheme, pot, k)
 
 
@@ -167,7 +164,7 @@ def build_H2k_s(ctx: SignedMeasureContext, pot: Potential) -> Polynomial:
             f"above-side interpolant needs a nonnegative derivative "
             f"certificate on (0, {u_max:.6g}); {pot.name} gave {state.value}")
     scheme = _scheme_from_nodes(rule_lambda(ctx).nodes, top_simple=True,
-                                u_max=u_max, side=Side.ABOVE)
+                                u_max=u_max)
     return _interpolate(scheme, pot, ctx.k)
 
 

@@ -223,8 +223,7 @@ def upper_bound_finite(n: int, k: int, N: int, pot: Potential) -> BoundReport:
             f"{pot.name} is infinite at the endpoints; use upper_bound_s "
             f"with an anchor s < 1 instead")
     rule = rule_beta(n, k)
-    scheme = _scheme_from_nodes(rule.nodes, top_simple=True, u_max=1.0,
-                                side=Side.ABOVE)
+    scheme = _scheme_from_nodes(rule.nodes, top_simple=True, u_max=1.0)
     interpolant = _interpolate(scheme, pot, k)
     return _assemble("UUB_BETA", n, k, N, rule, pot, interpolant,
                      Side.ABOVE, (-1.0, 1.0), state)

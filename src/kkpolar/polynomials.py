@@ -1,10 +1,12 @@
 """Dense univariate polynomials, Gegenbauer families, and exact integration
 against the inner-product distribution of the sphere.
 
-Everything here works in the monomial basis: degrees stay small (at most a
-few dozen), so conditioning is a non-issue and integration reduces to a dot
-product with closed-form moments.  The weight normalization constant is
-never computed explicitly; all integrals go through :func:`monomial_moment`.
+Everything here works in the monomial basis, where integration reduces to a
+dot product with closed-form moments.  That basis grows ill-conditioned
+with the degree, so the quadrature rules do not use it: they come from the
+three-term recurrence in :mod:`kkpolar.quadrature`.  The weight
+normalization constant is never computed explicitly; all integrals go
+through :func:`monomial_moment`.
 """
 
 from __future__ import annotations
@@ -71,10 +73,6 @@ class Polynomial:
             return float(result)
         return result
 
-    def eval_naive(self, t: float) -> float:
-        """Sum of monomials, kept as an independent check on __call__."""
-        return math.fsum(c * t**j for j, c in enumerate(self.coeffs))
-
     def derivative(self, order: int = 1) -> "Polynomial":
         c = list(self.coeffs)
         for _ in range(order):
@@ -103,29 +101,6 @@ class Polynomial:
         if not self.coeffs or not other.coeffs:
             return Polynomial.zero()
         return Polynomial(np.convolve(self.coeffs, other.coeffs))
-
-    def divide_linear(self, a: float) -> tuple["Polynomial", float]:
-        """Synthetic division by (t - a): returns (quotient, remainder).
-
-        The remainder equals self(a); callers requesting exact deflation
-        should verify it is negligible.
-        """
-        if not self.coeffs:
-            return Polynomial.zero(), 0.0
-        quotient = [0.0] * max(len(self.coeffs) - 1, 0)
-        carry = 0.0
-        for j in range(len(self.coeffs) - 1, 0, -1):
-            carry = self.coeffs[j] + a * carry
-            quotient[j - 1] = carry
-        remainder = self.coeffs[0] + a * carry
-        return Polynomial(quotient), float(remainder)
-
-    @classmethod
-    def from_roots(cls, roots) -> "Polynomial":
-        p = cls.one()
-        for r in roots:
-            p = p * cls((-float(r), 1.0))
-        return p
 
 
 def substitute_t_squared(p_u: Polynomial) -> Polynomial:

@@ -205,28 +205,6 @@ def arcsine() -> Potential:
     )
 
 
-def negate(pot: Potential) -> Potential:
-    """-h, used internally when an upper-bound problem is run through
-    lower-bound machinery.  Flips the sign certificate."""
-
-    def cert(k: int, u_max: float) -> SignState:
-        inner = certify_sign(pot, k, u_max)
-        if inner is SignState.NONNEGATIVE:
-            return SignState.NONPOSITIVE
-        if inner is SignState.NONPOSITIVE:
-            return SignState.NONNEGATIVE
-        return inner
-
-    return Potential(
-        name=f"neg({pot.name})",
-        eval_g=lambda u: -pot.eval_g(u),
-        eval_g_prime=lambda u: -pot.eval_g_prime(u),
-        h_at_1=-pot.h_at_1,
-        sign_certificate=cert,
-        derivative_kind=pot.derivative_kind,
-    )
-
-
 def user_potential(name: str, g: Callable[[float], float],
                    g_prime: Optional[Callable[[float], float]] = None,
                    h_at_1: Optional[float] = None) -> Potential:

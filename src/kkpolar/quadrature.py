@@ -1,10 +1,15 @@
 """Fixed quadrature rules exact through degree 2k+1 for the axis-projection
-measure: the interior Gauss rule ("alpha") and the endpoint-augmented rule
-("beta").
+measure: the interior Gauss rule ("alpha"), the endpoint-augmented rule
+("beta") and the rule anchored at +-s ("lambda").
 
-Weights are computed definition-faithfully, by integrating the fundamental
-Lagrange polynomials with :func:`kkpolar.polynomials.integrate_mu`; Lagrange
-polynomials are obtained by synthetic deflation of the node polynomial.
+All three come from one eigenproblem (Golub & Welsch 1969).  The monic
+orthogonal polynomials of the measure satisfy
+    pi_{j+1}(t) = t * pi_j(t) - b_j * pi_{j-1}(t)
+with b_1 = 1/n and b_j = j(j+n-3) / ((2j+n-2)(2j+n-4)) for j >= 2.  The
+nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix with
+off-diagonal sqrt(b_j), and each weight is the squared first component of
+its unit eigenvector.  Pinning the two outer nodes at +-s changes only the
+last off-diagonal entry (Golub 1973); the beta rule is the case s = 1.
 """
 
 from __future__ import annotations
@@ -12,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalDegeneracyError, PreconditionError
-from .polynomials import Polynomial, gegenbauer, integrate_mu, monomial_moment
+from .polynomials import monomial_moment
 
 
 @dataclass(frozen=True)
@@ -48,116 +54,55 @@ class QuadratureRule:
         return d
 
 
-def poly_roots_in_interval(p: Polynomial, a: float, b: float,
-                           expected: int | None = None) -> list[float]:
-    """All simple real roots of p in (a, b), ascending.
+def _jacobi_rule(kind: str, n: int, k: int, anchor: float | None = None) -> QuadratureRule:
+    """Gauss rule on k+1 nodes, or, with an anchor s, the rule on +-s plus k
+    interior nodes.  Both are exact through degree 2k+1.
 
-    Sign-change bracketing on a fine grid (>= 64 * degree points), then
-    bisection to bracket width 1e-15 and a single Newton polish.  Callers
-    for which orthogonality theory fixes the root count should pass
-    ``expected``; a mismatch raises NumericalDegeneracyError.
+    The anchored rule replaces the last b of the (k+2)x(k+2) Jacobi matrix
+    by s * pi_{k+1}(s) / pi_k(s), which makes +-s eigenvalues.  The anchor
+    must exceed the largest Gauss node.
     """
-    if p.degree < 1:
-        roots: list[float] = []
-    else:
-        m = max(64 * p.degree, 256)
-        grid = np.linspace(a, b, m + 1)
-        vals = p(grid)
-        roots = []
-        for i in range(m):
-            lo, hi = grid[i], grid[i + 1]
-            flo, fhi = vals[i], vals[i + 1]
-            if flo == 0.0:
-                if a < lo:
-                    roots.append(float(lo))
-                continue
-            if flo * fhi < 0.0:
-                roots.append(_refine_root(p, float(lo), float(hi)))
-        if vals[-1] == 0.0 and grid[-1] < b:
-            roots.append(float(grid[-1]))
-    if expected is not None and len(roots) != expected:
-        raise NumericalDegeneracyError(
-            f"found {len(roots)} sign changes in ({a}, {b}), expected {expected} "
-            f"simple roots of a degree-{p.degree} polynomial"
-        )
-    return roots
-
-
-def _refine_root(p: Polynomial, lo: float, hi: float) -> float:
-    flo = p(lo)
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        fmid = p(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    root = 0.5 * (lo + hi)
-    # one Newton step, kept only if it stays inside the bracket
-    d = p.eval_derivative(root)
-    if d != 0.0:
-        step = root - p(root) / d
-        if lo <= step <= hi:
-            root = step
-    return root
-
-
-def _symmetric_roots(p: Polynomial, expected: int,
-                     halfwidth: float = 1.0) -> list[float]:
-    """Roots of an even/odd polynomial in (-halfwidth, halfwidth), with
-    symmetry enforced: nonnegative roots are computed, mirrored, and an odd
-    count pins the middle root to exactly 0."""
-    raw = poly_roots_in_interval(p, -halfwidth, halfwidth, expected=expected)
-    half = expected // 2
-    pos = [abs(r) for r in raw[len(raw) - half:]] if half else []
-    nodes = [-r for r in reversed(pos)]
-    if expected % 2 == 1:
-        nodes.append(0.0)
-    nodes.extend(pos)
-    return nodes
-
-
-def _interpolatory_weights(n: int, nodes: list[float]) -> list[float]:
-    node_poly = Polynomial.from_roots(nodes)
-    weights = []
-    for x in nodes:
-        quot, _ = node_poly.divide_linear(x)
-        weights.append(integrate_mu(n, quot.scale(1.0 / quot(x))))
-    # symmetrize: the node set is symmetric, so mirrored weights must agree
-    m = len(weights)
-    out = [0.5 * (weights[i] + weights[m - 1 - i]) for i in range(m)]
-    return out
-
-
-def _validated(rule: QuadratureRule) -> QuadratureRule:
-    if any(w <= 0.0 for w in rule.weights):
-        raise NumericalDegeneracyError(f"nonpositive weight in {rule.kind} rule: {rule.weights}")
-    if abs(sum(rule.weights) - 1.0) > 1e-11:
-        raise NumericalDegeneracyError(f"weights of {rule.kind} rule do not sum to 1")
-    return rule
+    if n < 2 or k < 1:
+        raise PreconditionError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
+    size = k + 1 if anchor is None else k + 2
+    j = np.arange(2, size, dtype=float)
+    b = np.concatenate(([1.0 / n], j * (j + n - 3) / ((2 * j + n - 2) * (2 * j + n - 4))))
+    if anchor is not None:
+        s = anchor
+        pi_s = [1.0, s]
+        for bj in b[:k]:
+            pi_s.append(s * pi_s[-1] - bj * pi_s[-2])
+        # Sturm sequence: pi_0(s), ..., pi_{k+1}(s) are all positive exactly
+        # when s exceeds every root of pi_{k+1}
+        if min(pi_s) <= 0.0:
+            raise PreconditionError(
+                f"anchor s={s} does not exceed the largest Gauss node (n={n}, k={k})")
+        b[-1] = s * pi_s[-1] / pi_s[-2]
+    nodes, vectors = eigh_tridiagonal(np.zeros(size), np.sqrt(b))
+    weights = vectors[0] ** 2
+    if anchor is not None:
+        nodes[0], nodes[-1] = -anchor, anchor
+    # the measure is even: mirror nodes and weights so symmetry is exact
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = 0.5 * (weights + weights[::-1])
+    if np.any(weights <= 0.0):
+        raise NumericalDegeneracyError(f"nonpositive weight in {kind} rule: {weights}")
+    if abs(weights.sum() - 1.0) > 1e-11:
+        raise NumericalDegeneracyError(f"weights of {kind} rule do not sum to 1")
+    return QuadratureRule(kind, n, k, tuple(nodes.tolist()), tuple(weights.tolist()),
+                          2 * k + 1, s=anchor if kind == "lambda" else None)
 
 
 def rule_alpha(n: int, k: int) -> QuadratureRule:
     """Gauss rule on the k+1 roots of the degree-(k+1) Gegenbauer polynomial
     for dimension n; exact through degree 2k+1.  All nodes interior."""
-    if n < 2 or k < 1:
-        raise PreconditionError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
-    nodes = _symmetric_roots(gegenbauer(n, k + 1), k + 1)
-    weights = _interpolatory_weights(n, nodes)
-    return _validated(QuadratureRule("alpha", n, k, tuple(nodes), tuple(weights), 2 * k + 1))
+    return _jacobi_rule("alpha", n, k)
 
 
 def rule_beta(n: int, k: int) -> QuadratureRule:
     """Endpoint-augmented rule: +-1 plus the k roots of the degree-k
     Gegenbauer polynomial for dimension n+2; exact through degree 2k+1."""
-    if n < 2 or k < 1:
-        raise PreconditionError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
-    interior = _symmetric_roots(gegenbauer(n + 2, k), k)
-    nodes = [-1.0] + interior + [1.0]
-    weights = _interpolatory_weights(n, nodes)
-    return _validated(QuadratureRule("beta", n, k, tuple(nodes), tuple(weights), 2 * k + 1))
+    return _jacobi_rule("beta", n, k, 1.0)
 
 
 def verify_exactness(rule: QuadratureRule, n: int, max_degree: int) -> float:
@@ -175,7 +120,5 @@ def verify_exactness(rule: QuadratureRule, n: int, max_degree: int) -> float:
 
 def largest_gauss_node(n: int, k: int) -> float:
     """Largest root of the degree-(k+1) Gegenbauer polynomial (the top node
-    of the alpha rule); admissibility threshold for the signed-measure
-    construction."""
-    nodes = _symmetric_roots(gegenbauer(n, k + 1), k + 1)
-    return nodes[-1]
+    of the alpha rule); admissibility threshold for the anchored rule."""
+    return rule_alpha(n, k).nodes[-1]

@@ -1,5 +1,5 @@
-"""Orthogonal polynomials for the sign-changing weight (s^2 - t^2) times the
-axis-projection measure, and the quadrature rule anchored at +-s.
+"""The quadrature rule anchored at +-s for the sign-changing weight
+(s^2 - t^2) times the axis-projection measure.
 
 The weight is positive on (-s, s) and negative outside, so the induced
 bilinear form is positive definite on low-degree polynomials only when the
@@ -12,28 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NumericalDegeneracyError, PreconditionError
-from .polynomials import Polynomial, integrate_mu
-from .quadrature import (
-    QuadratureRule,
-    _interpolatory_weights,
-    _symmetric_roots,
-    _validated,
-    largest_gauss_node,
-)
+from .errors import PreconditionError
+from .quadrature import QuadratureRule, _jacobi_rule, largest_gauss_node
 
-# below this distance above the threshold the Gram-Schmidt norms are too
-# close to 0 to trust
+# below this distance above the threshold the anchored rule has interior
+# weights too close to 0 to trust
 ADMISSIBILITY_MARGIN = 1e-9
-
-_T_SQUARED = Polynomial((0.0, 0.0, 1.0))
-
-
-def signed_inner_product(n: int, s: float, p: Polynomial, q: Polynomial) -> float:
-    """Integral of p*q*(s^2 - t^2) against the axis-projection measure,
-    assembled from closed-form moments."""
-    pq = p * q
-    return s * s * integrate_mu(n, pq) - integrate_mu(n, pq * _T_SQUARED)
 
 
 def admissible_range(n: int, k: int) -> tuple[float, float]:
@@ -44,72 +28,29 @@ def admissible_range(n: int, k: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SignedMeasureContext:
-    """Monic orthogonal polynomials of degrees 0..k for the signed weight,
-    with their squared norms.
-
-    For an admissible anchor the form is positive definite up to degree
-    k-1, so norms of degrees 0..k-1 are positive and Gram-Schmidt never
-    divides by a bad pivot.  The top norm (degree k) has no sign guarantee
-    and is stored as computed.
-    """
+    """Dimension, strength and an anchor validated by build_context."""
 
     n: int
     k: int
     s: float
-    polys: tuple[Polynomial, ...]
-    norms_sq: tuple[float, ...]
-
-    def inner_product(self, p: Polynomial, q: Polynomial) -> float:
-        return signed_inner_product(self.n, self.s, p, q)
 
 
 def build_context(n: int, k: int, s: float) -> SignedMeasureContext:
-    """Gram-Schmidt on the monomial basis under the signed inner product.
-
-    Polynomials are kept monic.  Each new polynomial gets a second
-    projection pass; with exact parity bookkeeping this leaves cross inner
-    products at roundoff.
-    """
-    if n < 2 or k < 1:
-        raise PreconditionError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
+    """Check that the anchor s lies in the admissible range, at least
+    ADMISSIBILITY_MARGIN above the threshold."""
     s = float(s)
     lo, hi = admissible_range(n, k)
     if not (lo + ADMISSIBILITY_MARGIN <= s <= hi + 1e-12):
         raise PreconditionError(
             f"anchor s={s} outside admissible range ({lo:.12g}, {hi}] for n={n}, k={k}")
-
-    polys = [Polynomial.one()]
-    norms = [signed_inner_product(n, s, polys[0], polys[0])]
-    if norms[0] <= 0.0:
-        raise NumericalDegeneracyError(
-            f"signed form degenerate already on constants (s={s}, n={n})")
-    for j in range(1, k + 1):
-        q = Polynomial.monomial(j)
-        for _ in range(2):
-            for i in range(j):
-                coeff = signed_inner_product(n, s, q, polys[i]) / norms[i]
-                q = q - polys[i].scale(coeff)
-        polys.append(q)
-        norms.append(signed_inner_product(n, s, q, q))
-        # positive definiteness is only promised through degree k-1; the
-        # top norm may have either sign
-        if j <= k - 1 and norms[-1] <= 0.0:
-            raise NumericalDegeneracyError(
-                f"signed form lost positive definiteness at degree {j} "
-                f"(s={s}, n={n}, k={k})")
-    return SignedMeasureContext(n, k, s, tuple(polys), tuple(norms))
+    return SignedMeasureContext(n, k, s)
 
 
 def rule_lambda(ctx: SignedMeasureContext) -> QuadratureRule:
-    """Anchored rule: +-s plus the k roots of the top signed-measure
-    orthogonal polynomial; exact through degree 2k+1.
+    """Anchored rule: +-s plus the k roots of the degree-k monic orthogonal
+    polynomial of the signed weight; exact through degree 2k+1.
 
     Interior nodes lie strictly inside (-s, s); at s = 1 the rule agrees
     with the endpoint-augmented rule.
     """
-    interior = _symmetric_roots(ctx.polys[ctx.k], ctx.k, halfwidth=ctx.s)
-    nodes = [-ctx.s] + interior + [ctx.s]
-    weights = _interpolatory_weights(ctx.n, nodes)
-    return _validated(QuadratureRule(
-        "lambda", ctx.n, ctx.k, tuple(nodes), tuple(weights),
-        2 * ctx.k + 1, s=ctx.s))
+    return _jacobi_rule("lambda", ctx.n, ctx.k, ctx.s)

@@ -11,6 +11,8 @@ import pytest
 from kkpolar.cli import main
 from kkpolar.codes import SphericalCode, save_code
 
+from helpers import nearly_flat_code
+
 
 def run_cli(capsys, argv):
     status = main(argv)
@@ -158,6 +160,14 @@ class TestCertify:
         kinds = [b["kind"] for b in report["bounds"]]
         assert "ULB_ALPHA" in kinds
         assert report["covering_radius_kind"] == "exact"
+
+    def test_nearly_flat_code_reports_upper_estimate(self, capsys, tmp_path):
+        path = tmp_path / "flat.json"
+        save_code(nearly_flat_code(), path)
+        status, data = run_json(capsys, [
+            "certify", "--code", str(path), "--k", "1", "--pot", "cosh"])
+        assert status == 0
+        assert data["report"]["covering_radius_kind"] == "upper_estimate"
 
     def test_seeded_runs_are_byte_identical(self, capsys):
         argv = ["certify", "--code", "catalog:onb:4", "--k", "1",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from kkpolar.codes import (
     CATALOG_DESIGNS,
@@ -27,6 +28,8 @@ from kkpolar.codes import (
 from kkpolar.errors import CodeFormatError, PreconditionError
 from kkpolar.polynomials import gegenbauer
 from kkpolar.quadrature import largest_gauss_node
+
+from helpers import nearly_flat_code
 
 
 def random_code(n, size, seed):
@@ -230,6 +233,17 @@ class TestCoveringRadius:
         assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(code.points @ witness)) <= 1e-12
         assert covering_radius_kind(code) == "exact"
+
+    def test_nearly_flat_code_falls_back_to_search(self):
+        code = nearly_flat_code()
+        with pytest.raises(QhullError):
+            ConvexHull(np.vstack([code.points, -code.points]))
+        r, witness = covering_radius_r(code)
+        assert covering_radius_kind(code) == "upper_estimate"
+        assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
+        assert r == pytest.approx(np.max(np.abs(code.points @ witness)), abs=1e-15)
+        # the deepest hole sits at the flattened axis, where |x . x_i| ~ 1e-14
+        assert r <= 1e-12
 
     def test_upper_bound_theorem_counts(self):
         assert max_hull_facets(2, 7) == 7

@@ -18,12 +18,13 @@ from kkpolar.potentials import (
     arcsine,
     gaussian_sym,
     monomial_2k,
-    negate,
     p_frame,
     riesz_sym,
 )
 from kkpolar.quadrature import rule_alpha, rule_beta
 from kkpolar.signed_measure import admissible_range, build_context
+
+from helpers import negate
 
 
 def anchor(n, k, frac=0.6):
@@ -35,7 +36,7 @@ class TestHermiteConfluent:
     def test_tangent_line(self):
         # single double node: first-order Taylor polynomial
         a = 1.0 / 3.0
-        scheme = InterpolationScheme(((a, 2),), Side.BELOW, 1.0)
+        scheme = InterpolationScheme(((a, 2),))
         g = hermite_confluent(scheme, [a * a], [2 * a])
         assert list(g.coeffs) == pytest.approx([-1.0 / 9.0, 2.0 / 3.0], abs=1e-14)
 
@@ -43,26 +44,26 @@ class TestHermiteConfluent:
         rng = np.random.default_rng(3)
         target = Polynomial(rng.standard_normal(4))  # degree 3
         dtarget = target.derivative()
-        scheme = InterpolationScheme(((0.1, 2), (0.6, 2)), Side.BELOW, 1.0)
+        scheme = InterpolationScheme(((0.1, 2), (0.6, 2)))
         got = hermite_confluent(
             scheme, [target(0.1), target(0.6)], [dtarget(0.1), dtarget(0.6)])
         assert list(got.coeffs) == pytest.approx(list(target.coeffs), abs=1e-11)
 
     def test_two_simple_nodes_on_square(self):
         # interpolating u^2 at u=0,1 gives u, which dominates u^2 inside [0,1]
-        scheme = InterpolationScheme(((0.0, 1), (1.0, 1)), Side.ABOVE, 1.0)
+        scheme = InterpolationScheme(((0.0, 1), (1.0, 1)))
         g = hermite_confluent(scheme, [0.0, 1.0], [None, None])
         assert list(g.coeffs) == pytest.approx([0.0, 1.0], abs=1e-15)
         us = np.linspace(0, 1, 101)
         assert np.all(g(us) - us**2 >= -1e-15)
 
     def test_duplicate_nodes_rejected(self):
-        scheme = InterpolationScheme(((0.3, 2), (0.3, 1)), Side.BELOW, 1.0)
+        scheme = InterpolationScheme(((0.3, 2), (0.3, 1)))
         with pytest.raises(PreconditionError):
             hermite_confluent(scheme, [1.0, 1.0], [0.0, None])
 
     def test_missing_derivative_rejected(self):
-        scheme = InterpolationScheme(((0.3, 2),), Side.BELOW, 1.0)
+        scheme = InterpolationScheme(((0.3, 2),))
         with pytest.raises(PreconditionError):
             hermite_confluent(scheme, [1.0], [None])
 

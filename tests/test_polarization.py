@@ -14,9 +14,11 @@ from kkpolar.polarization import (BoundReport, Direction, average_check,
                                   potential_U, upper_bound_finite,
                                   upper_bound_s)
 from kkpolar.polynomials import integrate_mu, monomial_moment
-from kkpolar.potentials import (gaussian_sym, monomial_2k, negate, p_frame,
+from kkpolar.potentials import (gaussian_sym, monomial_2k, p_frame,
                                 parse_potential, riesz_sym, user_potential)
 from kkpolar.quadrature import largest_gauss_node, rule_alpha, rule_beta
+
+from helpers import negate
 
 
 def perturbed_onb3() -> SphericalCode:

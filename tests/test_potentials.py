@@ -12,12 +12,13 @@ from kkpolar.potentials import (
     eval_h,
     gaussian_sym,
     monomial_2k,
-    negate,
     p_frame,
     parse_potential,
     riesz_sym,
     user_potential,
 )
+
+from helpers import negate
 
 ALL_BUILTINS = [
     monomial_2k(1), monomial_2k(3),

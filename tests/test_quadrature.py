@@ -2,43 +2,85 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import roots_gegenbauer
 
-from kkpolar.errors import NumericalDegeneracyError, PreconditionError
-from kkpolar.polynomials import Polynomial, gegenbauer, monomial_moment
+from kkpolar.errors import PreconditionError
+from kkpolar.polynomials import gegenbauer
 from kkpolar.quadrature import (
+    _jacobi_rule,
     largest_gauss_node,
-    poly_roots_in_interval,
     rule_alpha,
     rule_beta,
     verify_exactness,
 )
+from kkpolar.signed_measure import (
+    ADMISSIBILITY_MARGIN,
+    admissible_range,
+    build_context,
+    rule_lambda,
+)
 
 
 class TestRootFinding:
+    """Rule nodes are the roots of the orthogonal polynomials: alpha nodes
+    of the degree-(k+1) Gegenbauer polynomial for dimension n, beta interior
+    nodes of the degree-k one for dimension n+2."""
+
     def test_quadratic(self):
-        p = Polynomial([-0.5, 0.0, 1.5])  # (3t^2 - 1)/2
-        roots = poly_roots_in_interval(p, -1.0, 1.0)
-        assert roots == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], abs=1e-13)
+        # degree-2 Gegenbauer polynomial for dimension 5 is (5t^2 - 1)/4
+        interior = rule_beta(3, 2).nodes[1:-1]
+        assert interior == pytest.approx([-1 / math.sqrt(5), 1 / math.sqrt(5)], abs=1e-13)
 
     def test_linear(self):
-        assert poly_roots_in_interval(Polynomial.identity(), -1, 1) == pytest.approx([0.0], abs=1e-15)
+        assert rule_beta(4, 1).nodes[1] == 0.0
 
     def test_against_companion_matrix(self):
         p = gegenbauer(3, 3)
-        roots = poly_roots_in_interval(p, -1.0, 1.0, expected=3)
         oracle = sorted(np.roots(list(reversed(p.coeffs))).real)
-        assert roots == pytest.approx(oracle, abs=1e-12)
+        assert rule_alpha(3, 2).nodes == pytest.approx(oracle, abs=1e-12)
 
     def test_residual_small(self):
         p = gegenbauer(4, 7)
         scale = max(abs(c) for c in p.coeffs)
-        for r in poly_roots_in_interval(p, -1.0, 1.0, expected=7):
+        for r in rule_alpha(4, 6).nodes:
             assert abs(p(r)) <= 1e-13 * scale
 
     def test_expected_count_enforced(self):
-        # t^2 + 1 has no real roots; demanding two must fail loudly
-        with pytest.raises(NumericalDegeneracyError):
-            poly_roots_in_interval(Polynomial([1.0, 0.0, 1.0]), -1, 1, expected=2)
+        # below the largest Gauss node fewer than k roots of the
+        # signed-weight polynomial lie inside (-s, s); the engine refuses
+        lo = largest_gauss_node(3, 2)
+        for s in (lo - 0.01, 0.5 * lo):
+            with pytest.raises(PreconditionError):
+                _jacobi_rule("lambda", 3, 2, s)
+
+
+def gegenbauer_roots(n, degree, shift=0):
+    """Roots of the degree-`degree` Gegenbauer polynomial for dimension
+    n + shift, from scipy."""
+    return roots_gegenbauer(degree, (n + shift - 2) / 2.0)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 10), k=st.integers(1, 40),
+       frac=st.floats(0.0, 1.0, exclude_min=True))
+def test_rules_against_scipy_and_exactness(n, k, frac):
+    alpha, beta = rule_alpha(n, k), rule_beta(n, k)
+    assert alpha.nodes == pytest.approx(gegenbauer_roots(n, k + 1), abs=1e-12)
+    assert beta.nodes[1:-1] == pytest.approx(gegenbauer_roots(n, k, 2), abs=1e-12)
+    assert (beta.nodes[0], beta.nodes[-1]) == (-1.0, 1.0)
+
+    lo, hi = admissible_range(n, k)
+    s = max(lo + frac * (hi - lo), lo + ADMISSIBILITY_MARGIN)
+    lam = rule_lambda(build_context(n, k, s))
+    assert (lam.nodes[0], lam.nodes[-1]) == (-s, s)
+    assert np.all(np.abs(lam.nodes[1:-1]) < s)
+    for rule in (alpha, beta, lam):
+        assert len(rule.nodes) == len(rule.weights)
+        assert np.all(np.diff(rule.nodes) > 0)
+        assert min(rule.weights) > 0.0
+        assert verify_exactness(rule, n, 2 * k + 1) <= 1e-11
 
 
 class TestRuleAlpha:

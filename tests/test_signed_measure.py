@@ -3,14 +3,37 @@ import pytest
 from scipy import integrate
 
 from kkpolar.errors import PreconditionError
-from kkpolar.polynomials import Polynomial, gegenbauer
+from kkpolar.polynomials import Polynomial, gegenbauer, integrate_mu
 from kkpolar.quadrature import rule_beta, verify_exactness
 from kkpolar.signed_measure import (
     admissible_range,
     build_context,
     rule_lambda,
-    signed_inner_product,
 )
+
+_T_SQUARED = Polynomial((0.0, 0.0, 1.0))
+
+
+def signed_inner_product(n, s, p, q):
+    """Oracle: integral of p*q*(s^2 - t^2) against the axis-projection
+    measure, assembled from closed-form moments."""
+    pq = p * q
+    return s * s * integrate_mu(n, pq) - integrate_mu(n, pq * _T_SQUARED)
+
+
+def signed_orthogonal_polys(n, k, s):
+    """Oracle: monic orthogonal polynomials of degrees 0..k for the signed
+    weight and their squared norms, by Gram-Schmidt on the monomials with
+    a second projection pass."""
+    polys, norms = [], []
+    for j in range(k + 1):
+        q = Polynomial.monomial(j)
+        for _ in range(2):
+            for prev, nrm in zip(polys, norms):
+                q = q - prev.scale(signed_inner_product(n, s, q, prev) / nrm)
+        polys.append(q)
+        norms.append(signed_inner_product(n, s, q, q))
+    return polys, norms
 
 
 def signed_inner_numeric(n, s, p, q):
@@ -61,44 +84,48 @@ class TestInnerProduct:
 
 
 class TestBuildContext:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_orthogonality_and_positive_norms(self, n, k):
-        ctx = build_context(n, k, mid_anchor(n, k))
-        for j, (q, nrm) in enumerate(zip(ctx.polys, ctx.norms_sq)):
-            assert q.degree == j
-            assert q.coeffs[-1] == pytest.approx(1.0, abs=1e-12)
-            if j <= k - 1:  # no sign guarantee at the top degree
-                assert nrm > 0.0
+        # cross-check against Gram-Schmidt: at an admissible anchor the
+        # signed form is positive definite below degree k, and the interior
+        # nodes are the roots of the monic degree-k orthogonal polynomial
+        s = mid_anchor(n, k)
+        polys, norms = signed_orthogonal_polys(n, k, s)
+        assert all(nrm > 0.0 for nrm in norms[:k])
         for i in range(k + 1):
             for j in range(i + 1, k + 1):
-                ip = ctx.inner_product(ctx.polys[i], ctx.polys[j])
-                assert abs(ip) <= 1e-10
+                assert abs(signed_inner_product(n, s, polys[i], polys[j])) <= 1e-10
+        interior = lambda_rule(n, k, s).nodes[1:-1]
+        assert len(interior) == k
+        assert max(abs(polys[k](x)) for x in interior) <= 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_parity(self, n, k):
-        ctx = build_context(n, k, mid_anchor(n, k, 0.35))
-        for j, q in enumerate(ctx.polys):
-            off = [c for i, c in enumerate(q.coeffs) if (i - j) % 2 != 0]
-            assert all(abs(c) <= 1e-12 for c in off)
+        # the signed weight is even, so its orthogonal polynomials have
+        # parity k and the rule is symmetric, with a node at 0 for odd k
+        rule = lambda_rule(n, k, mid_anchor(n, k, 0.35))
+        assert rule.nodes == tuple(-x for x in reversed(rule.nodes))
+        assert rule.weights == tuple(reversed(rule.weights))
+        assert (0.0 in rule.nodes) == (k % 2 == 1)
 
     @pytest.mark.parametrize("n", [2, 4, 9])
     def test_degree_one_is_identity(self, n):
-        ctx = build_context(n, 1, mid_anchor(n, 1, 0.5))
-        assert list(ctx.polys[1].coeffs) == pytest.approx([0.0, 1.0], abs=1e-15)
+        # pi_1 = t, so the one interior node of the k = 1 rule is 0
+        rule = lambda_rule(n, 1, mid_anchor(n, 1, 0.5))
+        assert rule.nodes[1] == 0.0
 
     @pytest.mark.parametrize("n,k", [(2, 2), (3, 1), (3, 3), (5, 2)])
     def test_anchor_one_gives_shifted_dimension_gegenbauer(self, n, k):
-        ctx = build_context(n, k, 1.0)
         ref = gegenbauer(n + 2, k)
-        monic = ref.scale(1.0 / ref.coeffs[-1])
-        assert list(ctx.polys[k].coeffs) == pytest.approx(list(monic.coeffs), abs=1e-10)
+        interior = lambda_rule(n, k, 1.0).nodes[1:-1]
+        assert max(abs(ref(x)) for x in interior) <= 1e-12 * max(abs(c) for c in ref.coeffs)
 
     def test_n3_k2_example(self):
         # top polynomial at s=1 has the roots of 5t^2 - 1
-        ctx = build_context(3, 2, 1.0)
-        assert list(ctx.polys[2].coeffs) == pytest.approx([-0.2, 0.0, 1.0], abs=1e-12)
+        rule = lambda_rule(3, 2, 1.0)
+        assert rule.nodes[1:3] == pytest.approx([-1 / np.sqrt(5), 1 / np.sqrt(5)], abs=1e-14)
 
     @pytest.mark.parametrize("n,k", [(2, 1), (2, 4), (3, 2), (4, 3), (5, 5)])
     def test_positive_definite_below_top_degree(self, n, k):
