@@ -20,7 +20,7 @@ from .interpolants import (InterpolationScheme, Side, build_H2k, build_H2k_s,
                            verify_one_sided)
 from .polarization import (BoundReport, CertificationReport, CheckResult,
                            Direction, ExtremizationResult, average_check,
-                           certify_design, extremize, lower_bound,
+                           certify_design, extrema, extremize, lower_bound,
                            potential_U, upper_bound_finite, upper_bound_s)
 from .polynomials import (GegenbauerFamily, Polynomial, gegenbauer,
                           integrate_mu, monomial_moment, substitute_t_squared)
@@ -43,7 +43,7 @@ __all__ = [
     "SphericalCode", "admissible_range", "arcsine", "average_check",
     "build_H2k", "build_H2k_s", "build_H2k_tilde", "build_context", "catalog",
     "certify_design", "certify_sign", "covering_radius_r", "eval_h",
-    "extremize", "gaussian_sym", "gegenbauer", "hermite_confluent",
+    "extrema", "extremize", "gaussian_sym", "gegenbauer", "hermite_confluent",
     "integrate_mu", "is_kk_design", "largest_gauss_node", "load_code",
     "lower_bound", "moment", "monomial_2k", "monomial_moment",
     "p_frame", "parse_potential", "potential_U", "riesz_sym", "rule_alpha",

@@ -20,8 +20,8 @@ import numpy as np
 from .codes import (CATALOG_DESIGNS, catalog, covering_radius_r, is_kk_design,
                     load_code)
 from .errors import CodeFormatError, KkpolarError, PreconditionError
-from .polarization import (Direction, certify_design, extremize, lower_bound,
-                           upper_bound_finite, upper_bound_s)
+from .polarization import (Direction, certify_design, extrema, extremize,
+                           lower_bound, upper_bound_finite, upper_bound_s)
 from .potentials import parse_potential
 from .quadrature import (largest_gauss_node, rule_alpha, rule_beta,
                          verify_exactness)
@@ -97,10 +97,13 @@ def _cmd_polarize(args) -> dict:
     code = _resolve_code(args.code)
     pot = parse_potential(args.pot)
     out: dict = {"n": code.n, "N": code.size, "potential": pot.name}
-    if args.direction in ("min", "both"):
+    if args.direction == "both":
+        low, high = extrema(code, pot, seed=args.seed, restarts=args.restarts)
+        out["minimum"], out["maximum"] = low.to_dict(), high.to_dict()
+    elif args.direction == "min":
         out["minimum"] = extremize(code, pot, Direction.MIN, seed=args.seed,
                                    restarts=args.restarts).to_dict()
-    if args.direction in ("max", "both"):
+    else:
         out["maximum"] = extremize(code, pot, Direction.MAX, seed=args.seed,
                                    restarts=args.restarts).to_dict()
     return out

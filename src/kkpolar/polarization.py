@@ -16,8 +16,9 @@ the same size, independent of the particular point configuration:
     valid for codes whose covering radius stays below s
 
 Extremization is a multistart global search (exact on the circle): local
-searches from screened seeds, refined with the exact gradient of the
-potential sum where g' allows it.  A search can miss the global optimum,
+searches from screened seeds, refined together by batched BFGS with the
+exact gradient of the potential sum where g' allows it; extrema screens
+the seeds once for both directions.  A search can miss the global optimum,
 so its results are estimates: an upper estimate of the minimum and a lower
 estimate of the maximum.  Sandwich checks remain sound with estimates on
 those sides.
@@ -33,9 +34,8 @@ from typing import Optional
 import numpy as np
 from scipy import optimize
 
-from .codes import (DesignCertificate, SphericalCode, _fibonacci_sphere,
-                    _structured_seeds, covering_radius_kind,
-                    covering_radius_r, is_kk_design)
+from .codes import (DesignCertificate, SphericalCode, _covering,
+                    _fibonacci_sphere, _structured_seeds, is_kk_design)
 from .errors import NumericalDegeneracyError, PreconditionError
 from .interpolants import (Side, _interpolate, _scheme_from_nodes, build_H2k,
                            build_H2k_s, build_H2k_tilde, verify_one_sided)
@@ -56,6 +56,14 @@ _ANCHORED_CAVEAT = ("anchored bound is conditional: it limits the minimum "
 class Direction(Enum):
     MIN = "MIN"
     MAX = "MAX"
+
+
+# each direction minimizes sgn U
+_SIGN = {Direction.MIN: 1.0, Direction.MAX: -1.0}
+# seeds refined by local search, out of the screened ones
+_SURVIVORS = 10
+# rows of the seed screen evaluated at once
+_SCREEN_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -292,9 +300,14 @@ def _u_sum(points: np.ndarray, pot: Potential, x: np.ndarray) -> float:
 
 
 def _u_batch(points: np.ndarray, pot: Potential, mat: np.ndarray) -> np.ndarray:
-    dots = mat @ points.T
-    u = np.minimum(dots * dots, 1.0)
-    return np.sum(_g_of_u(pot, u), axis=1)
+    """U at each row of mat, _SCREEN_CHUNK rows at a time, which bounds the
+    (rows, N) temporaries on large screens."""
+    out = np.empty(mat.shape[0])
+    for start in range(0, mat.shape[0], _SCREEN_CHUNK):
+        dots = mat[start:start + _SCREEN_CHUNK] @ points.T
+        u = np.minimum(dots * dots, 1.0)
+        out[start:start + _SCREEN_CHUNK] = np.sum(_g_of_u(pot, u), axis=1)
+    return out
 
 
 def potential_U(x, code: SphericalCode, pot: Potential) -> float:
@@ -312,10 +325,10 @@ def potential_U(x, code: SphericalCode, pot: Potential) -> float:
 
 def _gradient_oracle(points: np.ndarray, pot: Potential, sgn: float,
                      probe: np.ndarray):
-    """fg(x) -> (sgn U(x), its Euclidean gradient 2 sgn sum_i g'(u_i)
-    (x . x_i) x_i) when g' is analytic, accepts arrays and is finite at
-    u = 0 and at the probe directions; None otherwise, and the caller
-    falls back to derivative-free refinement."""
+    """fg(xs) -> (sgn U, its Euclidean gradient 2 sgn sum_i g'(u_i)
+    (x . x_i) x_i) at each unit row x of xs, when g' is analytic, accepts
+    arrays and is finite at u = 0 and at the probe directions; None
+    otherwise, and the caller falls back to derivative-free refinement."""
     if pot.derivative_kind != "analytic":
         return None
     dots = probe @ points.T
@@ -328,13 +341,13 @@ def _gradient_oracle(points: np.ndarray, pot: Potential, sgn: float,
     if slopes.shape != u.shape or not np.all(np.isfinite(slopes)):
         return None
 
-    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        d = points @ x
+    def fg(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d = xs @ points.T
         uu = np.minimum(d * d, 1.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            value = sgn * float(np.sum(_g_of_u(pot, uu)))
-            grad = (2.0 * sgn) * (points.T @ (pot.eval_g_prime(uu) * d))
-        return value, grad
+            values = sgn * np.sum(_g_of_u(pot, uu), axis=1)
+            grads = (2.0 * sgn) * ((pot.eval_g_prime(uu) * d) @ points)
+        return values, grads
 
     return fg
 
@@ -382,6 +395,77 @@ def _extremize_circle(points: np.ndarray, pot: Potential,
         stationarity_norm=abs(slope) if math.isfinite(slope) else math.inf)
 
 
+def _screen(code: SphericalCode, pot: Potential, seed: int,
+            restarts: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Seed directions as rows, and U at each: structured seeds, a
+    latitude-longitude grid and a Fibonacci sphere in R^3, and random
+    directions."""
+    seeds = [_structured_seeds(code.points)]
+    if code.n == 3:
+        seeds.append(_lat_long_grid())
+        seeds.append(_fibonacci_sphere(600))
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((max(128, restarts or 0), code.n))
+    seeds.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    mat = np.vstack(seeds)
+    return mat, _u_batch(code.points, pot, mat)
+
+
+def _refine(points: np.ndarray, pot: Potential, sgn: float,
+            survivors: np.ndarray) -> ExtremizationResult:
+    """Local searches from the survivors for the minimum of sgn U; the best
+    endpoint wins."""
+    fg = _gradient_oracle(points, pot, sgn, survivors)
+    if fg is not None:
+        values, ends = tangent_bfgs(fg, survivors)
+        best_x = ends[int(np.argmin(np.where(np.isnan(values), np.inf, values)))]
+        slope = float(np.linalg.norm(
+            tangent_component(best_x, fg(best_x[None])[1][0])))
+        stationarity = slope if math.isfinite(slope) else math.inf
+    else:
+        def f(x: np.ndarray) -> float:
+            return sgn * _u_sum(points, pot, x)
+
+        best_val, best_x = math.inf, survivors[0]
+        for x0 in survivors:
+            val, x = projected_gradient_descent(f, x0)
+            val2, x2 = nm_polish(f, x)
+            if val2 < val:
+                val, x = val2, x2
+            if val < best_val:
+                best_val, best_x = val, x
+        stationarity = stationarity_norm(f, best_x)
+    return ExtremizationResult(
+        value=_u_sum(points, pot, best_x), argpoint=tuple(best_x),
+        restarts=len(survivors), stationarity_norm=stationarity)
+
+
+def _extremize(code: SphericalCode, pot: Potential,
+               directions: tuple[Direction, ...], seed: int,
+               restarts: Optional[int]) -> list[ExtremizationResult]:
+    """One result per direction; the directions that need a search share
+    one seed screen."""
+    pts = code.points
+    found: dict[Direction, ExtremizationResult] = {}
+    searched = []
+    for direction in directions:
+        if direction is Direction.MAX and pot.h_at_1 == math.inf:
+            found[direction] = ExtremizationResult(math.inf, tuple(pts[0]), 0, 0.0)
+        elif direction is Direction.MIN and pot.h_at_1 == -math.inf:
+            found[direction] = ExtremizationResult(-math.inf, tuple(pts[0]), 0, 0.0)
+        elif code.n == 2:
+            found[direction] = _extremize_circle(pts, pot, _SIGN[direction])
+        else:
+            searched.append(direction)
+    if searched:
+        mat, u = _screen(code, pot, seed, restarts)
+        for direction in searched:
+            sgn = _SIGN[direction]
+            survivors = mat[np.argsort(sgn * u)[:_SURVIVORS]]
+            found[direction] = _refine(pts, pot, sgn, survivors)
+    return [found[direction] for direction in directions]
+
+
 def extremize(code: SphericalCode, pot: Potential, direction: Direction,
               seed: int = 0, restarts: Optional[int] = None) -> ExtremizationResult:
     """Global extremum of the potential sum over the sphere, by multistart
@@ -393,62 +477,29 @@ def extremize(code: SphericalCode, pot: Potential, direction: Direction,
     (code points, axes, normalized pairwise sums, sign combinations), a
     latitude-longitude grid in R^3, and random directions are screened,
     and the ten best are refined.  When g' is analytic, accepts arrays and
-    is finite at u = 0 and at those seeds, each is refined by BFGS in
-    tangent coordinates with the exact gradient
-    2 sum_i g'(u_i) (x . x_i) x_i, and stationarity_norm is the exact
-    Riemannian gradient norm.  Otherwise (numeric or scalar-only g', or a
-    g' singular at u = 0 such as p-frames with p < 2) each is refined by
-    descent along central-difference gradients followed by a Nelder-Mead
-    polish.  MIN results are upper estimates of the true minimum, MAX
-    results lower estimates of the true maximum.
+    is finite at u = 0 and at those seeds, the ten are refined together by
+    batched BFGS in tangent coordinates (sphere_opt.tangent_bfgs) with the
+    exact gradient 2 sum_i g'(u_i) (x . x_i) x_i, and stationarity_norm is
+    the exact Riemannian gradient norm.  Otherwise (numeric or scalar-only
+    g', or a g' singular at u = 0 such as p-frames with p < 2) each is
+    refined by descent along central-difference gradients followed by a
+    Nelder-Mead polish.  MIN results are upper estimates of the true
+    minimum, MAX results lower estimates of the true maximum.  extrema
+    returns both directions from one screen.
     """
-    direction = Direction(direction)
-    pts = code.points
-    if direction is Direction.MAX and pot.h_at_1 == math.inf:
-        return ExtremizationResult(math.inf, tuple(pts[0]), 0, 0.0)
-    if direction is Direction.MIN and pot.h_at_1 == -math.inf:
-        return ExtremizationResult(-math.inf, tuple(pts[0]), 0, 0.0)
+    return _extremize(code, pot, (Direction(direction),), seed, restarts)[0]
 
-    sgn = 1.0 if direction is Direction.MIN else -1.0
-    if code.n == 2:
-        return _extremize_circle(pts, pot, sgn)
 
-    def f(x: np.ndarray) -> float:
-        return sgn * _u_sum(pts, pot, x)
-
-    seeds = [_structured_seeds(pts)]
-    if code.n == 3:
-        seeds.append(_lat_long_grid())
-        seeds.append(_fibonacci_sphere(600))
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((max(128, restarts or 0), code.n))
-    seeds.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-    mat = np.vstack(seeds)
-    vals = sgn * _u_batch(pts, pot, mat)
-    order = np.argsort(vals)
-    survivors = mat[order[:10]]
-    fg = _gradient_oracle(pts, pot, sgn, survivors)
-
-    best_val, best_x, runs = math.inf, survivors[0], 0
-    for x0 in survivors:
-        if fg is not None:
-            val, x = tangent_bfgs(fg, x0)
-        else:
-            val, x = projected_gradient_descent(f, x0)
-            val2, x2 = nm_polish(f, x)
-            if val2 < val:
-                val, x = val2, x2
-        runs += 1
-        if val < best_val:
-            best_val, best_x = val, x
-    if fg is not None:
-        slope = float(np.linalg.norm(tangent_component(best_x, fg(best_x)[1])))
-        stationarity = slope if math.isfinite(slope) else math.inf
-    else:
-        stationarity = stationarity_norm(f, best_x)
-    return ExtremizationResult(
-        value=_u_sum(pts, pot, best_x), argpoint=tuple(best_x),
-        restarts=runs, stationarity_norm=stationarity)
+def extrema(code: SphericalCode, pot: Potential, seed: int = 0,
+            restarts: Optional[int] = None
+            ) -> tuple[ExtremizationResult, ExtremizationResult]:
+    """(minimum, maximum) of the potential sum over the sphere: the same
+    results as extremize in each direction, with the seeds screened once;
+    the ten lowest-U seeds are the MIN survivors and the ten highest the
+    MAX survivors."""
+    low, high = _extremize(code, pot, (Direction.MIN, Direction.MAX),
+                           seed, restarts)
+    return low, high
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +569,8 @@ def certify_design(code: SphericalCode, k: int, pot: Potential,
     """
     cert = is_kk_design(code, k)
     n, size = code.n, code.size
-    minimum = extremize(code, pot, Direction.MIN, seed=seed)
-    maximum = extremize(code, pot, Direction.MAX, seed=seed)
-    radius, _ = covering_radius_r(code, seed=seed)
+    minimum, maximum = extrema(code, pot, seed=seed)
+    radius, _, radius_kind = _covering(code, seed=seed)
     bounds: list[BoundReport] = []
     checks: list[CheckResult] = [CheckResult(
         "order", minimum.value <= maximum.value + 1e-12,
@@ -587,7 +637,7 @@ def certify_design(code: SphericalCode, k: int, pot: Potential,
         n=n, k=k, N=size, potential=pot.name, design=cert,
         bounds=tuple(bounds), minimum=minimum, maximum=maximum,
         covering_radius=radius,
-        covering_radius_kind=covering_radius_kind(code),
+        covering_radius_kind=radius_kind,
         checks=tuple(checks))
 
 

@@ -1,11 +1,11 @@
-"""Local minimization of scalar objectives over the unit sphere.
+"""Local minimization of scalar objectives over the unit sphere, for
+potential extremization.
 
-Shared by the covering-radius fallback search and potential extremization.
 Smooth objectives with an exact gradient are refined by BFGS in tangent
-coordinates (tangent_bfgs).  The derivative-free routines (Nelder-Mead, and
-descent along central-difference gradients) serve objectives that may be
-nonsmooth (max of absolute inner products, fractional powers) or take
-infinite values away from the search region.
+coordinates, all starts at once (tangent_bfgs).  The derivative-free
+routines (Nelder-Mead, and descent along central-difference gradients)
+serve potentials whose g' is numeric, scalar-only or singular at u = 0
+(fractional powers).
 """
 
 from __future__ import annotations
@@ -29,35 +29,142 @@ def tangent_component(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v - (v @ x) * x
 
 
-def tangent_bfgs(fg, x0: np.ndarray) -> tuple[float, np.ndarray]:
-    """BFGS in tangent coordinates with an exact gradient, in two rounds,
-    the second re-centred at the first one's result.  fg(x) returns the
-    objective and its Euclidean gradient at a unit vector x; in the chart
-    z -> (x + T z)/|x + T z| the gradient is T^t P grad / |x + T z|, with
-    P the tangent projection at the image point.  Returns (value, point)
-    with the point on the sphere; a round that does not lower the value is
-    discarded."""
-    x = x0 / np.linalg.norm(x0)
-    fx = fg(x)[0]
-    for _ in range(2):
-        tangent = tangent_basis(x)
+def _householder_bases(xs: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent bases at the unit rows of xs, shape (B, n, n-1):
+    columns 2..n of the Householder reflector that maps e_1 to -+x."""
+    v = xs.copy()
+    v[:, 0] += np.where(xs[:, 0] >= 0.0, 1.0, -1.0)
+    scale = 2.0 / np.sum(v * v, axis=1)
+    reflector = np.eye(xs.shape[1]) - scale[:, None, None] * (
+        v[:, :, None] * v[:, None, :])
+    return reflector[:, :, 1:]
 
-        def local(z):
-            cand = x + tangent @ z
-            radius = np.linalg.norm(cand)
-            point = cand / radius
-            value, grad = fg(point)
-            return value, tangent.T @ tangent_component(point, grad) / radius
 
-        res = optimize.minimize(local, np.zeros(x.shape[0] - 1), jac=True,
-                                method="BFGS", options={"gtol": 1e-12})
-        cand = x + tangent @ res.x
-        cand /= np.linalg.norm(cand)
-        fc = fg(cand)[0]
-        if not fc <= fx:
+_GTOL = 1e-12
+_ARMIJO_C1 = 1e-4
+_HALVINGS = 20
+
+
+def _bfgs_round(fg, xs: np.ndarray) -> np.ndarray:
+    """One BFGS run per row in the chart z -> (x + T z)/|x + T z| around the
+    unit rows of xs, with T the row's Householder tangent basis; returns
+    the unit points reached.  The chart gradient is T^t P grad / |x + T z|,
+    with P the tangent projection at the image point.  Each row keeps its
+    own inverse Hessian and stops when its largest chart-gradient component
+    falls to _GTOL, or when its Armijo backtracking finds no step within
+    _HALVINGS halvings that strictly decreases its value."""
+    count, n = xs.shape
+    m = n - 1
+    bases = _householder_bases(xs)
+
+    def points(rows, z):
+        cand = xs[rows] + np.einsum("bij,bj->bi", bases[rows], z)
+        radius = np.linalg.norm(cand, axis=1)
+        return cand / radius[:, None], radius
+
+    def local(rows, z):
+        point, radius = points(rows, z)
+        value, grad = fg(point)
+        tangent = grad - np.sum(grad * point, axis=1)[:, None] * point
+        return value, np.einsum("bij,bi->bj", bases[rows], tangent) / radius[:, None]
+
+    everyone = np.arange(count)
+    z = np.zeros((count, m))
+    f, g = local(everyone, z)
+    eye = np.eye(m)
+    inv_hess = np.empty((count, m, m))
+    fresh = np.empty(count, dtype=bool)
+
+    def restart(rows):
+        # the identity, scaled so that the first step has length at most 1
+        norms = np.maximum(1.0, np.linalg.norm(g[rows], axis=1))
+        inv_hess[rows] = eye / norms[:, None, None]
+        fresh[rows] = True
+
+    restart(everyone)
+    live = np.isfinite(f) & np.all(np.isfinite(g), axis=1)
+    live &= np.max(np.abs(g), axis=1) > _GTOL
+    for _ in range(200 * m):
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
             break
-        x, fx = cand, fc
-    return fx, x
+        step = -np.einsum("bij,bj->bi", inv_hess[rows], g[rows])
+        slope = np.sum(step * g[rows], axis=1)
+        uphill = ~(slope < 0.0)
+        if np.any(uphill):
+            # roundoff broke positive definiteness
+            restart(rows[uphill])
+            step[uphill] = -np.einsum("bij,bj->bi", inv_hess[rows[uphill]],
+                                      g[rows[uphill]])
+            slope[uphill] = np.sum(step[uphill] * g[rows[uphill]], axis=1)
+
+        alpha = np.ones(rows.size)
+        f_new = np.full(rows.size, np.nan)
+        g_new = np.empty((rows.size, m))
+        pending = np.arange(rows.size)
+        for _ in range(_HALVINGS + 1):
+            at = rows[pending]
+            value, grad = local(at, z[at] + alpha[pending, None] * step[pending])
+            # Armijo, and a strict decrease where c1 alpha slope is below
+            # the spacing of floats at f
+            ok = ((value <= f[at] + _ARMIJO_C1 * alpha[pending] * slope[pending])
+                  & (value < f[at]))
+            f_new[pending[ok]] = value[ok]
+            g_new[pending[ok]] = grad[ok]
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            alpha[pending] *= 0.5
+
+        moved = ~np.isnan(f_new)
+        live[rows[~moved]] = False
+        rows = rows[moved]
+        s = alpha[moved, None] * step[moved]
+        y = g_new[moved] - g[rows]
+        z[rows] += s
+        f[rows] = f_new[moved]
+        g[rows] = g_new[moved]
+        live[rows] &= np.all(np.isfinite(g[rows]), axis=1)
+        live[rows] &= np.max(np.abs(g[rows]), axis=1) > _GTOL
+
+        ys = np.sum(y * s, axis=1)
+        curved = ys > 0.0
+        rows, s, y, ys = rows[curved], s[curved], y[curved], ys[curved]
+        first = fresh[rows]
+        # Nocedal & Wright (6.20): rescale the identity before the first update
+        inv_hess[rows[first]] = eye * (ys[first] / np.sum(y[first] ** 2, axis=1))[:, None, None]
+        fresh[rows] = False
+        rho = 1.0 / ys
+        hy = np.einsum("bij,bj->bi", inv_hess[rows], y)
+        yhy = np.sum(y * hy, axis=1)
+        inv_hess[rows] += ((rho * rho * yhy + rho)[:, None, None] * s[:, :, None] * s[:, None, :]
+                           - rho[:, None, None] * (s[:, :, None] * hy[:, None, :]
+                                                   + hy[:, :, None] * s[:, None, :]))
+    return points(everyone, z)[0]
+
+
+def tangent_bfgs(fg, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched BFGS in tangent coordinates with an exact gradient, one
+    independent run per row of x0 (B, n).  fg maps unit rows (B', n) to
+    their objective values (B',) and Euclidean gradients (B', n).  Each
+    row runs two rounds (_bfgs_round), the second re-centred at the first
+    one's result; a round that does not lower a row's value is discarded
+    for that row.  Returns (values (B,), points (B, n)) with the points on
+    the sphere."""
+    xs = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
+    values = fg(xs)[0]
+    live = np.ones(xs.shape[0], dtype=bool)
+    for _ in range(2):
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        cand = _bfgs_round(fg, xs[rows])
+        fc = fg(cand)[0]
+        better = fc <= values[rows]
+        xs[rows[better]] = cand[better]
+        values[rows[better]] = fc[better]
+        live[rows[~better]] = False
+    return values, xs
 
 
 def nm_polish(f, x0: np.ndarray, rounds: int = 2,

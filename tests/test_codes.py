@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 from scipy.spatial import ConvexHull, QhullError
 
 from kkpolar.codes import (
@@ -220,7 +221,7 @@ class TestCoveringRadius:
         sampled = np.min(np.max(np.abs(dirs @ code.points.T), axis=1))
         assert r <= sampled + 1e-12
         searched, _ = _covering_radius_search(code.points, 0, None)
-        assert r <= searched + 1e-12
+        assert searched == pytest.approx(r, abs=1e-12)
 
     @pytest.mark.parametrize("points", [
         [[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.8, 0.0]],
@@ -244,6 +245,33 @@ class TestCoveringRadius:
         assert r == pytest.approx(np.max(np.abs(code.points @ witness)), abs=1e-15)
         # the deepest hole sits at the flattened axis, where |x . x_i| ~ 1e-14
         assert r <= 1e-12
+
+    @pytest.mark.parametrize("code", [
+        catalog(name) for name in sorted(CATALOG_DESIGNS) if catalog(name).n >= 3
+    ] + [random_code(4, 9, 1), random_code(5, 30, 2), random_code(8, 120, 3)],
+        ids=lambda c: f"{c.n}x{c.size}")
+    def test_search_witness_is_a_facet_pole(self, code):
+        r, witness = _covering_radius_search(code.points, 0, None)
+        assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
+        dots = code.points @ witness
+        assert r == np.max(np.abs(dots))
+        on_facet = np.abs(dots) >= r - 1e-12
+        assert np.count_nonzero(on_facet) >= code.n
+        # the foot r w is a convex combination of the facet's points
+        facet = np.sign(dots[on_facet])[:, None] * code.points[on_facet]
+        system = np.vstack([facet.T, np.ones(len(facet))])
+        _, residual = optimize.nnls(system, np.append(r * witness, 1.0))
+        assert residual <= 1e-10
+
+    def test_capped_search_beats_sampled_minimax(self):
+        code = random_code(8, 120, 4)
+        r, witness = covering_radius_r(code, seed=4)
+        assert covering_radius_kind(code) == "upper_estimate"
+        assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
+        assert r == np.max(np.abs(code.points @ witness))
+        dirs = np.random.default_rng(4).standard_normal((4096, 8))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        assert r <= np.min(np.max(np.abs(dirs @ code.points.T), axis=1))
 
     def test_upper_bound_theorem_counts(self):
         assert max_hull_facets(2, 7) == 7

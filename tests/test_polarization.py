@@ -8,11 +8,11 @@ import pytest
 
 from kkpolar.codes import CATALOG_DESIGNS, SphericalCode, catalog
 from kkpolar.errors import PreconditionError
-from kkpolar import polarization
+from kkpolar import codes, polarization
 from kkpolar.polarization import (BoundReport, Direction, average_check,
-                                  certify_design, extremize, lower_bound,
-                                  potential_U, upper_bound_finite,
-                                  upper_bound_s)
+                                  certify_design, extrema, extremize,
+                                  lower_bound, potential_U,
+                                  upper_bound_finite, upper_bound_s)
 from kkpolar.polynomials import integrate_mu, monomial_moment
 from kkpolar.potentials import (gaussian_sym, monomial_2k, p_frame,
                                 parse_potential, riesz_sym, user_potential)
@@ -172,6 +172,43 @@ class TestGradientPath:
         assert bool(calls) is polished
         assert res.value == pytest.approx(
             potential_U(np.array(res.argpoint), catalog("cube_half"), pot), rel=1e-15)
+
+
+def assert_same_result(shared, alone):
+    assert shared.value == pytest.approx(alone.value, rel=1e-13, abs=1e-13)
+    assert shared.restarts == alone.restarts
+
+
+class TestExtrema:
+    @pytest.mark.parametrize("name,k", sorted(CATALOG_DESIGNS.items()))
+    def test_catalog_matches_extremize(self, name, k):
+        code = catalog(name)
+        for text in ("riesz:m=2", "pframe:p=4", "cosh", f"monomial:k={k}"):
+            pot = parse_potential(text)
+            low, high = extrema(code, pot)
+            assert_same_result(low, extremize(code, pot, Direction.MIN))
+            assert_same_result(high, extremize(code, pot, Direction.MAX))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_codes_match_extremize(self, seed):
+        n = 3 + seed % 6
+        size = int(np.random.default_rng(seed).integers(n, 61))
+        code = random_code(n, size, seed)
+        pot = [riesz_sym(1), p_frame(4), gaussian_sym(), monomial_2k(2)][seed % 4]
+        low, high = extrema(code, pot, seed=seed)
+        assert_same_result(low, extremize(code, pot, Direction.MIN, seed=seed))
+        assert_same_result(high, extremize(code, pot, Direction.MAX, seed=seed))
+
+    def test_screen_spanning_several_chunks(self):
+        code = random_code(4, 30, 5)
+        pot = gaussian_sym()
+        mat = np.random.default_rng(6).standard_normal(
+            (2 * polarization._SCREEN_CHUNK + 3, 4))
+        mat /= np.linalg.norm(mat, axis=1, keepdims=True)
+        dots = mat @ code.points.T
+        whole = np.sum(pot.eval_g(np.minimum(dots * dots, 1.0)), axis=1)
+        np.testing.assert_allclose(polarization._u_batch(code.points, pot, mat),
+                                   whole, rtol=1e-15, atol=0.0)
 
 
 class TestLowerBound:
@@ -374,6 +411,19 @@ class TestCertifyDesign:
         names = [c.name for c in rep.checks]
         assert "upper_finite_skipped" in names
         assert rep.all_passed
+
+    def test_convex_hull_built_once(self, monkeypatch):
+        calls = []
+        original = codes.ConvexHull
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(codes, "ConvexHull", counting)
+        rep = certify_design(catalog("icosahedron_half"), 2, p_frame(4))
+        assert rep.covering_radius_kind == "exact"
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name,k", sorted(CATALOG_DESIGNS.items()))
     def test_catalog_sandwich(self, name, k):
