@@ -18,7 +18,7 @@ def main():
     code = catalog("cube_half")
     pot = riesz_sym(2)
     n, k, size = code.n, 1, code.size
-    radius, _ = covering_radius_r(code)
+    radius, _, _ = covering_radius_r(code)
     threshold = largest_gauss_node(n, k)
     attained = extremize(code, pot, Direction.MIN).value
     floor = lower_bound(n, k, size, pot).bound_value

@@ -50,4 +50,5 @@ __all__ = [
     "rule_beta", "rule_lambda", "save_code",
     "substitute_t_squared", "upper_bound_finite", "upper_bound_s",
     "user_potential", "verify_exactness", "verify_one_sided",
+    "waring_residual",
 ]

@@ -17,8 +17,7 @@ import sys
 
 import numpy as np
 
-from .codes import (CATALOG_DESIGNS, catalog, covering_radius_r, is_kk_design,
-                    load_code)
+from .codes import CATALOG_DESIGNS, catalog, is_kk_design, load_code
 from .errors import CodeFormatError, KkpolarError, PreconditionError
 from .polarization import (Direction, certify_design, extrema, extremize,
                            lower_bound, upper_bound_finite, upper_bound_s)

@@ -5,7 +5,7 @@ The covering radius is exact: an angle sweep on the circle, and the nearest
 facet of the convex hull of the antipodal closure elsewhere.  Only codes
 whose hull may have more than HULL_FACET_CAP facets, and nearly flat codes
 that Qhull rejects, fall back to a multistart search, whose value is an
-upper estimate of the true minimum (covering_radius_kind says which
+upper estimate of the true minimum (covering_radius_r returns which
 applies).  The search refines its best seeds by exact vertex ascent on the
 polar polytope {y : |x_i . y| <= 1} and ends at local minima; nothing here
 uses Nelder-Mead.
@@ -290,13 +290,25 @@ def _covering_radius_search(points: np.ndarray, seed: int,
     return _vertex_ascent(points, mat[order[:_ASCENT_STARTS]])
 
 
-def _covering(code: SphericalCode, seed: int = 0,
-              restarts: int | None = None) -> tuple[float, np.ndarray, str]:
-    """(radius, witness, kind) for covering_radius_r and
-    covering_radius_kind: "exact" from the angle sweep, rank deficiency or
-    the convex hull; "upper_estimate" from the multistart search, which
-    runs past the facet cap, or when Qhull rejects a code that spans R^n by
-    numpy's rank test but lies within roundoff of a hyperplane."""
+def covering_radius_r(code: SphericalCode, seed: int = 0,
+                      restarts: int | None = None
+                      ) -> tuple[float, np.ndarray, str]:
+    """Depth of the deepest hole: min over the sphere of max_i |x . x_i|,
+    as (radius, witness, kind), with the minimizing witness and how the
+    radius was obtained.
+
+    kind is "exact" from the angle sweep on S^1, rank deficiency or the
+    convex hull.  For n >= 3, max_i |x . x_i| is the support function of
+    the convex hull of +-C, whose minimum over unit x is the distance from
+    the origin to the nearest facet, attained at that facet's normal; the
+    value returned is max_i |w . x_i| at the normalized witness w.  Points
+    that do not span R^n give 0, attained at a direction orthogonal to all
+    of them.  kind is "upper_estimate" from the multistart vertex-ascent
+    search, which runs when the hull may have more than HULL_FACET_CAP
+    facets, or when Qhull rejects a code that spans R^n by numpy's rank
+    test but lies within roundoff of a hyperplane; seed and restarts apply
+    only there.
+    """
     pts = code.points
     if code.n == 2:
         return (*_covering_radius_circle(pts), "exact")
@@ -315,32 +327,6 @@ def _covering(code: SphericalCode, seed: int = 0,
             witness = normal / np.linalg.norm(normal)
             return float(np.max(np.abs(pts @ witness))), witness, "exact"
     return (*_covering_radius_search(pts, seed, restarts), "upper_estimate")
-
-
-def covering_radius_r(code: SphericalCode, seed: int = 0,
-                      restarts: int | None = None) -> tuple[float, np.ndarray]:
-    """Depth of the deepest hole: min over the sphere of max_i |x . x_i|,
-    with the minimizing witness.
-
-    Exact on S^1 by angle sweep.  For n >= 3, max_i |x . x_i| is the
-    support function of the convex hull of +-C, whose minimum over unit x
-    is the distance from the origin to the nearest facet, attained at that
-    facet's normal; the value returned is max_i |w . x_i| at the normalized
-    witness w.  Points that do not span R^n give 0, attained at a direction
-    orthogonal to all of them.  When the hull may have more than
-    HULL_FACET_CAP facets, or Qhull rejects a nearly flat code, the
-    multistart vertex-ascent search runs instead (seed and restarts apply
-    only there) and the value is an upper estimate.
-    """
-    radius, witness, _ = _covering(code, seed, restarts)
-    return radius, witness
-
-
-def covering_radius_kind(code: SphericalCode) -> str:
-    """How covering_radius_r obtains its value on this code: "exact" (angle
-    sweep, rank deficiency or convex hull) or "upper_estimate" (the
-    multistart search)."""
-    return _covering(code)[2]
 
 
 # ---------------------------------------------------------------------------

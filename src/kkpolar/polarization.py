@@ -16,12 +16,12 @@ the same size, independent of the particular point configuration:
     valid for codes whose covering radius stays below s
 
 Extremization is a multistart global search (exact on the circle): local
-searches from screened seeds, refined together by batched BFGS with the
-exact gradient of the potential sum where g' allows it; extrema screens
-the seeds once for both directions.  A search can miss the global optimum,
-so its results are estimates: an upper estimate of the minimum and a lower
-estimate of the maximum.  Sandwich checks remain sound with estimates on
-those sides.
+searches from screened seeds, refined together by batched tangent BFGS
+on the gradient of the potential sum, for every potential; extrema
+screens the seeds once for both directions.  A search can miss the global
+optimum, so its results are estimates: an upper estimate of the minimum
+and a lower estimate of the maximum.  Sandwich checks remain sound with
+estimates on those sides.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from typing import Optional
 import numpy as np
 from scipy import optimize
 
-from .codes import (DesignCertificate, SphericalCode, _covering,
-                    _fibonacci_sphere, _structured_seeds, is_kk_design)
+from .codes import (DesignCertificate, SphericalCode, _fibonacci_sphere,
+                    _structured_seeds, covering_radius_r, is_kk_design)
 from .errors import NumericalDegeneracyError, PreconditionError
 from .interpolants import (Side, _interpolate, _scheme_from_nodes, build_H2k,
                            build_H2k_s, build_H2k_tilde, verify_one_sided)
@@ -44,8 +44,7 @@ from .potentials import Potential, SignState, certify_sign, eval_h
 from .quadrature import (largest_gauss_node, rule_alpha, rule_beta,
                          verify_exactness)
 from .signed_measure import ADMISSIBILITY_MARGIN, build_context, rule_lambda
-from .sphere_opt import (nm_polish, projected_gradient_descent,
-                         stationarity_norm, tangent_bfgs, tangent_component)
+from .sphere_opt import tangent_bfgs, tangent_component
 
 SANDWICH_SLACK = 1e-8
 _MARGIN_GRID = 2001
@@ -70,9 +69,10 @@ _SCREEN_CHUNK = 4096
 class ExtremizationResult:
     """Outcome of a sphere extremization.  value equals the potential sum
     at argpoint; restarts counts local searches run; stationarity_norm is
-    the norm of the Riemannian gradient at the argpoint: exact where the
-    search used the analytic g', otherwise a central-difference estimate
-    (diagnostic only, meaningless at kinks and poles)."""
+    the norm of the Riemannian gradient at the argpoint: exact for an
+    analytic g', built from the central difference for a numeric g', and
+    meaningless at cusps (p-frames with p <= 1) and poles; a diagnostic
+    only.  On the circle it is a central difference in the angle."""
 
     value: float
     argpoint: tuple[float, ...]
@@ -280,23 +280,23 @@ def upper_bound_s(n: int, k: int, N: int, s: float, pot: Potential,
 # potential sums and extremization
 
 
-def _g_of_u(pot: Potential, u: np.ndarray) -> np.ndarray:
-    """Evaluate g elementwise, falling back to a scalar loop for
-    potentials whose g does not accept arrays."""
+def _elementwise(fn, u: np.ndarray) -> np.ndarray:
+    """fn applied elementwise, falling back to a scalar loop for callables
+    that do not accept arrays."""
     try:
-        out = np.asarray(pot.eval_g(u), dtype=float)
+        out = np.asarray(fn(u), dtype=float)
         if out.shape != np.shape(u):
             raise TypeError("scalar-only callable")
         return out
     except (TypeError, ValueError):
-        flat = np.array([float(pot.eval_g(float(v))) for v in np.ravel(u)])
+        flat = np.array([float(fn(float(v))) for v in np.ravel(u)])
         return flat.reshape(np.shape(u))
 
 
 def _u_sum(points: np.ndarray, pot: Potential, x: np.ndarray) -> float:
     dots = points @ x
     u = np.minimum(dots * dots, 1.0)
-    return float(np.sum(_g_of_u(pot, u)))
+    return float(np.sum(_elementwise(pot.eval_g, u)))
 
 
 def _u_batch(points: np.ndarray, pot: Potential, mat: np.ndarray) -> np.ndarray:
@@ -306,7 +306,7 @@ def _u_batch(points: np.ndarray, pot: Potential, mat: np.ndarray) -> np.ndarray:
     for start in range(0, mat.shape[0], _SCREEN_CHUNK):
         dots = mat[start:start + _SCREEN_CHUNK] @ points.T
         u = np.minimum(dots * dots, 1.0)
-        out[start:start + _SCREEN_CHUNK] = np.sum(_g_of_u(pot, u), axis=1)
+        out[start:start + _SCREEN_CHUNK] = np.sum(_elementwise(pot.eval_g, u), axis=1)
     return out
 
 
@@ -323,30 +323,26 @@ def potential_U(x, code: SphericalCode, pot: Potential) -> float:
     return _u_sum(code.points, pot, x / nrm)
 
 
-def _gradient_oracle(points: np.ndarray, pot: Potential, sgn: float,
-                     probe: np.ndarray):
-    """fg(xs) -> (sgn U, its Euclidean gradient 2 sgn sum_i g'(u_i)
-    (x . x_i) x_i) at each unit row x of xs, when g' is analytic, accepts
-    arrays and is finite at u = 0 and at the probe directions; None
-    otherwise, and the caller falls back to derivative-free refinement."""
-    if pot.derivative_kind != "analytic":
-        return None
-    dots = probe @ points.T
-    u = np.append(np.minimum(dots * dots, 1.0), 0.0)
-    try:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            slopes = np.asarray(pot.eval_g_prime(u), dtype=float)
-    except (TypeError, ValueError):
-        return None
-    if slopes.shape != u.shape or not np.all(np.isfinite(slopes)):
-        return None
+def _fg(points: np.ndarray, pot: Potential, sgn: float):
+    """fg(xs) -> (sgn U, its Euclidean gradient) at each unit row x of xs.
+    The gradient is 2 sgn sum_i g'(u_i) (x . x_i) x_i, that is h'(t) =
+    2 t g'(t^2) at t = x . x_i.  g' is never called at u = 0, outside the
+    (0, 1) that Potential promises; those terms are set to 0, the limit of
+    h'(t) for |t|^p with 1 < p < 2 and a subgradient at the cusps of
+    p <= 1."""
 
     def fg(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d = xs @ points.T
-        uu = np.minimum(d * d, 1.0)
+        u = np.minimum(d * d, 1.0)
+        zero = u == 0.0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values = sgn * np.sum(_g_of_u(pot, uu), axis=1)
-            grads = (2.0 * sgn) * ((pot.eval_g_prime(uu) * d) @ points)
+            values = sgn * np.sum(_elementwise(pot.eval_g, u), axis=1)
+            if np.count_nonzero(zero):
+                slopes = _elementwise(pot.eval_g_prime, np.where(zero, 0.5, u))
+                terms = np.where(zero, 0.0, slopes * d)
+            else:
+                terms = _elementwise(pot.eval_g_prime, u) * d
+            grads = (2.0 * sgn) * (terms @ points)
         return values, grads
 
     return fg
@@ -374,12 +370,13 @@ def _extremize_circle(points: np.ndarray, pot: Potential,
     count = 4096
     phis = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     dots = np.cos(phis[:, None] - angles[None, :])
-    vals = sgn * np.sum(_g_of_u(pot, np.minimum(dots * dots, 1.0)), axis=1)
+    vals = sgn * np.sum(
+        _elementwise(pot.eval_g, np.minimum(dots * dots, 1.0)), axis=1)
     idx = int(np.argmin(vals))
 
     def objective(phi: float) -> float:
         d = np.cos(phi - angles)
-        return sgn * float(np.sum(_g_of_u(pot, np.minimum(d * d, 1.0))))
+        return sgn * float(np.sum(_elementwise(pot.eval_g, np.minimum(d * d, 1.0))))
 
     span = 2.0 * np.pi / count
     res = optimize.minimize_scalar(
@@ -412,32 +409,18 @@ def _screen(code: SphericalCode, pot: Potential, seed: int,
 
 
 def _refine(points: np.ndarray, pot: Potential, sgn: float,
-            survivors: np.ndarray) -> ExtremizationResult:
-    """Local searches from the survivors for the minimum of sgn U; the best
-    endpoint wins."""
-    fg = _gradient_oracle(points, pot, sgn, survivors)
-    if fg is not None:
-        values, ends = tangent_bfgs(fg, survivors)
-        best_x = ends[int(np.argmin(np.where(np.isnan(values), np.inf, values)))]
-        slope = float(np.linalg.norm(
-            tangent_component(best_x, fg(best_x[None])[1][0])))
-        stationarity = slope if math.isfinite(slope) else math.inf
-    else:
-        def f(x: np.ndarray) -> float:
-            return sgn * _u_sum(points, pot, x)
-
-        best_val, best_x = math.inf, survivors[0]
-        for x0 in survivors:
-            val, x = projected_gradient_descent(f, x0)
-            val2, x2 = nm_polish(f, x)
-            if val2 < val:
-                val, x = val2, x2
-            if val < best_val:
-                best_val, best_x = val, x
-        stationarity = stationarity_norm(f, best_x)
+             survivors: np.ndarray) -> ExtremizationResult:
+    """Local searches from the survivors for the minimum of sgn U, all at
+    once by tangent BFGS; the best endpoint wins."""
+    fg = _fg(points, pot, sgn)
+    values, ends = tangent_bfgs(fg, survivors)
+    best_x = ends[int(np.argmin(np.where(np.isnan(values), np.inf, values)))]
+    slope = float(np.linalg.norm(
+        tangent_component(best_x, fg(best_x[None])[1][0])))
     return ExtremizationResult(
         value=_u_sum(points, pot, best_x), argpoint=tuple(best_x),
-        restarts=len(survivors), stationarity_norm=stationarity)
+        restarts=len(survivors),
+        stationarity_norm=slope if math.isfinite(slope) else math.inf)
 
 
 def _extremize(code: SphericalCode, pot: Potential,
@@ -476,14 +459,13 @@ def extremize(code: SphericalCode, pot: Potential, direction: Direction,
     an angle sweep is essentially exact.  Elsewhere structured seeds
     (code points, axes, normalized pairwise sums, sign combinations), a
     latitude-longitude grid in R^3, and random directions are screened,
-    and the ten best are refined.  When g' is analytic, accepts arrays and
-    is finite at u = 0 and at those seeds, the ten are refined together by
-    batched BFGS in tangent coordinates (sphere_opt.tangent_bfgs) with the
-    exact gradient 2 sum_i g'(u_i) (x . x_i) x_i, and stationarity_norm is
-    the exact Riemannian gradient norm.  Otherwise (numeric or scalar-only
-    g', or a g' singular at u = 0 such as p-frames with p < 2) each is
-    refined by descent along central-difference gradients followed by a
-    Nelder-Mead polish.  MIN results are upper estimates of the true
+    and the ten best are refined together by batched BFGS in tangent
+    coordinates (sphere_opt.tangent_bfgs) with the gradient
+    2 sum_i g'(u_i) (x . x_i) x_i.  Terms with x . x_i = 0 contribute 0,
+    so g' is needed on (0, 1) only; for p-frames with p <= 1 that is a
+    subgradient at the cusps, and the search is a heuristic there as
+    everywhere.  A numeric g' gives a finite-difference gradient, and a
+    scalar-only g or g' is evaluated in a loop.  MIN results are upper estimates of the true
     minimum, MAX results lower estimates of the true maximum.  extrema
     returns both directions from one screen.
     """
@@ -521,7 +503,7 @@ class CertificationReport:
     """Everything certify_design found: the design test, the applicable
     universal bounds, both extremization estimates, the covering radius
     with how it was obtained ("exact" or "upper_estimate", see
-    covering_radius_kind), and the list of sandwich and exactness checks
+    codes.covering_radius_r), and the list of sandwich and exactness checks
     with their outcomes."""
 
     n: int
@@ -570,7 +552,7 @@ def certify_design(code: SphericalCode, k: int, pot: Potential,
     cert = is_kk_design(code, k)
     n, size = code.n, code.size
     minimum, maximum = extrema(code, pot, seed=seed)
-    radius, _, radius_kind = _covering(code, seed=seed)
+    radius, _, radius_kind = covering_radius_r(code, seed=seed)
     bounds: list[BoundReport] = []
     checks: list[CheckResult] = [CheckResult(
         "order", minimum.value <= maximum.value + 1e-12,

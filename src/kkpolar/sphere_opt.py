@@ -1,26 +1,14 @@
 """Local minimization of scalar objectives over the unit sphere, for
-potential extremization.
-
-Smooth objectives with an exact gradient are refined by BFGS in tangent
-coordinates, all starts at once (tangent_bfgs).  The derivative-free
-routines (Nelder-Mead, and descent along central-difference gradients)
-serve potentials whose g' is numeric, scalar-only or singular at u = 0
-(fractional powers).
+potential extremization: BFGS in tangent coordinates, all starts at once
+(tangent_bfgs).  Its objectives come with a Euclidean gradient, which may
+be a finite-difference estimate or, at the cusps of a nonsmooth
+objective, a subgradient; the Armijo search then stops a row where no
+step decreases its value.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
-
-
-def tangent_basis(x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent plane at a unit vector."""
-    n = x.shape[0]
-    u, sing, _ = np.linalg.svd(np.eye(n) - np.outer(x, x))
-    # the projector has n-1 unit singular values; their left vectors span
-    # the tangent plane at x
-    return u[:, sing > 0.5]
 
 
 def tangent_component(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -144,9 +132,9 @@ def _bfgs_round(fg, xs: np.ndarray) -> np.ndarray:
 
 
 def tangent_bfgs(fg, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched BFGS in tangent coordinates with an exact gradient, one
-    independent run per row of x0 (B, n).  fg maps unit rows (B', n) to
-    their objective values (B',) and Euclidean gradients (B', n).  Each
+    """Batched BFGS in tangent coordinates, one independent run per row of
+    x0 (B, n).  fg maps unit rows (B', n) to their objective values (B',)
+    and Euclidean gradients (B', n).  Each
     row runs two rounds (_bfgs_round), the second re-centred at the first
     one's result; a round that does not lower a row's value is discarded
     for that row.  Returns (values (B,), points (B, n)) with the points on
@@ -165,71 +153,3 @@ def tangent_bfgs(fg, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values[rows[better]] = fc[better]
         live[rows[~better]] = False
     return values, xs
-
-
-def nm_polish(f, x0: np.ndarray, rounds: int = 2,
-              maxiter: int = 600) -> tuple[float, np.ndarray]:
-    """Nelder-Mead in tangent coordinates, re-centered between rounds.
-    Robust to kinks; returns (value, point) with the point on the sphere."""
-    x = x0 / np.linalg.norm(x0)
-    for _ in range(rounds):
-        tangent = tangent_basis(x)
-
-        def local(z):
-            cand = x + tangent @ z
-            return f(cand / np.linalg.norm(cand))
-
-        res = optimize.minimize(
-            local, np.zeros(x.shape[0] - 1), method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": maxiter})
-        cand = x + tangent @ res.x
-        x = cand / np.linalg.norm(cand)
-    return f(x), x
-
-
-def projected_gradient_descent(f, x0: np.ndarray, iters: int = 120,
-                               grad_step: float = 1e-6) -> tuple[float, np.ndarray]:
-    """Numerical-gradient descent along the sphere with backtracking."""
-    x = x0 / np.linalg.norm(x0)
-    fx = f(x)
-    step = 0.1
-    for _ in range(iters):
-        grad = projected_gradient(f, x, grad_step)
-        norm = float(np.linalg.norm(grad))
-        if not np.isfinite(norm) or norm < 1e-12:
-            break
-        moved = False
-        while step > 1e-14:
-            cand = x - step * grad
-            cand /= np.linalg.norm(cand)
-            fc = f(cand)
-            if fc < fx - 1e-15:
-                x, fx = cand, fc
-                step = min(step * 2.0, 0.5)
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-    return fx, x
-
-
-def projected_gradient(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient restricted to the tangent plane;
-    non-finite differences (next to a pole of f) are zeroed."""
-    tangent = tangent_basis(x)
-    comps = []
-    for j in range(tangent.shape[1]):
-        d = tangent[:, j]
-        plus = x + step * d
-        minus = x - step * d
-        fp = f(plus / np.linalg.norm(plus))
-        fm = f(minus / np.linalg.norm(minus))
-        diff = (fp - fm) / (2.0 * step)
-        comps.append(diff if np.isfinite(diff) else 0.0)
-    return tangent @ np.asarray(comps)
-
-
-def stationarity_norm(f, x: np.ndarray, step: float = 1e-6) -> float:
-    value = float(np.linalg.norm(projected_gradient(f, x, step)))
-    return value

@@ -117,13 +117,13 @@ def test_5_covering_radius_floor():
     ok, detail = True, ""
     for name, k in sorted(CATALOG_DESIGNS.items()):
         code = catalog(name)
-        radius, _ = covering_radius_r(code)
+        radius, _, _ = covering_radius_r(code)
         floor = largest_gauss_node(code.n, k)
         if radius < floor - 1e-9:
             ok, detail = False, f"{name}: r={radius} < floor={floor}"
     for name in ("onb:3", "onb:4", "cube_half"):
         code = catalog(name)
-        radius, _ = covering_radius_r(code)
+        radius, _, _ = covering_radius_r(code)
         if abs(radius - 1.0 / math.sqrt(code.n)) > 1e-6:
             ok, detail = False, f"{name}: r={radius} not 1/sqrt(n)"
     report_line(5, "covering radius at least the largest interior node", ok,

@@ -17,7 +17,6 @@ from kkpolar.codes import (
     _hull_over_cap,
     _structured_seeds,
     catalog,
-    covering_radius_kind,
     covering_radius_r,
     is_kk_design,
     max_hull_facets,
@@ -168,51 +167,51 @@ class TestWaring:
 
 class TestCoveringRadius:
     def test_cube_half(self):
-        r, witness = covering_radius_r(catalog("cube_half"))
+        r, witness, _ = covering_radius_r(catalog("cube_half"))
         assert r == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
         assert np.max(np.abs(witness)) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_onb(self, n):
-        r, witness = covering_radius_r(catalog(f"onb:{n}"))
+        r, witness, _ = covering_radius_r(catalog(f"onb:{n}"))
         assert r == pytest.approx(1.0 / math.sqrt(n), abs=1e-9)
         assert np.abs(witness) == pytest.approx(np.full(n, 1.0 / math.sqrt(n)), abs=1e-6)
 
     @pytest.mark.parametrize("m", [3, 5, 8])
     def test_polygon_exact(self, m):
-        r, witness = covering_radius_r(catalog(f"polygon_half:{m}"))
+        r, witness, _ = covering_radius_r(catalog(f"polygon_half:{m}"))
         assert r == pytest.approx(math.cos(math.pi / (2 * m)), abs=1e-12)
         assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
 
     def test_cell24(self):
-        r, _ = covering_radius_r(catalog("cell24_half"))
+        r, _, _ = covering_radius_r(catalog("cell24_half"))
         assert r == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)
 
     def test_single_point_high_dim(self):
-        r, witness = covering_radius_r(single_point(3))
+        r, witness, _ = covering_radius_r(single_point(3))
         assert r <= 1e-4
         assert abs(witness[0]) <= 1e-4
 
     @pytest.mark.parametrize("name,k", sorted(CATALOG_DESIGNS.items()))
     def test_fazekas_levenshtein_floor(self, name, k):
         code = catalog(name)
-        r, _ = covering_radius_r(code)
+        r, _, _ = covering_radius_r(code)
         assert r >= largest_gauss_node(code.n, k) - 1e-9
 
     @pytest.mark.parametrize("name", sorted(n for n in CATALOG_DESIGNS
                                             if catalog(n).n >= 3))
     def test_hull_matches_search_on_catalog(self, name):
         code = catalog(name)
-        r, _ = covering_radius_r(code)
+        r, _, kind = covering_radius_r(code)
         searched, _ = _covering_radius_search(code.points, 0, None)
         assert r == pytest.approx(searched, abs=1e-12)
-        assert covering_radius_kind(code) == "exact"
+        assert kind == "exact"
 
     @settings(max_examples=12, deadline=None)
     @given(n=st.integers(3, 6), data=st.data(), seed=st.integers(0, 2**32 - 1))
     def test_hull_radius_property(self, n, data, seed):
         code = random_code(n, data.draw(st.integers(n, 40)), seed)
-        r, witness = covering_radius_r(code)
+        r, witness, _ = covering_radius_r(code)
         assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
         assert r == pytest.approx(np.max(np.abs(code.points @ witness)), abs=1e-12)
         rng = np.random.default_rng(seed)
@@ -229,18 +228,18 @@ class TestCoveringRadius:
     ], ids=["fewer_points_than_dimensions", "coordinate_hyperplane"])
     def test_rank_deficient_is_zero(self, points):
         code = SphericalCode.from_points(points)
-        r, witness = covering_radius_r(code)
+        r, witness, kind = covering_radius_r(code)
         assert r == 0.0
         assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(code.points @ witness)) <= 1e-12
-        assert covering_radius_kind(code) == "exact"
+        assert kind == "exact"
 
     def test_nearly_flat_code_falls_back_to_search(self):
         code = nearly_flat_code()
         with pytest.raises(QhullError):
             ConvexHull(np.vstack([code.points, -code.points]))
-        r, witness = covering_radius_r(code)
-        assert covering_radius_kind(code) == "upper_estimate"
+        r, witness, kind = covering_radius_r(code)
+        assert kind == "upper_estimate"
         assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
         assert r == pytest.approx(np.max(np.abs(code.points @ witness)), abs=1e-15)
         # the deepest hole sits at the flattened axis, where |x . x_i| ~ 1e-14
@@ -265,8 +264,8 @@ class TestCoveringRadius:
 
     def test_capped_search_beats_sampled_minimax(self):
         code = random_code(8, 120, 4)
-        r, witness = covering_radius_r(code, seed=4)
-        assert covering_radius_kind(code) == "upper_estimate"
+        r, witness, kind = covering_radius_r(code, seed=4)
+        assert kind == "upper_estimate"
         assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
         assert r == np.max(np.abs(code.points @ witness))
         dirs = np.random.default_rng(4).standard_normal((4096, 8))
@@ -282,7 +281,7 @@ class TestCoveringRadius:
     def test_facet_cap_sends_large_codes_to_search(self):
         assert max_hull_facets(8, 240) > HULL_FACET_CAP
         assert _hull_over_cap(8, 120)
-        assert covering_radius_kind(random_code(8, 120, 0)) == "upper_estimate"
+        assert covering_radius_r(random_code(8, 120, 0))[2] == "upper_estimate"
         for n, size in [(3, 200), (5, 40), (6, 12), (6, 40)]:
             assert not _hull_over_cap(n, size)
 

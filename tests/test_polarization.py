@@ -1,6 +1,5 @@
 """Bound assembly, sphere extremization, and design certification."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +17,7 @@ from kkpolar.potentials import (gaussian_sym, monomial_2k, p_frame,
                                 parse_potential, riesz_sym, user_potential)
 from kkpolar.quadrature import largest_gauss_node, rule_alpha, rule_beta
 
-from helpers import negate
+from helpers import negate, reference_extremize
 
 
 def perturbed_onb3() -> SphericalCode:
@@ -112,10 +111,13 @@ def random_code(n, size, seed):
     return SphericalCode.from_points(pts / np.linalg.norm(pts, axis=1, keepdims=True))
 
 
-def derivative_free(pot):
-    """The same potential marked as having a numeric g', which sends
-    extremize down the derivative-free refinement chain."""
-    return dataclasses.replace(pot, derivative_kind="numeric")
+def seeded_code(seed):
+    """The seeded random codes of the gradient-path tests: n 3-8, N n-60,
+    each with one of four smooth potentials."""
+    n = 3 + seed % 6
+    size = int(np.random.default_rng(seed).integers(n, 61))
+    pot = [riesz_sym(1), p_frame(4), gaussian_sym(), monomial_2k(2)][seed % 4]
+    return random_code(n, size, seed), pot
 
 
 def assert_not_worse(fast, slow, direction, rel=1e-12):
@@ -123,53 +125,87 @@ def assert_not_worse(fast, slow, direction, rel=1e-12):
     assert sgn * (fast.value - slow.value) <= rel * max(1.0, abs(slow.value))
 
 
+def cosh_numeric():
+    return user_potential("cosh_fd", lambda u: np.cosh(np.sqrt(u)))
+
+
+def cosh_scalar():
+    # g' divides by sqrt(u): a g' called at u = 0 raises ZeroDivisionError
+    return user_potential("cosh_scalar", lambda u: math.cosh(math.sqrt(u)),
+                          lambda u: math.sinh(math.sqrt(u)) / (2 * math.sqrt(u)))
+
+
+SPHERE_CATALOG = sorted(name for name in CATALOG_DESIGNS if catalog(name).n >= 3)
+
+
 class TestGradientPath:
+    """Tangent BFGS against the derivative-free reference chain (descent
+    along central differences, then Nelder-Mead) from the same survivors."""
+
     @pytest.mark.parametrize("name,k", sorted(CATALOG_DESIGNS.items()))
     def test_catalog_extrema_match_derivative_free_chain(self, name, k):
         code = catalog(name)
-        for text in ("riesz:m=2", "pframe:p=4", "cosh", f"monomial:k={k}"):
+        for text in ("riesz:m=2", "pframe:p=4", "cosh", f"monomial:k={k}",
+                     "pframe:p=1.5"):
             pot = parse_potential(text)
             for direction in Direction:
                 fast = extremize(code, pot, direction)
                 if math.isinf(fast.value):
                     continue
-                slow = extremize(code, derivative_free(pot), direction)
+                slow = reference_extremize(code, pot, direction)
                 assert fast.value == pytest.approx(slow.value, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_codes_never_worse_and_stationary(self, seed):
-        n = 3 + seed % 6
-        size = int(np.random.default_rng(seed).integers(n, 61))
-        code = random_code(n, size, seed)
-        pot = [riesz_sym(1), p_frame(4), gaussian_sym(), monomial_2k(2)][seed % 4]
-        for direction in Direction:
-            fast = extremize(code, pot, direction, seed=seed)
-            if math.isinf(fast.value):
-                continue
-            slow = extremize(code, derivative_free(pot), direction, seed=seed)
-            assert_not_worse(fast, slow, direction)
-            assert fast.stationarity_norm <= 1e-6
+        code, own = seeded_code(seed)
+        for pot in (own, p_frame(1.5)):
+            for direction in Direction:
+                fast = extremize(code, pot, direction, seed=seed)
+                if math.isinf(fast.value):
+                    continue
+                slow = reference_extremize(code, pot, direction, seed=seed)
+                assert_not_worse(fast, slow, direction)
+                assert fast.stationarity_norm <= 1e-6
 
-    @pytest.mark.parametrize("pot,polished", [
-        (riesz_sym(2), False),
-        (p_frame(4), False),
-        (p_frame(1.5), True),
-        (user_potential("cosh_fd", lambda u: np.cosh(np.sqrt(u))), True),
-        (user_potential("cosh_scalar", lambda u: math.cosh(math.sqrt(u)),
-                        lambda u: math.sinh(math.sqrt(u)) / (2 * math.sqrt(u))), True),
-    ], ids=lambda v: getattr(v, "name", ""))
-    def test_derivative_free_chain_kept_where_g_prime_unusable(self, pot, polished,
-                                                              monkeypatch):
+    @pytest.mark.parametrize("code", [
+        pytest.param(catalog(name), id=name) for name in SPHERE_CATALOG
+    ] + [
+        pytest.param(code, id=f"seeded{seed}")
+        for seed, (code, _) in enumerate(map(seeded_code, range(8)))
+        if code.size <= 40
+    ])
+    def test_user_potentials_never_worse(self, code):
+        # structured seeds on onb:n, cross_half:4 and cell24_half have exact
+        # zero inner products, where cosh_scalar's g' would raise
+        for pot in (cosh_numeric(), cosh_scalar()):
+            low, high = extrema(code, pot)
+            assert_not_worse(low, reference_extremize(code, pot, Direction.MIN),
+                             Direction.MIN)
+            assert_not_worse(high, reference_extremize(code, pot, Direction.MAX),
+                             Direction.MAX)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
+    def test_pframe_cusps_closed_form(self, n, p):
+        # sum_i |x_i|^p over unit x: 1 at an axis, n^(1 - p/2) on a diagonal
+        low, high = extrema(catalog(f"onb:{n}"), p_frame(p))
+        assert low.value == pytest.approx(1.0, rel=0.0, abs=1e-12)
+        assert high.value == pytest.approx(n ** (1.0 - p / 2.0), rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("pot", [
+        riesz_sym(2), p_frame(4), p_frame(1.5), cosh_numeric(), cosh_scalar(),
+    ], ids=lambda v: v.name)
+    def test_every_potential_runs_tangent_bfgs(self, pot, monkeypatch):
         calls = []
-        original = polarization.nm_polish
+        original = polarization.tangent_bfgs
 
-        def counting(f, x0, *args, **kwargs):
+        def counting(fg, x0):
             calls.append(1)
-            return original(f, x0, *args, **kwargs)
+            return original(fg, x0)
 
-        monkeypatch.setattr(polarization, "nm_polish", counting)
+        monkeypatch.setattr(polarization, "tangent_bfgs", counting)
         res = extremize(catalog("cube_half"), pot, Direction.MIN)
-        assert bool(calls) is polished
+        assert calls
         assert res.value == pytest.approx(
             potential_U(np.array(res.argpoint), catalog("cube_half"), pot), rel=1e-15)
 
@@ -191,10 +227,7 @@ class TestExtrema:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_codes_match_extremize(self, seed):
-        n = 3 + seed % 6
-        size = int(np.random.default_rng(seed).integers(n, 61))
-        code = random_code(n, size, seed)
-        pot = [riesz_sym(1), p_frame(4), gaussian_sym(), monomial_2k(2)][seed % 4]
+        code, pot = seeded_code(seed)
         low, high = extrema(code, pot, seed=seed)
         assert_same_result(low, extremize(code, pot, Direction.MIN, seed=seed))
         assert_same_result(high, extremize(code, pot, Direction.MAX, seed=seed))
