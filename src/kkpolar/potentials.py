@@ -53,7 +53,8 @@ class Potential:
 
     name: str
     # built-in eval_g callables also act elementwise on ndarrays, which the
-    # sphere extremizer exploits; user-supplied ones may be scalar-only
+    # sphere extremizer and the margin check exploit; user-supplied ones
+    # may be scalar-only and run through _elementwise's loop
     eval_g: Callable[[float], float]
     eval_g_prime: Callable[[float], float]
     h_at_1: float
@@ -65,11 +66,34 @@ class Potential:
         return "analytic" if self.sign_certificate is not None else "sampled"
 
 
-def eval_h(pot: Potential, t: float) -> float:
-    """h(t) = g(t*t); +inf is possible only at t = +-1."""
-    if abs(t) > 1.0 + 1e-12:
-        raise PreconditionError(f"t={t} outside [-1, 1]")
-    return float(pot.eval_g(min(t * t, 1.0)))
+def _elementwise(fn, u):
+    """fn applied elementwise to an array, falling back to a scalar loop
+    for callables that do not accept arrays or return the wrong shape.
+    NaN values pass through; callers that cannot use them raise."""
+    try:
+        out = np.asarray(fn(u), dtype=float)
+        if out.shape != np.shape(u):
+            raise TypeError("scalar-only callable")
+        return out
+    except (TypeError, ValueError):
+        flat = np.array([float(fn(float(v))) for v in np.ravel(u)])
+        return flat.reshape(np.shape(u))
+
+
+def eval_h(pot: Potential, t):
+    """h(t) = g(t*t) at a scalar t, or elementwise on an array of t through
+    _elementwise; +inf is possible only at t = +-1.  Raises
+    PreconditionError if any |t| > 1 + 1e-12.  A NaN from g passes
+    through; verify_one_sided raises on it."""
+    if np.ndim(t) == 0:
+        if abs(t) > 1.0 + 1e-12:
+            raise PreconditionError(f"t={t} outside [-1, 1]")
+        return float(pot.eval_g(min(t * t, 1.0)))
+    ts = np.asarray(t, dtype=float)
+    outside = np.abs(ts) > 1.0 + 1e-12
+    if np.any(outside):
+        raise PreconditionError(f"t={ts[outside][0]} outside [-1, 1]")
+    return _elementwise(pot.eval_g, np.minimum(ts * ts, 1.0))
 
 
 def monomial_2k(k0: int) -> Potential:

@@ -7,8 +7,11 @@ from scipy import optimize
 
 from kkpolar import polarization
 from kkpolar.codes import SphericalCode
+from kkpolar.errors import PreconditionError
+from kkpolar.interpolants import Side
 from kkpolar.polarization import Direction, ExtremizationResult
-from kkpolar.potentials import Potential, SignState, certify_sign
+from kkpolar.polynomials import Polynomial
+from kkpolar.potentials import Potential, SignState, certify_sign, eval_h
 
 
 def negate(pot: Potential) -> Potential:
@@ -40,6 +43,23 @@ def nearly_flat_code() -> SphericalCode:
     pts[:, 3] *= 1e-14
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return SphericalCode.from_points(pts)
+
+
+def reference_margin(p: Polynomial, pot: Potential, side: Side,
+                     interval: tuple[float, float], grid_size: int = 2000) -> float:
+    """The one-sided margin by one scalar eval_h call per grid point: the
+    loop that verify_one_sided replaced, kept as its reference."""
+    if grid_size < 1000:
+        raise PreconditionError(f"grid_size must be >= 1000, got {grid_size}")
+    a, b = interval
+    ts = np.linspace(a, b, grid_size)
+    pv = p(ts)
+    worst = math.inf
+    for t, pval in zip(ts, pv):
+        margin = side.value * (eval_h(pot, float(t)) - float(pval))
+        if margin < worst:
+            worst = margin
+    return worst
 
 
 # ---------------------------------------------------------------------------

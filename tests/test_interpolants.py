@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kkpolar.errors import PreconditionError
+from kkpolar.errors import NumericalDegeneracyError, PreconditionError
 from kkpolar.interpolants import (
     InterpolationScheme,
     Side,
@@ -13,18 +13,22 @@ from kkpolar.interpolants import (
     hermite_confluent,
     verify_one_sided,
 )
+from kkpolar.polarization import (_MARGIN_GRID, lower_bound, upper_bound_finite,
+                                  upper_bound_s)
 from kkpolar.polynomials import Polynomial, integrate_mu, substitute_t_squared
 from kkpolar.potentials import (
     arcsine,
+    eval_h,
     gaussian_sym,
     monomial_2k,
     p_frame,
     riesz_sym,
+    user_potential,
 )
 from kkpolar.quadrature import rule_alpha, rule_beta
 from kkpolar.signed_measure import admissible_range, build_context
 
-from helpers import negate
+from helpers import negate, reference_margin
 
 
 def anchor(n, k, frac=0.6):
@@ -207,6 +211,84 @@ class TestVerifyOneSided:
     def test_small_grid_rejected(self):
         with pytest.raises(PreconditionError):
             verify_one_sided(Polynomial.one(), p_frame(2), Side.BELOW, (-1, 1), 500)
+
+    def test_nan_everywhere_raises(self):
+        pot = user_potential("nan", lambda u: math.nan, h_at_1=1.0)
+        with pytest.raises(NumericalDegeneracyError,
+                           match=r"one-sided margin check.* t=-1\.0$"):
+            verify_one_sided(Polynomial.one(), pot, Side.BELOW, (-1.0, 1.0), 2001)
+
+    @pytest.mark.parametrize("g", [
+        lambda u: math.nan if 0.04 < u < 0.36 else u,
+        lambda u: np.where((u > 0.04) & (u < 0.36), np.nan, u),
+    ], ids=["scalar_only", "array"])
+    def test_nan_band_raises(self, g):
+        # h = t^2 except on 0.2 < |t| < 0.6, where it is NaN
+        pot = user_potential("band", g, h_at_1=1.0)
+        ts = np.linspace(-1.0, 1.0, 2001)
+        first = float(ts[(ts * ts > 0.04) & (ts * ts < 0.36)][0])
+        with pytest.raises(NumericalDegeneracyError) as info:
+            verify_one_sided(Polynomial.one(), pot, Side.BELOW, (-1.0, 1.0), 2001)
+        assert "one-sided margin check" in str(info.value)
+        assert str(info.value).endswith(f"t={first!r}")
+
+
+def _bound_reports(n, k, pot):
+    """Every bound whose preconditions hold for (n, k, pot), with the side
+    and interval its interpolant is checked on."""
+    s = anchor(n, k)
+    calls = [
+        (lambda: lower_bound(n, k, 50, pot), Side.BELOW, (-1.0, 1.0)),
+        (lambda: upper_bound_finite(n, k, 50, pot), Side.ABOVE, (-1.0, 1.0)),
+        (lambda: upper_bound_s(n, k, 50, s, pot), Side.ABOVE, (-s, s)),
+    ]
+    for call, side, interval in calls:
+        try:
+            yield call(), side, interval
+        except PreconditionError:
+            continue
+
+
+def _margin_tolerance(pot, interval):
+    hv = eval_h(pot, np.linspace(*interval, _MARGIN_GRID))
+    return 1e-15 * max(1.0, float(np.max(np.abs(hv[np.isfinite(hv)]))))
+
+
+class TestMarginMatchesScalarLoop:
+    """verify_one_sided evaluates h on the whole grid at once; it agrees
+    with the scalar loop it replaced to within ulps of h."""
+
+    @pytest.mark.parametrize("pot,kinds", [
+        (riesz_sym(1.5), {"ULB_ALPHA", "UUB_LAMBDA"}),
+        (p_frame(3.0), {"ULB_ALPHA", "ULB_BETA", "UUB_BETA", "UUB_LAMBDA"}),
+        (gaussian_sym(), {"ULB_ALPHA", "UUB_BETA", "UUB_LAMBDA"}),
+        (arcsine(), {"ULB_ALPHA", "UUB_LAMBDA"}),
+        (monomial_2k(3), {"ULB_ALPHA", "UUB_BETA", "UUB_LAMBDA"}),
+    ], ids=["riesz", "pframe3", "cosh", "arcsine", "monomial3"])
+    def test_builtin_families(self, pot, kinds):
+        seen = set()
+        for n in range(3, 9):
+            for k in range(1, 11):
+                for report, side, interval in _bound_reports(n, k, pot):
+                    want = reference_margin(report.interpolant, pot, side,
+                                            interval, _MARGIN_GRID)
+                    assert abs(report.one_sided_margin - want) <= \
+                        _margin_tolerance(pot, interval), (report.kind, n, k)
+                    seen.add(report.kind)
+        assert seen == kinds
+
+    def test_scalar_only_user_potential(self):
+        # math.exp rejects arrays, so h runs through the scalar fallback
+        pot = user_potential("exp", lambda u: math.exp(u))
+        seen = set()
+        for n in range(3, 6):
+            for k in range(1, 4):
+                for report, side, interval in _bound_reports(n, k, pot):
+                    want = reference_margin(report.interpolant, pot, side,
+                                            interval, _MARGIN_GRID)
+                    assert report.one_sided_margin == want, (report.kind, n, k)
+                    seen.add(report.kind)
+        assert seen == {"ULB_ALPHA", "UUB_BETA", "UUB_LAMBDA"}
 
 
 class TestLinearProgramOptimality:

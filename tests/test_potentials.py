@@ -59,6 +59,35 @@ class TestEvalH:
         for t in np.linspace(-1, 1, 41):
             assert abs(eval_h(a, t) - eval_h(b, t)) <= 1e-15
 
+    @pytest.mark.parametrize("pot", ALL_BUILTINS + [
+        user_potential("exp", lambda u: math.exp(u))], ids=lambda p: p.name)
+    def test_array_matches_scalar_calls(self, pot):
+        ts = np.linspace(-1.0, 1.0, 2001)
+        got = eval_h(pot, ts)
+        want = np.array([eval_h(pot, float(t)) for t in ts])
+        assert got.shape == ts.shape
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])
+        # array and scalar numpy math may round one operation differently;
+        # the Riesz g adds two such results, which can land 3 ulps apart
+        ulps = 3 if pot.name.startswith("riesz") else 1
+        assert np.all(np.abs(got[finite] - want[finite])
+                      <= ulps * np.spacing(np.abs(want[finite])))
+
+    def test_array_keeps_shape(self):
+        ts = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        got = eval_h(gaussian_sym(), ts)
+        assert got.shape == (3, 4)
+        assert got[2, 3] == eval_h(gaussian_sym(), 1.0)
+
+    def test_array_domain_error(self):
+        with pytest.raises(PreconditionError, match="outside"):
+            eval_h(p_frame(2), np.array([0.0, 0.5, -1.0 - 1e-11, 0.2]))
+
+    def test_array_domain_tolerance(self):
+        got = eval_h(p_frame(2), np.array([-1.0 - 5e-13, 1.0 + 5e-13]))
+        assert list(got) == [1.0, 1.0]
+
 
 class TestDerivatives:
     @pytest.mark.parametrize("pot", ALL_BUILTINS, ids=lambda p: p.name)
