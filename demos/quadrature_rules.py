@@ -9,8 +9,8 @@ s = 1.
 
 import numpy as np
 
-from kkpolar import (build_context, largest_gauss_node, rule_alpha, rule_beta,
-                     rule_lambda, verify_exactness)
+from kkpolar import (largest_gauss_node, rule_alpha, rule_beta, rule_lambda,
+                     verify_exactness)
 
 
 def show(rule, n):
@@ -27,12 +27,12 @@ def main():
         show(rule_beta(n, k), n)
         threshold = largest_gauss_node(n, k)
         s = round(threshold + 0.1, 3)
-        show(rule_lambda(build_context(n, k, s)), n)
+        show(rule_lambda(n, k, s), n)
         print(f"         anchors admissible for s > {threshold:.6f}")
         print()
 
     print("anchored rule at s=1 reproduces the endpoint rule (n=3, k=2):")
-    at_one = rule_lambda(build_context(3, 2, 1.0))
+    at_one = rule_lambda(3, 2, 1.0)
     endpoint = rule_beta(3, 2)
     gap = max(max(abs(a - b) for a, b in zip(at_one.nodes, endpoint.nodes)),
               max(abs(a - b) for a, b in zip(at_one.weights, endpoint.weights)))

@@ -29,8 +29,7 @@ from .potentials import (Potential, SignState, arcsine, certify_sign, eval_h,
                          parse_potential, riesz_sym, user_potential)
 from .quadrature import (QuadratureRule, largest_gauss_node, rule_alpha,
                          rule_beta, verify_exactness)
-from .signed_measure import (SignedMeasureContext, admissible_range,
-                             build_context, rule_lambda)
+from .signed_measure import rule_lambda
 
 __version__ = "0.1.0"
 
@@ -39,9 +38,8 @@ __all__ = [
     "CodeFormatError", "DesignCertificate", "Direction", "ExtremizationResult",
     "GegenbauerFamily", "InterpolationScheme", "KkpolarError",
     "NumericalDegeneracyError", "Polynomial", "Potential", "PreconditionError",
-    "QuadratureRule", "Side", "SignState", "SignedMeasureContext",
-    "SphericalCode", "admissible_range", "arcsine", "average_check",
-    "build_H2k", "build_H2k_s", "build_H2k_tilde", "build_context", "catalog",
+    "QuadratureRule", "Side", "SignState", "SphericalCode", "arcsine",
+    "average_check", "build_H2k", "build_H2k_s", "build_H2k_tilde", "catalog",
     "certify_design", "certify_sign", "covering_radius_r", "eval_h",
     "extrema", "extremize", "gaussian_sym", "gegenbauer", "hermite_confluent",
     "integrate_mu", "is_kk_design", "largest_gauss_node", "load_code",

@@ -24,7 +24,7 @@ from .polarization import (Direction, certify_design, extrema, extremize,
 from .potentials import parse_potential
 from .quadrature import (largest_gauss_node, rule_alpha, rule_beta,
                          verify_exactness)
-from .signed_measure import build_context, rule_lambda
+from .signed_measure import rule_lambda
 
 
 def _jsonable(value):
@@ -63,7 +63,7 @@ def _cmd_quad(args) -> dict:
     if args.kind == "lambda":
         if args.s is None:
             raise PreconditionError("kind=lambda requires --s")
-        rule = rule_lambda(build_context(args.n, args.k, args.s))
+        rule = rule_lambda(args.n, args.k, args.s)
     else:
         if args.s is not None:
             raise PreconditionError("--s only applies to kind=lambda")

@@ -5,6 +5,10 @@ All interpolation runs in the u = t*t variable through a confluent Newton
 tableau, then coefficients map back to t by index doubling.  Working in u
 halves the degree and avoids the missing derivative of |t|-type potentials
 at t = 0; a node at u = 0 therefore only ever carries a function value.
+
+The quadrature rule alone fixes the interpolant: _interpolate reads the
+conditions off the rule's nodes and kind, and each build_H2k* is a sign
+certificate check followed by _interpolate on its rule.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import numpy as np
 from .errors import NumericalDegeneracyError, PreconditionError
 from .polynomials import Polynomial, substitute_t_squared
 from .potentials import Potential, certify_sign, eval_h
-from .quadrature import rule_alpha, rule_beta
-from .signed_measure import SignedMeasureContext, rule_lambda
+from .quadrature import QuadratureRule, rule_alpha, rule_beta
+from .signed_measure import rule_lambda
 
 
 class Side(Enum):
@@ -93,28 +97,22 @@ def hermite_confluent(scheme: InterpolationScheme,
     return poly
 
 
-def _scheme_from_nodes(t_nodes: Sequence[float], top_simple: bool,
-                       u_max: float) -> InterpolationScheme:
-    """Map symmetric t-nodes to u-scheme entries: positive nodes double up,
-    a node at 0 contributes a single condition, and when the largest node
-    is the domain endpoint it stays simple."""
+def _interpolate(rule: QuadratureRule, pot: Potential) -> Polynomial:
+    """Interpolant in t at the nodes of the rule, which fix the confluent
+    conditions in u = t*t: a node at 0 carries a value only, every positive
+    node a value and a slope, except the top node of the beta and lambda
+    rules, the endpoint of the interval, which carries a value only."""
     entries: list[tuple[float, int]] = []
-    if any(abs(x) <= 1e-14 for x in t_nodes):
+    if any(abs(x) <= 1e-14 for x in rule.nodes):
         entries.append((0.0, 1))
-    pos = sorted(x for x in t_nodes if x > 1e-14)
-    if top_simple:
-        interior, _top = pos[:-1], pos[-1]
-        entries.extend((x * x, 2) for x in interior)
-        entries.append((u_max, 1))
-    else:
-        entries.extend((x * x, 2) for x in pos)
-    return InterpolationScheme(tuple(entries))
-
-
-def _interpolate(scheme: InterpolationScheme, pot: Potential, k: int) -> Polynomial:
-    if scheme.condition_count != k + 1:
+    pos = sorted(x for x in rule.nodes if x > 1e-14)
+    entries.extend((x * x, 2) for x in pos)
+    if rule.kind in ("beta", "lambda"):
+        entries[-1] = (entries[-1][0], 1)
+    scheme = InterpolationScheme(tuple(entries))
+    if scheme.condition_count != rule.k + 1:
         raise NumericalDegeneracyError(
-            f"scheme carries {scheme.condition_count} conditions, wanted {k + 1}")
+            f"scheme carries {scheme.condition_count} conditions, wanted {rule.k + 1}")
     values = [pot.eval_g(u) for u, _ in scheme.u_nodes]
     derivs = [pot.eval_g_prime(u) if mult == 2 else None
               for u, mult in scheme.u_nodes]
@@ -131,9 +129,7 @@ def build_H2k(n: int, k: int, pot: Potential) -> Polynomial:
         raise PreconditionError(
             f"below-side interpolant at interior nodes needs a nonnegative "
             f"derivative certificate; {pot.name} gave {state.value} for k={k}")
-    scheme = _scheme_from_nodes(rule_alpha(n, k).nodes, top_simple=False,
-                                u_max=1.0)
-    return _interpolate(scheme, pot, k)
+    return _interpolate(rule_alpha(n, k), pot)
 
 
 def build_H2k_tilde(n: int, k: int, pot: Potential) -> Polynomial:
@@ -149,23 +145,21 @@ def build_H2k_tilde(n: int, k: int, pot: Potential) -> Polynomial:
         raise PreconditionError(
             f"endpoint-node interpolation needs h(1) finite; {pot.name} "
             f"has h(1) = {pot.h_at_1}")
-    scheme = _scheme_from_nodes(rule_beta(n, k).nodes, top_simple=True,
-                                u_max=1.0)
-    return _interpolate(scheme, pot, k)
+    return _interpolate(rule_beta(n, k), pot)
 
 
-def build_H2k_s(ctx: SignedMeasureContext, pot: Potential) -> Polynomial:
-    """Above-side interpolant at the anchored-rule nodes, dominating h on
-    [-s, s].  Needs g^(k+1) >= 0 on (0, s*s)."""
-    u_max = ctx.s * ctx.s
-    state = certify_sign(pot, ctx.k, u_max)
+def build_H2k_s(n: int, k: int, s: float, pot: Potential) -> Polynomial:
+    """Above-side interpolant at the nodes of the rule anchored at s,
+    dominating h on [-s, s].  The anchor must be admissible for
+    rule_lambda, and g^(k+1) >= 0 on (0, s*s)."""
+    rule = rule_lambda(n, k, s)
+    u_max = rule.s * rule.s
+    state = certify_sign(pot, k, u_max)
     if not state.admits_nonnegative():
         raise PreconditionError(
             f"above-side interpolant needs a nonnegative derivative "
             f"certificate on (0, {u_max:.6g}); {pot.name} gave {state.value}")
-    scheme = _scheme_from_nodes(rule_lambda(ctx).nodes, top_simple=True,
-                                u_max=u_max)
-    return _interpolate(scheme, pot, ctx.k)
+    return _interpolate(rule, pot)
 
 
 def verify_one_sided(p: Polynomial, pot: Potential, side: Side,

@@ -15,6 +15,10 @@ the same size, independent of the particular point configuration:
   * anchored rule at s < 1, interpolant above -> upper bound on the minimum,
     valid for codes whose covering radius stays below s
 
+Each bound is N * sum_j w_j h(t_j) over one rule; _bound builds every one
+of them from the rule alone, which fixes the interpolant and the interval
+of the one-sided check.
+
 Extremization is a multistart global search (exact on the circle): local
 searches from screened seeds, refined together by batched tangent BFGS
 on the gradient of the potential sum, for every potential; extrema
@@ -37,14 +41,13 @@ from scipy import optimize
 from .codes import (DesignCertificate, SphericalCode, _fibonacci_sphere,
                     _structured_seeds, covering_radius_r, is_kk_design)
 from .errors import NumericalDegeneracyError, PreconditionError
-from .interpolants import (Side, _interpolate, _scheme_from_nodes,
-                           verify_one_sided)
+from .interpolants import Side, _interpolate, verify_one_sided
 from .polynomials import Polynomial, monomial_moment
 from . import potentials
 from .potentials import Potential, SignState, certify_sign, eval_h
-from .quadrature import (largest_gauss_node, rule_alpha, rule_beta,
-                         verify_exactness)
-from .signed_measure import ADMISSIBILITY_MARGIN, build_context, rule_lambda
+from .quadrature import (QuadratureRule, largest_gauss_node, rule_alpha,
+                         rule_beta, verify_exactness)
+from .signed_measure import rule_lambda
 from .sphere_opt import tangent_bfgs, tangent_component
 
 SANDWICH_SLACK = 1e-8
@@ -143,10 +146,13 @@ def _check_problem(n: int, k: int, N: int) -> None:
         raise PreconditionError(f"code size must be >= 1, got {N}")
 
 
-def _assemble(kind: str, n: int, k: int, N: int, rule, pot: Potential,
-              interpolant: Polynomial, side: Side,
-              interval: tuple[float, float], state: SignState,
-              notes: tuple[str, ...] = ()) -> BoundReport:
+def _bound(kind: str, N: int, rule: QuadratureRule, pot: Potential,
+           side: Side, state: SignState,
+           notes: tuple[str, ...] = ()) -> BoundReport:
+    """N times the rule applied to h, with the rule's interpolant checked
+    on its side of h over (-top, top): top is the anchor of the rule, or 1
+    when it has none."""
+    interpolant = _interpolate(rule, pot)
     per_point = math.fsum(
         w * eval_h(pot, t) for t, w in zip(rule.nodes, rule.weights))
     bound = N * per_point
@@ -154,35 +160,18 @@ def _assemble(kind: str, n: int, k: int, N: int, rule, pot: Potential,
         raise NumericalDegeneracyError(
             f"{kind} bound is not finite; the rule places weight where the "
             f"potential blows up")
-    margin = verify_one_sided(interpolant, pot, side, interval,
+    top = 1.0 if rule.s is None else rule.s
+    margin = verify_one_sided(interpolant, pot, side, (-top, top),
                               grid_size=_MARGIN_GRID)
-    residual = verify_exactness(rule, n, rule.exact_degree)
+    residual = verify_exactness(rule, rule.n, rule.exact_degree)
     return BoundReport(
-        kind=kind, n=n, k=k, N=N, s=rule.s,
+        kind=kind, n=rule.n, k=rule.k, N=N, s=rule.s,
         nodes=rule.nodes, weights=rule.weights,
         bound_value=bound, per_point_value=per_point,
         interpolant=interpolant,
         sign_state=state.value, certificate_kind=pot.certificate_kind,
         one_sided_margin=margin, exactness_residual=residual,
         notes=notes)
-
-
-def _lower_alpha(n: int, k: int, N: int, pot: Potential, state: SignState,
-                 notes: tuple[str, ...] = ()) -> BoundReport:
-    rule = rule_alpha(n, k)
-    scheme = _scheme_from_nodes(rule.nodes, top_simple=False, u_max=1.0)
-    interpolant = _interpolate(scheme, pot, k)
-    return _assemble("ULB_ALPHA", n, k, N, rule, pot, interpolant,
-                     Side.BELOW, (-1.0, 1.0), state, notes)
-
-
-def _lower_beta(n: int, k: int, N: int, pot: Potential, state: SignState,
-                notes: tuple[str, ...] = ()) -> BoundReport:
-    rule = rule_beta(n, k)
-    scheme = _scheme_from_nodes(rule.nodes, top_simple=True, u_max=1.0)
-    interpolant = _interpolate(scheme, pot, k)
-    return _assemble("ULB_BETA", n, k, N, rule, pot, interpolant,
-                     Side.BELOW, (-1.0, 1.0), state, notes)
 
 
 def lower_bound(n: int, k: int, N: int, pot: Potential) -> BoundReport:
@@ -201,7 +190,7 @@ def lower_bound(n: int, k: int, N: int, pot: Potential) -> BoundReport:
             f"cannot certify the derivative sign of {pot.name} at order "
             f"{k + 1} on (0,1); no lower-bound branch applies")
     if state is SignState.NONNEGATIVE:
-        return _lower_alpha(n, k, N, pot, state)
+        return _bound("ULB_ALPHA", N, rule_alpha(n, k), pot, Side.BELOW, state)
     # the endpoint-node branch interpolates h(1)
     if not math.isfinite(pot.h_at_1):
         raise PreconditionError(
@@ -210,14 +199,16 @@ def lower_bound(n: int, k: int, N: int, pot: Potential) -> BoundReport:
     if state is SignState.ZERO:
         note = ("vanishing higher derivative: interior-node and "
                 "endpoint-node branches cross-checked",)
-        report = _lower_alpha(n, k, N, pot, state, note)
-        twin = _lower_beta(n, k, N, pot, state, note)
+        report = _bound("ULB_ALPHA", N, rule_alpha(n, k), pot, Side.BELOW,
+                        state, note)
+        twin = _bound("ULB_BETA", N, rule_beta(n, k), pot, Side.BELOW,
+                      state, note)
         if abs(report.bound_value - twin.bound_value) > 1e-10 * max(1.0, N):
             raise NumericalDegeneracyError(
                 f"branch disagreement {report.bound_value} vs "
                 f"{twin.bound_value} for a polynomial potential")
         return report
-    return _lower_beta(n, k, N, pot, state)
+    return _bound("ULB_BETA", N, rule_beta(n, k), pot, Side.BELOW, state)
 
 
 def upper_bound_finite(n: int, k: int, N: int, pot: Potential) -> BoundReport:
@@ -234,11 +225,7 @@ def upper_bound_finite(n: int, k: int, N: int, pot: Potential) -> BoundReport:
         raise PreconditionError(
             f"{pot.name} is infinite at the endpoints; use upper_bound_s "
             f"with an anchor s < 1 instead")
-    rule = rule_beta(n, k)
-    scheme = _scheme_from_nodes(rule.nodes, top_simple=True, u_max=1.0)
-    interpolant = _interpolate(scheme, pot, k)
-    return _assemble("UUB_BETA", n, k, N, rule, pot, interpolant,
-                     Side.ABOVE, (-1.0, 1.0), state)
+    return _bound("UUB_BETA", N, rule_beta(n, k), pot, Side.ABOVE, state)
 
 
 def upper_bound_s(n: int, k: int, N: int, s: float, pot: Potential,
@@ -246,18 +233,18 @@ def upper_bound_s(n: int, k: int, N: int, s: float, pot: Potential,
     """Anchored upper bound on min_x U(x) for (k,k)-designs of N points
     whose covering radius stays below the anchor s.
 
-    Requires s strictly inside (largest interior quadrature node, 1) and a
-    nonnegative derivative certificate on (0, s^2).  When the covering
-    radius of a concrete code is supplied it is checked against s; without
-    it the report carries the conditional-validity caveat only.
+    Requires s admissible for rule_lambda and below 1, and a nonnegative
+    derivative certificate on (0, s^2).  When the covering radius of a
+    concrete code is supplied it is checked against s; without it the
+    report carries the conditional-validity caveat only.
     """
     _check_problem(n, k, N)
-    s = float(s)
-    low = largest_gauss_node(n, k)
-    if not (low + ADMISSIBILITY_MARGIN <= s < 1.0):
+    # the rule checks its anchor, so an inadmissible one is the first error
+    rule = rule_lambda(n, k, s)
+    s = rule.s
+    if not s < 1.0:
         raise PreconditionError(
-            f"anchor s={s} outside the admissible open range "
-            f"({low:.12g}, 1)")
+            f"anchor s={s} must lie below 1; at s = 1 use upper_bound_finite")
     state = certify_sign(pot, k, s * s)
     if not state.admits_nonnegative():
         raise PreconditionError(
@@ -273,12 +260,7 @@ def upper_bound_s(n: int, k: int, N: int, s: float, pot: Potential,
                      f"the supplied code")
     else:
         notes.append("no concrete code supplied; covering radius unchecked")
-    ctx = build_context(n, k, s)
-    rule = rule_lambda(ctx)
-    scheme = _scheme_from_nodes(rule.nodes, top_simple=True, u_max=s * s)
-    interpolant = _interpolate(scheme, pot, k)
-    return _assemble("UUB_LAMBDA", n, k, N, rule, pot, interpolant,
-                     Side.ABOVE, (-s, s), state, tuple(notes))
+    return _bound("UUB_LAMBDA", N, rule, pot, Side.ABOVE, state, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

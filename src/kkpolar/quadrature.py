@@ -37,10 +37,6 @@ class QuadratureRule:
     exact_degree: int
     s: float | None = None
 
-    def apply(self, f) -> float:
-        """Weighted sum of f over the nodes; f may return +inf."""
-        return float(sum(w * f(x) for x, w in zip(self.nodes, self.weights)))
-
     def to_dict(self) -> dict:
         d = {
             "kind": self.kind,

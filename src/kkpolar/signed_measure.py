@@ -4,13 +4,12 @@
 The weight is positive on (-s, s) and negative outside, so the induced
 bilinear form is positive definite on low-degree polynomials only when the
 anchor s is large enough; the threshold is the largest node of the interior
-Gauss rule of the same strength.  At s = 1 the construction collapses to the
+Gauss rule of the same strength.  rule_lambda checks its own anchor against
+that threshold.  At s = 1 the construction collapses to the
 endpoint-augmented rule.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .quadrature import QuadratureRule, _jacobi_rule, largest_gauss_node
@@ -20,37 +19,18 @@ from .quadrature import QuadratureRule, _jacobi_rule, largest_gauss_node
 ADMISSIBILITY_MARGIN = 1e-9
 
 
-def admissible_range(n: int, k: int) -> tuple[float, float]:
-    """Interval (lo, hi] of anchors s for which the degree-k construction
-    works: lo is the largest interior Gauss node, hi is 1."""
-    return largest_gauss_node(n, k), 1.0
-
-
-@dataclass(frozen=True)
-class SignedMeasureContext:
-    """Dimension, strength and an anchor validated by build_context."""
-
-    n: int
-    k: int
-    s: float
-
-
-def build_context(n: int, k: int, s: float) -> SignedMeasureContext:
-    """Check that the anchor s lies in the admissible range, at least
-    ADMISSIBILITY_MARGIN above the threshold."""
-    s = float(s)
-    lo, hi = admissible_range(n, k)
-    if not (lo + ADMISSIBILITY_MARGIN <= s <= hi + 1e-12):
-        raise PreconditionError(
-            f"anchor s={s} outside admissible range ({lo:.12g}, {hi}] for n={n}, k={k}")
-    return SignedMeasureContext(n, k, s)
-
-
-def rule_lambda(ctx: SignedMeasureContext) -> QuadratureRule:
+def rule_lambda(n: int, k: int, s: float) -> QuadratureRule:
     """Anchored rule: +-s plus the k roots of the degree-k monic orthogonal
     polynomial of the signed weight; exact through degree 2k+1.
 
-    Interior nodes lie strictly inside (-s, s); at s = 1 the rule agrees
-    with the endpoint-augmented rule.
+    The anchor must lie in [lo + ADMISSIBILITY_MARGIN, 1], where lo is the
+    largest interior Gauss node; anything else, NaN included, raises
+    PreconditionError.  Interior nodes lie strictly inside (-s, s); at
+    s = 1 the rule agrees with the endpoint-augmented rule.
     """
-    return _jacobi_rule("lambda", ctx.n, ctx.k, ctx.s)
+    s = float(s)
+    lo = largest_gauss_node(n, k)
+    if not (lo + ADMISSIBILITY_MARGIN <= s <= 1 + 1e-12):
+        raise PreconditionError(
+            f"anchor s={s} outside admissible range ({lo:.12g}, 1.0] for n={n}, k={k}")
+    return _jacobi_rule("lambda", n, k, s)

@@ -17,7 +17,7 @@ from kkpolar.potentials import (arcsine, eval_h, gaussian_sym, monomial_2k,
                                 p_frame, riesz_sym)
 from kkpolar.quadrature import (largest_gauss_node, rule_alpha, rule_beta,
                                 verify_exactness)
-from kkpolar.signed_measure import build_context, rule_lambda
+from kkpolar.signed_measure import rule_lambda
 
 
 def report_line(index: int, label: str, ok: bool, detail: str) -> None:
@@ -36,7 +36,7 @@ def test_1_quadrature_exactness():
             if 0.9 > threshold + 1e-6:
                 anchors.add(0.9)
             for s in sorted(anchors):
-                rule = rule_lambda(build_context(n, k, s))
+                rule = rule_lambda(n, k, s)
                 worst = max(worst, verify_exactness(rule, n, 2 * k + 1))
     report_line(1, "quadrature exactness through degree 2k+1", worst <= 1e-9,
                 f"max monomial residual {worst:.3e} over n<=6, k<=6, "
@@ -155,7 +155,6 @@ def feasible_objective_gap(pot, interpolant, side, interval, k, rng):
 def test_6_interpolant_feasibility_and_optimality():
     n, k = 3, 2
     ok, detail = True, ""
-    ctx = build_context(n, k, 0.8)
     cases = [
         (build_H2k(n, k, riesz_sym(2)), riesz_sym(2), Side.BELOW, (-1, 1)),
         (build_H2k(n, k, gaussian_sym()), gaussian_sym(), Side.BELOW, (-1, 1)),
@@ -164,10 +163,10 @@ def test_6_interpolant_feasibility_and_optimality():
         (build_H2k_tilde(n, k, p_frame(3)), p_frame(3), Side.BELOW, (-1, 1)),
         (build_H2k_tilde(n, k, monomial_2k(k)), monomial_2k(k), Side.BELOW,
          (-1, 1)),
-        (build_H2k_s(ctx, riesz_sym(2)), riesz_sym(2), Side.ABOVE, (-0.8, 0.8)),
-        (build_H2k_s(ctx, gaussian_sym()), gaussian_sym(), Side.ABOVE,
+        (build_H2k_s(n, k, 0.8, riesz_sym(2)), riesz_sym(2), Side.ABOVE, (-0.8, 0.8)),
+        (build_H2k_s(n, k, 0.8, gaussian_sym()), gaussian_sym(), Side.ABOVE,
          (-0.8, 0.8)),
-        (build_H2k_s(ctx, arcsine()), arcsine(), Side.ABOVE, (-0.8, 0.8)),
+        (build_H2k_s(n, k, 0.8, arcsine()), arcsine(), Side.ABOVE, (-0.8, 0.8)),
         (upper_bound_finite(n, k, 1, gaussian_sym()).interpolant,
          gaussian_sym(), Side.ABOVE, (-1, 1)),
         (upper_bound_finite(n, k, 1, monomial_2k(k)).interpolant,
@@ -187,7 +186,7 @@ def test_6_interpolant_feasibility_and_optimality():
         (build_H2k(n, k1, riesz_sym(2)), riesz_sym(2), Side.BELOW, (-1, 1)),
         (build_H2k_tilde(n, k1, p_frame(1.0)), p_frame(1.0), Side.BELOW,
          (-1, 1)),
-        (build_H2k_s(build_context(n, k1, 0.8), gaussian_sym()),
+        (build_H2k_s(n, k1, 0.8, gaussian_sym()),
          gaussian_sym(), Side.ABOVE, (-0.8, 0.8)),
     ]
     worst_gap = -math.inf

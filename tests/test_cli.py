@@ -118,6 +118,13 @@ class TestBounds:
         assert status == 2
         assert "upper_bound_s" in data["error"]
 
+    def test_nan_anchor_is_precondition(self, capsys):
+        status, data = run_json(capsys, [
+            "bounds", "--n", "3", "--k", "1", "--N", "4",
+            "--pot", "riesz:m=2", "--s", "nan"])
+        assert status == 2
+        assert "anchor" in data["error"]
+
     def test_bad_potential_descriptor(self, capsys):
         status, data = run_json(capsys, [
             "bounds", "--n", "3", "--k", "1", "--N", "4", "--pot", "frobnicate"])

@@ -25,14 +25,13 @@ from kkpolar.potentials import (
     riesz_sym,
     user_potential,
 )
-from kkpolar.quadrature import rule_alpha, rule_beta
-from kkpolar.signed_measure import admissible_range, build_context
+from kkpolar.quadrature import largest_gauss_node, rule_alpha, rule_beta
 
 from helpers import negate, reference_margin
 
 
 def anchor(n, k, frac=0.6):
-    lo, hi = admissible_range(n, k)
+    lo, hi = largest_gauss_node(n, k), 1.0
     return lo + frac * (hi - lo)
 
 
@@ -158,14 +157,12 @@ class TestBuildBelowEndpoint:
 class TestBuildAboveAnchored:
     @pytest.mark.parametrize("n,k", [(3, 1), (2, 2), (4, 2)])
     def test_monomial_reproduced(self, n, k):
-        ctx = build_context(n, k, anchor(n, k))
-        H = build_H2k_s(ctx, monomial_2k(k))
+        H = build_H2k_s(n, k, anchor(n, k), monomial_2k(k))
         want = [0.0] * (2 * k) + [1.0]
         assert list(H.coeffs) == pytest.approx(want, abs=1e-10)
 
     def test_riesz_above_on_grid(self):
-        ctx = build_context(3, 1, 0.8)
-        H = build_H2k_s(ctx, riesz_sym(2))
+        H = build_H2k_s(3, 1, 0.8, riesz_sym(2))
         assert verify_one_sided(H, riesz_sym(2), Side.ABOVE, (-0.8, 0.8), 10000) >= -1e-9
 
     @pytest.mark.parametrize("n,k,pot", [
@@ -174,21 +171,21 @@ class TestBuildAboveAnchored:
     ], ids=["riesz1", "cosh", "arcsine", "pf4"])
     def test_above_on_anchor_interval(self, n, k, pot):
         s = anchor(n, k, 0.5)
-        H = build_H2k_s(build_context(n, k, s), pot)
+        H = build_H2k_s(n, k, s, pot)
         assert verify_one_sided(H, pot, Side.ABOVE, (-s, s), 5000) >= -1e-9
 
     def test_anchor_one_interpolates_endpoint_nodes(self):
         # at s=1 the anchored nodes coincide with the endpoint-augmented ones
         pot = gaussian_sym()
-        H = build_H2k_s(build_context(3, 2, 1.0), pot)
+        H = build_H2k_s(3, 2, 1.0, pot)
         for t in rule_beta(3, 2).nodes:
             assert H(t) == pytest.approx(math.cosh(t), rel=1e-10)
         assert verify_one_sided(H, pot, Side.ABOVE, (-1.0, 1.0), 2000) >= -1e-9
 
     def test_refuses_wrong_certificate(self):
-        ctx = build_context(3, 2, anchor(3, 2))
-        with pytest.raises(PreconditionError):
-            build_H2k_s(ctx, p_frame(3))  # g''' < 0
+        s = anchor(3, 2)
+        with pytest.raises(PreconditionError, match="certificate"):
+            build_H2k_s(3, 2, s, p_frame(3))  # g''' < 0
 
 
 class TestVerifyOneSided:
@@ -291,6 +288,36 @@ class TestMarginMatchesScalarLoop:
         assert seen == {"ULB_ALPHA", "UUB_BETA", "UUB_LAMBDA"}
 
 
+class TestBoundInterpolantMatchesBuilder:
+    """A bound report carries the interpolant of the public builder for its
+    rule, coefficient for coefficient."""
+
+    @pytest.mark.parametrize("pot,kinds", [
+        (riesz_sym(1.5), {"ULB_ALPHA", "UUB_LAMBDA"}),
+        (p_frame(3.0), {"ULB_ALPHA", "ULB_BETA", "UUB_LAMBDA"}),
+        (gaussian_sym(), {"ULB_ALPHA", "UUB_LAMBDA"}),
+        (arcsine(), {"ULB_ALPHA", "UUB_LAMBDA"}),
+        (monomial_2k(3), {"ULB_ALPHA", "UUB_LAMBDA"}),
+    ], ids=["riesz", "pframe3", "cosh", "arcsine", "monomial3"])
+    def test_builtin_families(self, pot, kinds):
+        builders = {
+            "ULB_ALPHA": lambda n, k, s: build_H2k(n, k, pot),
+            "ULB_BETA": lambda n, k, s: build_H2k_tilde(n, k, pot),
+            "UUB_LAMBDA": lambda n, k, s: build_H2k_s(n, k, s, pot),
+        }
+        seen = set()
+        for n in range(3, 9):
+            for k in range(1, 9):
+                for report, _, _ in _bound_reports(n, k, pot):
+                    if report.kind not in builders:
+                        continue
+                    want = builders[report.kind](n, k, report.s)
+                    assert report.interpolant.coeffs == want.coeffs, \
+                        (report.kind, n, k)
+                    seen.add(report.kind)
+        assert seen == kinds
+
+
 class TestLinearProgramOptimality:
     """The interpolants beat every feasible polynomial of the same degree."""
 
@@ -318,7 +345,7 @@ class TestLinearProgramOptimality:
     ], ids=["riesz2", "cosh"])
     def test_above_side_minimizes_mean(self, n, k, pot, h_vec):
         s = anchor(n, k, 0.5)
-        H = build_H2k_s(build_context(n, k, s), pot)
+        H = build_H2k_s(n, k, s, pot)
         best = integrate_mu(n, H)
         ts = np.linspace(-s, s, 1_000_001)
         hv = h_vec(ts)

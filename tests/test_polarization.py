@@ -7,7 +7,7 @@ import pytest
 
 from kkpolar.codes import CATALOG_DESIGNS, SphericalCode, catalog
 from kkpolar.errors import PreconditionError
-from kkpolar import codes, polarization
+from kkpolar import codes, polarization, quadrature, signed_measure
 from kkpolar.polarization import (BoundReport, Direction, average_check,
                                   certify_design, extrema, extremize,
                                   lower_bound, potential_U,
@@ -16,6 +16,7 @@ from kkpolar.polynomials import integrate_mu, monomial_moment
 from kkpolar.potentials import (gaussian_sym, monomial_2k, p_frame,
                                 parse_potential, riesz_sym, user_potential)
 from kkpolar.quadrature import largest_gauss_node, rule_alpha, rule_beta
+from kkpolar.signed_measure import ADMISSIBILITY_MARGIN
 
 from helpers import negate, reference_extremize
 
@@ -349,10 +350,12 @@ class TestUpperBoundS:
 
     def test_anchor_range_enforced(self):
         low = largest_gauss_node(3, 1)
-        with pytest.raises(PreconditionError):
-            upper_bound_s(3, 1, 4, low - 0.01, riesz_sym(2))
-        with pytest.raises(PreconditionError):
-            upper_bound_s(3, 1, 4, 1.0, riesz_sym(2))
+        for s in (low - 0.01, 1.0, 1.0 + 5e-13, math.nan, math.inf,
+                  low + ADMISSIBILITY_MARGIN / 2):
+            with pytest.raises(PreconditionError):
+                upper_bound_s(3, 1, 4, s, riesz_sym(2))
+        edge = low + ADMISSIBILITY_MARGIN
+        assert upper_bound_s(3, 1, 4, edge, riesz_sym(2)).s == edge
 
     def test_covering_radius_witness_checked(self):
         with pytest.raises(PreconditionError, match="covering radius"):
@@ -369,6 +372,41 @@ class TestUpperBoundS:
     def test_nonpositive_certificate_refused(self):
         with pytest.raises(PreconditionError):
             upper_bound_s(3, 1, 4, 0.8, p_frame(1.0))
+
+
+class TestOneRulePerBound:
+    """Each bound builds its rule once; the anchored bound also builds the
+    alpha rule once, whose top node is the threshold for its anchor."""
+
+    @pytest.fixture
+    def kinds(self, monkeypatch):
+        seen = []
+        real = quadrature._jacobi_rule
+
+        def counting(kind, *args, **kwargs):
+            seen.append(kind)
+            return real(kind, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_jacobi_rule", counting)
+        monkeypatch.setattr(signed_measure, "_jacobi_rule", counting)
+        return seen
+
+    def test_upper_bound_s(self, kinds):
+        upper_bound_s(3, 2, 10, 0.9, riesz_sym(2))
+        assert sorted(kinds) == ["alpha", "lambda"]
+
+    @pytest.mark.parametrize("k,pot,want", [
+        (2, riesz_sym(2), ["alpha"]),
+        (1, p_frame(1.0), ["beta"]),
+        (2, monomial_2k(2), ["alpha", "beta"]),
+    ], ids=["nonnegative", "nonpositive", "zero"])
+    def test_lower_bound(self, kinds, k, pot, want):
+        lower_bound(3, k, 10, pot)
+        assert sorted(kinds) == want
+
+    def test_upper_bound_finite(self, kinds):
+        upper_bound_finite(3, 2, 10, gaussian_sym())
+        assert kinds == ["beta"]
 
 
 class TestReportInvariants:

@@ -15,12 +15,7 @@ from kkpolar.quadrature import (
     rule_beta,
     verify_exactness,
 )
-from kkpolar.signed_measure import (
-    ADMISSIBILITY_MARGIN,
-    admissible_range,
-    build_context,
-    rule_lambda,
-)
+from kkpolar.signed_measure import ADMISSIBILITY_MARGIN, rule_lambda
 
 
 class TestRootFinding:
@@ -71,9 +66,9 @@ def test_rules_against_scipy_and_exactness(n, k, frac):
     assert beta.nodes[1:-1] == pytest.approx(gegenbauer_roots(n, k, 2), abs=1e-12)
     assert (beta.nodes[0], beta.nodes[-1]) == (-1.0, 1.0)
 
-    lo, hi = admissible_range(n, k)
+    lo, hi = largest_gauss_node(n, k), 1.0
     s = max(lo + frac * (hi - lo), lo + ADMISSIBILITY_MARGIN)
-    lam = rule_lambda(build_context(n, k, s))
+    lam = rule_lambda(n, k, s)
     assert (lam.nodes[0], lam.nodes[-1]) == (-s, s)
     assert np.all(np.abs(lam.nodes[1:-1]) < s)
     for rule in (alpha, beta, lam):

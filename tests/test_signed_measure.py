@@ -4,12 +4,8 @@ from scipy import integrate
 
 from kkpolar.errors import PreconditionError
 from kkpolar.polynomials import Polynomial, gegenbauer, integrate_mu
-from kkpolar.quadrature import rule_beta, verify_exactness
-from kkpolar.signed_measure import (
-    admissible_range,
-    build_context,
-    rule_lambda,
-)
+from kkpolar.quadrature import largest_gauss_node, rule_beta, verify_exactness
+from kkpolar.signed_measure import rule_lambda
 
 _T_SQUARED = Polynomial((0.0, 0.0, 1.0))
 
@@ -49,12 +45,12 @@ def signed_inner_numeric(n, s, p, q):
 
 
 def mid_anchor(n, k, frac=0.6):
-    lo, hi = admissible_range(n, k)
+    lo, hi = largest_gauss_node(n, k), 1.0
     return lo + frac * (hi - lo)
 
 
 def lambda_rule(n, k, s):
-    return rule_lambda(build_context(n, k, s))
+    return rule_lambda(n, k, s)
 
 
 class TestInnerProduct:
@@ -138,24 +134,24 @@ class TestBuildContext:
                 assert signed_inner_product(n, s, q, q) > 0.0
 
     def test_inadmissible_anchor_rejected(self):
-        lo, _ = admissible_range(3, 2)
+        lo = largest_gauss_node(3, 2)
         with pytest.raises(PreconditionError):
-            build_context(3, 2, lo - 0.01)
+            rule_lambda(3, 2, lo - 0.01)
         with pytest.raises(PreconditionError):
-            build_context(3, 2, lo)  # boundary itself is excluded
+            rule_lambda(3, 2, lo)  # boundary itself is excluded
         with pytest.raises(PreconditionError):
-            build_context(3, 2, 1.001)
+            rule_lambda(3, 2, 1.001)
 
     def test_bad_dimension_rejected(self):
         with pytest.raises(PreconditionError):
-            build_context(1, 1, 0.9)
+            rule_lambda(1, 1, 0.9)
 
 
 class TestRuleLambda:
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     @pytest.mark.parametrize("s", [0.7, 0.85, 1.0])
     def test_k1_closed_form(self, n, s):
-        if s <= admissible_range(n, 1)[0]:
+        if s <= largest_gauss_node(n, 1):
             pytest.skip("anchor below threshold for this n")
         rule = lambda_rule(n, 1, s)
         assert rule.nodes == pytest.approx([-s, 0.0, s], abs=1e-12)
@@ -181,7 +177,7 @@ class TestRuleLambda:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("anchor", ["near", 0.9, 1.0])
     def test_exact_through_2k_plus_1(self, n, k, anchor):
-        lo, _ = admissible_range(n, k)
+        lo = largest_gauss_node(n, k)
         s = min(lo + 0.05, 1.0) if anchor == "near" else anchor
         if s <= lo:
             pytest.skip("anchor below threshold")
