@@ -15,8 +15,7 @@ from .codes import (CATALOG_DESIGNS, DesignCertificate, SphericalCode,
                     moment, save_code, waring_residual)
 from .errors import (CodeFormatError, KkpolarError, NumericalDegeneracyError,
                      PreconditionError)
-from .interpolants import (InterpolationScheme, Side, build_H2k, build_H2k_s,
-                           build_H2k_tilde, hermite_confluent,
+from .interpolants import (Side, build_H2k, build_H2k_s, build_H2k_tilde,
                            verify_one_sided)
 from .polarization import (BoundReport, CertificationReport, CheckResult,
                            Direction, ExtremizationResult, average_check,
@@ -36,12 +35,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "CATALOG_DESIGNS", "CertificationReport", "CheckResult",
     "CodeFormatError", "DesignCertificate", "Direction", "ExtremizationResult",
-    "GegenbauerFamily", "InterpolationScheme", "KkpolarError",
+    "GegenbauerFamily", "KkpolarError",
     "NumericalDegeneracyError", "Polynomial", "Potential", "PreconditionError",
     "QuadratureRule", "Side", "SignState", "SphericalCode", "arcsine",
     "average_check", "build_H2k", "build_H2k_s", "build_H2k_tilde", "catalog",
     "certify_design", "certify_sign", "covering_radius_r", "eval_h",
-    "extrema", "extremize", "gaussian_sym", "gegenbauer", "hermite_confluent",
+    "extrema", "extremize", "gaussian_sym", "gegenbauer",
     "integrate_mu", "is_kk_design", "largest_gauss_node", "load_code",
     "lower_bound", "moment", "monomial_2k", "monomial_moment",
     "p_frame", "parse_potential", "potential_U", "riesz_sym", "rule_alpha",

@@ -1,8 +1,8 @@
 """Spherical codes: validated point sets, reference designs, moment tests,
 the squared-inner-product Waring identity, covering radius, and JSON I/O.
 
-The covering radius is exact: an angle sweep on the circle, and the nearest
-facet of the convex hull of the antipodal closure elsewhere.  Only codes
+The covering radius is exact: the nearest facet of the convex hull of the
+antipodal closure, in every dimension including the circle.  Only codes
 whose hull may have more than HULL_FACET_CAP facets, and nearly flat codes
 that Qhull rejects, fall back to a multistart search, whose value is an
 upper estimate of the true minimum (covering_radius_r returns which
@@ -126,18 +126,6 @@ def waring_residual(code: SphericalCode, x, ell: int) -> float:
 
 # ---------------------------------------------------------------------------
 # covering radius
-
-
-def _covering_radius_circle(points: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact on S^1: the minimax point sits mid-gap in the antipodal
-    closure, at depth cos(half the largest angular gap)."""
-    doubled = np.vstack([points, -points])
-    angles = np.sort(np.arctan2(doubled[:, 1], doubled[:, 0]))
-    gaps = np.diff(np.append(angles, angles[0] + 2.0 * math.pi))
-    i = int(np.argmax(gaps))
-    mid = angles[i] + 0.5 * gaps[i]
-    witness = np.array([math.cos(mid), math.sin(mid)])
-    return math.cos(0.5 * float(np.max(gaps))), witness
 
 
 def _fibonacci_sphere(count: int) -> np.ndarray:
@@ -270,18 +258,16 @@ def _vertex_ascent(points: np.ndarray, starts: np.ndarray) -> tuple[float, np.nd
     return float(np.max(np.abs(points @ best))), best
 
 
-def _covering_radius_search(points: np.ndarray, seed: int,
-                            restarts: int | None) -> tuple[float, np.ndarray]:
-    """Multistart fallback: structured plus grid/random seeds screened by
-    max_i |x . x_i|, the best _ASCENT_STARTS refined by exact vertex ascent
-    (_vertex_ascent).  An upper estimate of the true minimum."""
+def _covering_radius_search(points: np.ndarray, seed: int) -> tuple[float, np.ndarray]:
+    """Multistart fallback: structured, grid and 64 random seeds screened
+    by max_i |x . x_i|, the best _ASCENT_STARTS refined by exact vertex
+    ascent (_vertex_ascent).  An upper estimate of the true minimum."""
     n = points.shape[1]
     parts = [_structured_seeds(points)]
     if n == 3:
         parts.append(_fibonacci_sphere(1500))
     rng = np.random.default_rng(seed)
-    count = max(64, restarts or 0)
-    raw = rng.standard_normal((count, n))
+    raw = rng.standard_normal((64, n))
     parts.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
 
     mat = np.vstack(parts)
@@ -290,28 +276,25 @@ def _covering_radius_search(points: np.ndarray, seed: int,
     return _vertex_ascent(points, mat[order[:_ASCENT_STARTS]])
 
 
-def covering_radius_r(code: SphericalCode, seed: int = 0,
-                      restarts: int | None = None
+def covering_radius_r(code: SphericalCode, seed: int = 0
                       ) -> tuple[float, np.ndarray, str]:
     """Depth of the deepest hole: min over the sphere of max_i |x . x_i|,
     as (radius, witness, kind), with the minimizing witness and how the
     radius was obtained.
 
-    kind is "exact" from the angle sweep on S^1, rank deficiency or the
-    convex hull.  For n >= 3, max_i |x . x_i| is the support function of
-    the convex hull of +-C, whose minimum over unit x is the distance from
-    the origin to the nearest facet, attained at that facet's normal; the
-    value returned is max_i |w . x_i| at the normalized witness w.  Points
-    that do not span R^n give 0, attained at a direction orthogonal to all
-    of them.  kind is "upper_estimate" from the multistart vertex-ascent
-    search, which runs when the hull may have more than HULL_FACET_CAP
-    facets, or when Qhull rejects a code that spans R^n by numpy's rank
-    test but lies within roundoff of a hyperplane; seed and restarts apply
-    only there.
+    kind is "exact" from rank deficiency or the convex hull.  For every
+    n >= 2, max_i |x . x_i| is the support function of the convex hull of
+    +-C, whose minimum over unit x is the distance from the origin to the
+    nearest facet, attained at that facet's normal; on the circle that is
+    the midpoint of the largest angular gap of +-C.  The value returned is
+    max_i |w . x_i| at the normalized witness w.  Points that do not span
+    R^n give 0, attained at a direction orthogonal to all of them.  kind is
+    "upper_estimate" from the multistart vertex-ascent search, which runs
+    when the hull may have more than HULL_FACET_CAP facets, or when Qhull
+    rejects a code that spans R^n by numpy's rank test but lies within
+    roundoff of a hyperplane; seed applies only there.
     """
     pts = code.points
-    if code.n == 2:
-        return (*_covering_radius_circle(pts), "exact")
     null = _null_direction(pts)
     if null is not None:
         return 0.0, null, "exact"
@@ -326,7 +309,7 @@ def covering_radius_r(code: SphericalCode, seed: int = 0,
             normal = hull.equations[int(np.argmax(hull.equations[:, -1])), :-1]
             witness = normal / np.linalg.norm(normal)
             return float(np.max(np.abs(pts @ witness))), witness, "exact"
-    return (*_covering_radius_search(pts, seed, restarts), "upper_estimate")
+    return (*_covering_radius_search(pts, seed), "upper_estimate")
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,30 @@ tableau, then coefficients map back to t by index doubling.  Working in u
 halves the degree and avoids the missing derivative of |t|-type potentials
 at t = 0; a node at u = 0 therefore only ever carries a function value.
 
-The quadrature rule alone fixes the interpolant: _interpolate reads the
-conditions off the rule's nodes and kind, and each build_H2k* is a sign
-certificate check followed by _interpolate on its rule.
+The quadrature rule and the side alone fix the interpolant and decide
+whether it is admitted.  By the Hermite remainder
+
+    h(t) - H(t) = g^(k+1)(xi) / (k+1)! * prod_j (u - u_j)^(m_j),
+
+the node product is >= 0 on [0, top^2] for the interior Gauss nodes (squares
+at the double nodes, u at a node at 0) and <= 0 once the top node is a
+simple endpoint or anchor.  So the interpolant lies below h exactly when
+g^(k+1) >= 0 at the alpha rule or <= 0 at the beta and lambda rules, and
+above h in the other two cases.  _interpolate is the only place that checks
+this, and each build_H2k* is _interpolate on its rule and side.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import NumericalDegeneracyError, PreconditionError
 from .polynomials import Polynomial, substitute_t_squared
-from .potentials import Potential, certify_sign, eval_h
+from .potentials import Potential, SignState, certify_sign, eval_h
 from .quadrature import QuadratureRule, rule_alpha, rule_beta
 from .signed_measure import rule_lambda
 
@@ -34,132 +41,94 @@ class Side(Enum):
     ABOVE = -1
 
 
-@dataclass(frozen=True)
-class InterpolationScheme:
-    """Confluent interpolation data in u: (u, multiplicity) pairs with
-    multiplicity 2 only at interior touch points."""
+def _interpolate(rule: QuadratureRule, pot: Potential, side: Side,
+                 state: Optional[SignState] = None) -> Polynomial:
+    """Interpolant in t at the nodes of the rule, admitted on its side of h.
 
-    u_nodes: tuple[tuple[float, int], ...]
-
-    @property
-    def condition_count(self) -> int:
-        return sum(m for _, m in self.u_nodes)
-
-
-def hermite_confluent(scheme: InterpolationScheme,
-                      values: Sequence[float],
-                      derivs: Sequence[Optional[float]]) -> Polynomial:
-    """Unique polynomial in u matching every confluent condition.
-
-    values[i] is g at the i-th scheme node; derivs[i] is g' there, needed
-    exactly when the multiplicity is 2.  Verifies its own residuals.
+    The sign certificate of g^(k+1) on (0, top^2), top the anchor of the
+    rule or 1, must be nonnegative when the side is BELOW at the alpha rule
+    or ABOVE at the beta and lambda rules, and nonpositive otherwise; a
+    state passed in stands for that certificate.  A node at t = 1 needs
+    h(1) finite.  The nodes fix the confluent conditions in u = t*t: a node
+    at 0 carries a value only, every positive node a value and a slope,
+    except the top node of the beta and lambda rules, which carries a value
+    only.  Raises PreconditionError when the interpolant is not admitted or
+    a value is not finite, NumericalDegeneracyError when the conditions do
+    not number k + 1 or a residual exceeds 1e-10 relative.
     """
-    entries = sorted(zip(scheme.u_nodes, values, derivs), key=lambda e: e[0][0])
-    us = [u for (u, _), _, _ in entries]
-    if len(set(us)) != len(us):
-        raise PreconditionError(f"duplicate u-values in interpolation nodes: {us}")
+    top = 1.0 if rule.s is None else rule.s
+    if state is None:
+        state = certify_sign(pot, rule.k, top * top)
+    nonnegative = (side is Side.BELOW) == (rule.kind == "alpha")
+    if not (state.admits_nonnegative() if nonnegative
+            else state.admits_nonpositive()):
+        raise PreconditionError(
+            f"{side.name.lower()}-side interpolant at the {rule.kind} nodes "
+            f"needs a {'nonnegative' if nonnegative else 'nonpositive'} "
+            f"derivative certificate on (0, {top * top:.6g}); {pot.name} "
+            f"gave {state.value} for k={rule.k}")
+    if rule.nodes[-1] == 1.0 and not math.isfinite(pot.h_at_1):
+        raise PreconditionError(
+            f"interpolation at the node t = 1 needs h(1) finite; {pot.name} "
+            f"has h(1) = {pot.h_at_1}")
+
+    nodes = [(0.0, 1)] if any(abs(x) <= 1e-14 for x in rule.nodes) else []
+    nodes.extend((x * x, 2) for x in sorted(x for x in rule.nodes if x > 1e-14))
+    if rule.kind != "alpha":
+        nodes[-1] = (nodes[-1][0], 1)
+    values = [pot.eval_g(u) for u, _ in nodes]
     z: list[float] = []
-    vals: list[float] = []
-    dvs: list[Optional[float]] = []
-    for (u, mult), v, d in entries:
-        if mult not in (1, 2):
-            raise PreconditionError(f"multiplicity must be 1 or 2, got {mult}")
-        if mult == 2 and d is None:
-            raise PreconditionError(f"node u={u} has multiplicity 2 but no derivative")
+    table: list[float] = []
+    slopes: list[Optional[float]] = []
+    for (u, mult), v in zip(nodes, values):
         if not math.isfinite(v):
             raise PreconditionError(f"non-finite interpolation value at u={u}")
+        d = pot.eval_g_prime(u) if mult == 2 else None
         z.extend([u] * mult)
-        vals.extend([v] * mult)
-        dvs.extend([d] * mult)
-
+        table.extend([v] * mult)
+        slopes.extend([d] * mult)
     m = len(z)
-    table = list(vals)
+    if m != rule.k + 1:
+        raise NumericalDegeneracyError(
+            f"rule gives {m} conditions, wanted {rule.k + 1}")
+
     newton = [table[0]]
     for level in range(1, m):
-        nxt = []
-        for i in range(m - level):
-            if z[i + level] == z[i]:
-                # confluent pair: the first divided difference is g'
-                nxt.append(dvs[i])
-            else:
-                nxt.append((table[i + 1] - table[i]) / (z[i + level] - z[i]))
-        table = nxt
+        # a confluent pair's first divided difference is g'
+        table = [slopes[i] if z[i + level] == z[i]
+                 else (table[i + 1] - table[i]) / (z[i + level] - z[i])
+                 for i in range(m - level)]
         newton.append(table[0])
 
     poly = Polynomial((newton[-1],))
     for j in range(m - 2, -1, -1):
         poly = poly * Polynomial((-z[j], 1.0)) + Polynomial((newton[j],))
-
-    for (u, _), v, _ in entries:
+    for (u, _), v in zip(nodes, values):
         if abs(poly(u) - v) > 1e-10 * (1.0 + abs(v)):
             raise NumericalDegeneracyError(
                 f"interpolation residual too large at u={u}: {poly(u)} vs {v}")
-    return poly
-
-
-def _interpolate(rule: QuadratureRule, pot: Potential) -> Polynomial:
-    """Interpolant in t at the nodes of the rule, which fix the confluent
-    conditions in u = t*t: a node at 0 carries a value only, every positive
-    node a value and a slope, except the top node of the beta and lambda
-    rules, the endpoint of the interval, which carries a value only."""
-    entries: list[tuple[float, int]] = []
-    if any(abs(x) <= 1e-14 for x in rule.nodes):
-        entries.append((0.0, 1))
-    pos = sorted(x for x in rule.nodes if x > 1e-14)
-    entries.extend((x * x, 2) for x in pos)
-    if rule.kind in ("beta", "lambda"):
-        entries[-1] = (entries[-1][0], 1)
-    scheme = InterpolationScheme(tuple(entries))
-    if scheme.condition_count != rule.k + 1:
-        raise NumericalDegeneracyError(
-            f"scheme carries {scheme.condition_count} conditions, wanted {rule.k + 1}")
-    values = [pot.eval_g(u) for u, _ in scheme.u_nodes]
-    derivs = [pot.eval_g_prime(u) if mult == 2 else None
-              for u, mult in scheme.u_nodes]
-    g_poly = hermite_confluent(scheme, values, derivs)
-    return substitute_t_squared(g_poly)
+    return substitute_t_squared(poly)
 
 
 def build_H2k(n: int, k: int, pot: Potential) -> Polynomial:
     """Below-side interpolant at the interior Gauss nodes: touches h at
     every node, tangentially at the nonzero ones.  Needs g^(k+1) >= 0 on
     (0,1); the result lies below h on all of [-1,1]."""
-    state = certify_sign(pot, k, 1.0)
-    if not state.admits_nonnegative():
-        raise PreconditionError(
-            f"below-side interpolant at interior nodes needs a nonnegative "
-            f"derivative certificate; {pot.name} gave {state.value} for k={k}")
-    return _interpolate(rule_alpha(n, k), pot)
+    return _interpolate(rule_alpha(n, k), pot, Side.BELOW)
 
 
 def build_H2k_tilde(n: int, k: int, pot: Potential) -> Polynomial:
     """Below-side interpolant at the endpoint-augmented nodes.  Needs
-    g^(k+1) <= 0 on (0,1), which forces h(1) finite; the endpoint node
-    carries only a function value."""
-    state = certify_sign(pot, k, 1.0)
-    if not state.admits_nonpositive():
-        raise PreconditionError(
-            f"below-side interpolant with endpoint nodes needs a nonpositive "
-            f"derivative certificate; {pot.name} gave {state.value} for k={k}")
-    if not math.isfinite(pot.h_at_1):
-        raise PreconditionError(
-            f"endpoint-node interpolation needs h(1) finite; {pot.name} "
-            f"has h(1) = {pot.h_at_1}")
-    return _interpolate(rule_beta(n, k), pot)
+    g^(k+1) <= 0 on (0,1) and h(1) finite; the endpoint node carries only
+    a function value."""
+    return _interpolate(rule_beta(n, k), pot, Side.BELOW)
 
 
 def build_H2k_s(n: int, k: int, s: float, pot: Potential) -> Polynomial:
     """Above-side interpolant at the nodes of the rule anchored at s,
     dominating h on [-s, s].  The anchor must be admissible for
     rule_lambda, and g^(k+1) >= 0 on (0, s*s)."""
-    rule = rule_lambda(n, k, s)
-    u_max = rule.s * rule.s
-    state = certify_sign(pot, k, u_max)
-    if not state.admits_nonnegative():
-        raise PreconditionError(
-            f"above-side interpolant needs a nonnegative derivative "
-            f"certificate on (0, {u_max:.6g}); {pot.name} gave {state.value}")
-    return _interpolate(rule, pot)
+    return _interpolate(rule_lambda(n, k, s), pot, Side.ABOVE)
 
 
 def verify_one_sided(p: Polynomial, pot: Potential, side: Side,

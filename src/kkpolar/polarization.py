@@ -16,8 +16,8 @@ the same size, independent of the particular point configuration:
     valid for codes whose covering radius stays below s
 
 Each bound is N * sum_j w_j h(t_j) over one rule; _bound builds every one
-of them from the rule alone, which fixes the interpolant and the interval
-of the one-sided check.
+of them from the rule and the side alone, which fix the interpolant, the
+certificate it needs and the interval of the one-sided check.
 
 Extremization is a multistart global search (exact on the circle): local
 searches from screened seeds, refined together by batched tangent BFGS
@@ -146,13 +146,19 @@ def _check_problem(n: int, k: int, N: int) -> None:
         raise PreconditionError(f"code size must be >= 1, got {N}")
 
 
-def _bound(kind: str, N: int, rule: QuadratureRule, pot: Potential,
-           side: Side, state: SignState,
+def _bound(N: int, rule: QuadratureRule, pot: Potential, side: Side,
+           state: Optional[SignState] = None,
            notes: tuple[str, ...] = ()) -> BoundReport:
-    """N times the rule applied to h, with the rule's interpolant checked
-    on its side of h over (-top, top): top is the anchor of the rule, or 1
-    when it has none."""
-    interpolant = _interpolate(rule, pot)
+    """N times the rule applied to h, with the rule's interpolant admitted
+    by _interpolate and checked on its side of h over (-top, top): top is
+    the anchor of the rule, or 1 when it has none.  The kind is ULB_ (below)
+    or UUB_ (above) and the rule kind; state, when given, is the sign
+    certificate on (0, top^2) already computed."""
+    top = 1.0 if rule.s is None else rule.s
+    if state is None:
+        state = certify_sign(pot, rule.k, top * top)
+    kind = ("ULB_" if side is Side.BELOW else "UUB_") + rule.kind.upper()
+    interpolant = _interpolate(rule, pot, side, state)
     per_point = math.fsum(
         w * eval_h(pot, t) for t, w in zip(rule.nodes, rule.weights))
     bound = N * per_point
@@ -160,7 +166,6 @@ def _bound(kind: str, N: int, rule: QuadratureRule, pot: Potential,
         raise NumericalDegeneracyError(
             f"{kind} bound is not finite; the rule places weight where the "
             f"potential blows up")
-    top = 1.0 if rule.s is None else rule.s
     margin = verify_one_sided(interpolant, pot, side, (-top, top),
                               grid_size=_MARGIN_GRID)
     residual = verify_exactness(rule, rule.n, rule.exact_degree)
@@ -179,36 +184,25 @@ def lower_bound(n: int, k: int, N: int, pot: Potential) -> BoundReport:
     points on the unit sphere in R^n.
 
     The sign certificate for g^(k+1) on (0,1) picks the branch: interior
-    nodes when nonnegative, endpoint nodes when nonpositive (this branch
-    needs finite h(1)).  A vanishing certificate admits both; they are
-    cross-checked and the interior-node report is returned.
+    nodes when nonnegative, endpoint nodes otherwise, which _interpolate
+    admits only for a nonpositive certificate and finite h(1).  A
+    vanishing certificate admits both; they are cross-checked and the
+    interior-node report is returned.
     """
     _check_problem(n, k, N)
     state = certify_sign(pot, k, 1.0)
-    if state is SignState.UNKNOWN:
-        raise PreconditionError(
-            f"cannot certify the derivative sign of {pot.name} at order "
-            f"{k + 1} on (0,1); no lower-bound branch applies")
-    if state is SignState.NONNEGATIVE:
-        return _bound("ULB_ALPHA", N, rule_alpha(n, k), pot, Side.BELOW, state)
-    # the endpoint-node branch interpolates h(1)
-    if not math.isfinite(pot.h_at_1):
-        raise PreconditionError(
-            f"{pot.name} has {state.value.lower()} certificate but infinite "
-            f"endpoint value; no lower-bound branch applies")
     if state is SignState.ZERO:
         note = ("vanishing higher derivative: interior-node and "
                 "endpoint-node branches cross-checked",)
-        report = _bound("ULB_ALPHA", N, rule_alpha(n, k), pot, Side.BELOW,
-                        state, note)
-        twin = _bound("ULB_BETA", N, rule_beta(n, k), pot, Side.BELOW,
-                      state, note)
+        report = _bound(N, rule_alpha(n, k), pot, Side.BELOW, state, note)
+        twin = _bound(N, rule_beta(n, k), pot, Side.BELOW, state, note)
         if abs(report.bound_value - twin.bound_value) > 1e-10 * max(1.0, N):
             raise NumericalDegeneracyError(
                 f"branch disagreement {report.bound_value} vs "
                 f"{twin.bound_value} for a polynomial potential")
         return report
-    return _bound("ULB_BETA", N, rule_beta(n, k), pot, Side.BELOW, state)
+    rule = rule_alpha(n, k) if state is SignState.NONNEGATIVE else rule_beta(n, k)
+    return _bound(N, rule, pot, Side.BELOW, state)
 
 
 def upper_bound_finite(n: int, k: int, N: int, pot: Potential) -> BoundReport:
@@ -216,16 +210,11 @@ def upper_bound_finite(n: int, k: int, N: int, pot: Potential) -> BoundReport:
     points: endpoint rule against the above-side interpolant.  Requires a
     nonnegative derivative certificate and finite h(1)."""
     _check_problem(n, k, N)
-    state = certify_sign(pot, k, 1.0)
-    if not state.admits_nonnegative():
-        raise PreconditionError(
-            f"upper bound needs a nonnegative derivative certificate; "
-            f"{pot.name} certifies {state.value}")
     if not math.isfinite(pot.h_at_1):
         raise PreconditionError(
             f"{pot.name} is infinite at the endpoints; use upper_bound_s "
             f"with an anchor s < 1 instead")
-    return _bound("UUB_BETA", N, rule_beta(n, k), pot, Side.ABOVE, state)
+    return _bound(N, rule_beta(n, k), pot, Side.ABOVE)
 
 
 def upper_bound_s(n: int, k: int, N: int, s: float, pot: Potential,
@@ -245,11 +234,6 @@ def upper_bound_s(n: int, k: int, N: int, s: float, pot: Potential,
     if not s < 1.0:
         raise PreconditionError(
             f"anchor s={s} must lie below 1; at s = 1 use upper_bound_finite")
-    state = certify_sign(pot, k, s * s)
-    if not state.admits_nonnegative():
-        raise PreconditionError(
-            f"anchored bound needs a nonnegative derivative certificate on "
-            f"(0, s^2); {pot.name} certifies {state.value}")
     notes = [_ANCHORED_CAVEAT]
     if r_witness is not None:
         if s <= r_witness:
@@ -260,7 +244,7 @@ def upper_bound_s(n: int, k: int, N: int, s: float, pot: Potential,
                      f"the supplied code")
     else:
         notes.append("no concrete code supplied; covering radius unchecked")
-    return _bound("UUB_LAMBDA", N, rule, pot, Side.ABOVE, state, tuple(notes))
+    return _bound(N, rule, pot, Side.ABOVE, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------

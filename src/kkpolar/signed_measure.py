@@ -25,12 +25,13 @@ def rule_lambda(n: int, k: int, s: float) -> QuadratureRule:
 
     The anchor must lie in [lo + ADMISSIBILITY_MARGIN, 1], where lo is the
     largest interior Gauss node; anything else, NaN included, raises
-    PreconditionError.  Interior nodes lie strictly inside (-s, s); at
-    s = 1 the rule agrees with the endpoint-augmented rule.
+    PreconditionError.  An anchor above 1 by at most 1e-12 is taken as 1,
+    so every node lies in [-1, 1].  Interior nodes lie strictly inside
+    (-s, s); at s = 1 the rule agrees with the endpoint-augmented rule.
     """
     s = float(s)
     lo = largest_gauss_node(n, k)
     if not (lo + ADMISSIBILITY_MARGIN <= s <= 1 + 1e-12):
         raise PreconditionError(
             f"anchor s={s} outside admissible range ({lo:.12g}, 1.0] for n={n}, k={k}")
-    return _jacobi_rule("lambda", n, k, s)
+    return _jacobi_rule("lambda", n, k, min(s, 1.0))

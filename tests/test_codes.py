@@ -183,6 +183,20 @@ class TestCoveringRadius:
         assert r == pytest.approx(math.cos(math.pi / (2 * m)), abs=1e-12)
         assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("size", [2, 3, 7, 40, 500])
+    def test_circle_is_mid_gap(self, size):
+        # on S^1 the deepest hole of +-C sits mid-gap, at depth cos(half
+        # the largest angular gap); the hull finds it
+        rng = np.random.default_rng(size)
+        phis = rng.uniform(0.0, math.pi, size)
+        code = SphericalCode.from_points(np.column_stack([np.cos(phis), np.sin(phis)]))
+        angles = np.sort(np.concatenate([phis, phis + math.pi]))
+        gaps = np.diff(np.append(angles, angles[0] + 2.0 * math.pi))
+        r, witness, kind = covering_radius_r(code)
+        assert kind == "exact"
+        assert r == pytest.approx(math.cos(0.5 * float(np.max(gaps))), abs=1e-14)
+        assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
+
     def test_cell24(self):
         r, _, _ = covering_radius_r(catalog("cell24_half"))
         assert r == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)
@@ -203,7 +217,7 @@ class TestCoveringRadius:
     def test_hull_matches_search_on_catalog(self, name):
         code = catalog(name)
         r, _, kind = covering_radius_r(code)
-        searched, _ = _covering_radius_search(code.points, 0, None)
+        searched, _ = _covering_radius_search(code.points, 0)
         assert r == pytest.approx(searched, abs=1e-12)
         assert kind == "exact"
 
@@ -219,7 +233,7 @@ class TestCoveringRadius:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         sampled = np.min(np.max(np.abs(dirs @ code.points.T), axis=1))
         assert r <= sampled + 1e-12
-        searched, _ = _covering_radius_search(code.points, 0, None)
+        searched, _ = _covering_radius_search(code.points, 0)
         assert searched == pytest.approx(r, abs=1e-12)
 
     @pytest.mark.parametrize("points", [
@@ -250,7 +264,7 @@ class TestCoveringRadius:
     ] + [random_code(4, 9, 1), random_code(5, 30, 2), random_code(8, 120, 3)],
         ids=lambda c: f"{c.n}x{c.size}")
     def test_search_witness_is_a_facet_pole(self, code):
-        r, witness = _covering_radius_search(code.points, 0, None)
+        r, witness = _covering_radius_search(code.points, 0)
         assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
         dots = code.points @ witness
         assert r == np.max(np.abs(dots))

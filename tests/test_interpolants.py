@@ -5,19 +5,20 @@ import pytest
 
 from kkpolar.errors import NumericalDegeneracyError, PreconditionError
 from kkpolar.interpolants import (
-    InterpolationScheme,
     Side,
+    _interpolate,
     build_H2k,
     build_H2k_s,
     build_H2k_tilde,
-    hermite_confluent,
     verify_one_sided,
 )
 from kkpolar.polarization import (_MARGIN_GRID, lower_bound, upper_bound_finite,
                                   upper_bound_s)
 from kkpolar.polynomials import Polynomial, integrate_mu, substitute_t_squared
 from kkpolar.potentials import (
+    SignState,
     arcsine,
+    certify_sign,
     eval_h,
     gaussian_sym,
     monomial_2k,
@@ -26,6 +27,7 @@ from kkpolar.potentials import (
     user_potential,
 )
 from kkpolar.quadrature import largest_gauss_node, rule_alpha, rule_beta
+from kkpolar.signed_measure import rule_lambda
 
 from helpers import negate, reference_margin
 
@@ -36,39 +38,33 @@ def anchor(n, k, frac=0.6):
 
 
 class TestHermiteConfluent:
+    """The confluent Newton tableau of _interpolate, driven by rules whose
+    nodes fix the conditions."""
+
     def test_tangent_line(self):
-        # single double node: first-order Taylor polynomial
-        a = 1.0 / 3.0
-        scheme = InterpolationScheme(((a, 2),))
-        g = hermite_confluent(scheme, [a * a], [2 * a])
-        assert list(g.coeffs) == pytest.approx([-1.0 / 9.0, 2.0 / 3.0], abs=1e-14)
+        # the alpha rule for n = 5, k = 1 has one double node at u = 1/5:
+        # the tangent line 2u/5 - 1/25 to g(u) = u^2
+        H = _interpolate(rule_alpha(5, 1), p_frame(4), Side.BELOW)
+        assert list(H.coeffs) == pytest.approx([-1.0 / 25.0, 0.0, 2.0 / 5.0],
+                                               abs=1e-14)
 
     def test_reproduces_low_degree_polynomial(self):
+        # two double nodes in u (the alpha rule for k = 3) fix a cubic in u
         rng = np.random.default_rng(3)
-        target = Polynomial(rng.standard_normal(4))  # degree 3
+        target = Polynomial(rng.standard_normal(4))
         dtarget = target.derivative()
-        scheme = InterpolationScheme(((0.1, 2), (0.6, 2)))
-        got = hermite_confluent(
-            scheme, [target(0.1), target(0.6)], [dtarget(0.1), dtarget(0.6)])
-        assert list(got.coeffs) == pytest.approx(list(target.coeffs), abs=1e-11)
+        pot = user_potential("cubic", target, dtarget, h_at_1=target(1.0))
+        H = _interpolate(rule_alpha(3, 3), pot, Side.BELOW, SignState.ZERO)
+        want = substitute_t_squared(target)
+        assert list(H.coeffs) == pytest.approx(list(want.coeffs), abs=1e-11)
 
     def test_two_simple_nodes_on_square(self):
-        # interpolating u^2 at u=0,1 gives u, which dominates u^2 inside [0,1]
-        scheme = InterpolationScheme(((0.0, 1), (1.0, 1)))
-        g = hermite_confluent(scheme, [0.0, 1.0], [None, None])
-        assert list(g.coeffs) == pytest.approx([0.0, 1.0], abs=1e-15)
-        us = np.linspace(0, 1, 101)
-        assert np.all(g(us) - us**2 >= -1e-15)
-
-    def test_duplicate_nodes_rejected(self):
-        scheme = InterpolationScheme(((0.3, 2), (0.3, 1)))
-        with pytest.raises(PreconditionError):
-            hermite_confluent(scheme, [1.0, 1.0], [0.0, None])
-
-    def test_missing_derivative_rejected(self):
-        scheme = InterpolationScheme(((0.3, 2),))
-        with pytest.raises(PreconditionError):
-            hermite_confluent(scheme, [1.0], [None])
+        # the beta rule for k = 1 puts simple nodes at u = 0 and u = 1:
+        # interpolating u^2 there gives u, which dominates u^2 inside [0,1]
+        H = _interpolate(rule_beta(3, 1), p_frame(4), Side.ABOVE)
+        assert list(H.coeffs) == pytest.approx([0.0, 0.0, 1.0], abs=1e-15)
+        ts = np.linspace(-1, 1, 201)
+        assert np.all(H(ts) - ts**4 >= -1e-15)
 
 
 class TestBuildBelowInterior:
@@ -355,3 +351,111 @@ class TestLinearProgramOptimality:
             lift = float(np.max(hv - q(ts)))
             feasible = q + Polynomial((lift,))
             assert integrate_mu(n, feasible) >= best - 1e-9
+
+
+# (potential, sign of g''' on (0, u_max) for every u_max <= 1, h(1) finite)
+# at k = 2: built-in families, their negations, and sampled certificates
+_K = 2
+_STATE_TABLE = [
+    (gaussian_sym(), "NONNEGATIVE", True),
+    (negate(gaussian_sym()), "NONPOSITIVE", True),
+    (p_frame(3), "NONPOSITIVE", True),
+    (negate(p_frame(3)), "NONNEGATIVE", True),
+    (p_frame(4), "ZERO", True),
+    (p_frame(5), "NONNEGATIVE", True),
+    (monomial_2k(2), "ZERO", True),
+    (negate(monomial_2k(3)), "NONPOSITIVE", True),
+    (riesz_sym(1), "NONNEGATIVE", False),
+    (negate(riesz_sym(1)), "NONPOSITIVE", False),
+    (arcsine(), "NONNEGATIVE", False),
+    (negate(arcsine()), "NONPOSITIVE", False),
+    (user_potential("exp", lambda u: math.exp(u)), "NONNEGATIVE", True),
+    (user_potential("affine", lambda u: 3.0 * u + 1.0), "UNKNOWN", True),
+]
+_TABLE_IDS = [pot.name for pot, _, _ in _STATE_TABLE]
+
+# the sign of g^(k+1) that puts the Hermite remainder on each side: the
+# node product is >= 0 at the interior Gauss nodes and <= 0 once the top
+# node is a simple endpoint or anchor
+_NEEDED = {
+    ("alpha", Side.BELOW): "NONNEGATIVE", ("alpha", Side.ABOVE): "NONPOSITIVE",
+    ("beta", Side.BELOW): "NONPOSITIVE", ("beta", Side.ABOVE): "NONNEGATIVE",
+    ("lambda", Side.BELOW): "NONPOSITIVE", ("lambda", Side.ABOVE): "NONNEGATIVE",
+}
+
+
+def _table_rules(n):
+    """The rules of the table, by label: the lambda rule at an anchor below
+    1 and at 1, where it has a node at t = 1 like the beta rule."""
+    return {"alpha": rule_alpha(n, _K), "beta": rule_beta(n, _K),
+            "lambda": rule_lambda(n, _K, anchor(n, _K)),
+            "lambda@1": rule_lambda(n, _K, 1.0)}
+
+
+def _allowed(rule, side, state, finite):
+    sign_ok = state in (_NEEDED[rule.kind, side], "ZERO")
+    return sign_ok and (finite or rule.nodes[-1] < 1.0)
+
+
+def _refused(call):
+    try:
+        call()
+    except PreconditionError:
+        return True
+    return False
+
+
+class TestAdmission:
+    """_interpolate admits a rule, side and certificate exactly when the
+    Hermite remainder keeps the interpolant on that side, and every public
+    builder and bound refuses the same inputs."""
+
+    @pytest.mark.parametrize("pot,state,finite", _STATE_TABLE, ids=_TABLE_IDS)
+    def test_certificate_states(self, pot, state, finite):
+        for rule in _table_rules(3).values():
+            top = rule.s or 1.0
+            assert certify_sign(pot, _K, top * top).value == state
+
+    @pytest.mark.parametrize("pot,state,finite", _STATE_TABLE, ids=_TABLE_IDS)
+    def test_interpolate_admits_the_remainder_rule(self, pot, state, finite):
+        for label, rule in _table_rules(3).items():
+            top = rule.s or 1.0
+            for side in Side:
+                allowed = _allowed(rule, side, state, finite)
+                assert _refused(lambda: _interpolate(rule, pot, side)) \
+                    is not allowed, (label, side)
+                if allowed:
+                    H = _interpolate(rule, pot, side)
+                    margin = verify_one_sided(H, pot, side, (-top, top), 4001)
+                    assert margin >= -1e-9, (label, side)
+                elif state in ("NONNEGATIVE", "NONPOSITIVE") and \
+                        (finite or rule.nodes[-1] < 1.0):
+                    # a strict certificate of the wrong sign: the same
+                    # interpolant crosses to the other side of h
+                    H = _interpolate(rule, pot, side, SignState.ZERO)
+                    margin = verify_one_sided(H, pot, side, (-top, top), 4001)
+                    assert margin < -1e-12, (label, side)
+
+    @pytest.mark.parametrize("pot,state,finite", _STATE_TABLE, ids=_TABLE_IDS)
+    def test_builders_and_bounds_refuse_the_same(self, pot, state, finite):
+        n = 3
+        rules = _table_rules(n)
+        s = rules["lambda"].s
+        allowed = {
+            (label, side): _allowed(rule, side, state, finite)
+            for label, rule in rules.items() for side in Side}
+        calls = [
+            (lambda: build_H2k(n, _K, pot), allowed["alpha", Side.BELOW]),
+            (lambda: build_H2k_tilde(n, _K, pot), allowed["beta", Side.BELOW]),
+            (lambda: build_H2k_s(n, _K, s, pot), allowed["lambda", Side.ABOVE]),
+            (lambda: build_H2k_s(n, _K, 1.0, pot),
+             allowed["lambda@1", Side.ABOVE]),
+            (lambda: lower_bound(n, _K, 10, pot),
+             allowed["alpha", Side.BELOW] or allowed["beta", Side.BELOW]),
+            (lambda: upper_bound_finite(n, _K, 10, pot),
+             allowed["beta", Side.ABOVE]),
+            (lambda: upper_bound_s(n, _K, 10, s, pot),
+             allowed["lambda", Side.ABOVE]),
+        ]
+        for i, (call, ok) in enumerate(calls):
+            assert _refused(call) is not ok, i

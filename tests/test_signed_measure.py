@@ -3,7 +3,9 @@ import pytest
 from scipy import integrate
 
 from kkpolar.errors import PreconditionError
+from kkpolar.interpolants import build_H2k_s
 from kkpolar.polynomials import Polynomial, gegenbauer, integrate_mu
+from kkpolar.potentials import gaussian_sym
 from kkpolar.quadrature import largest_gauss_node, rule_beta, verify_exactness
 from kkpolar.signed_measure import rule_lambda
 
@@ -172,6 +174,16 @@ class TestRuleLambda:
         assert lam.weights == pytest.approx(bet.weights, abs=1e-10)
         assert lam.kind == "lambda"
         assert lam.s == 1.0
+
+    def test_anchor_within_tolerance_above_one_is_one(self):
+        # anchors up to 1 + 1e-12 are admitted; the rule keeps its nodes
+        # in [-1, 1] and the anchored interpolant is the one at s = 1
+        s = 1.0000000000009
+        rule = lambda_rule(3, 1, s)
+        assert rule == lambda_rule(3, 1, 1.0)
+        assert max(abs(x) for x in rule.nodes) == 1.0
+        pot = gaussian_sym()
+        assert build_H2k_s(3, 1, s, pot) == build_H2k_s(3, 1, 1.0, pot)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
