@@ -18,9 +18,9 @@ from .errors import (CodeFormatError, KkpolarError, NumericalDegeneracyError,
 from .interpolants import (Side, build_H2k, build_H2k_s, build_H2k_tilde,
                            verify_one_sided)
 from .polarization import (BoundReport, CertificationReport, CheckResult,
-                           Direction, ExtremizationResult, average_check,
-                           certify_design, extrema, extremize, lower_bound,
-                           potential_U, upper_bound_finite, upper_bound_s)
+                           Direction, ExtremizationResult, certify_design,
+                           extrema, extremize, lower_bound, potential_U,
+                           upper_bound_finite, upper_bound_s)
 from .polynomials import (GegenbauerFamily, Polynomial, gegenbauer,
                           integrate_mu, monomial_moment, substitute_t_squared)
 from .potentials import (Potential, SignState, arcsine, certify_sign, eval_h,
@@ -38,8 +38,8 @@ __all__ = [
     "GegenbauerFamily", "KkpolarError",
     "NumericalDegeneracyError", "Polynomial", "Potential", "PreconditionError",
     "QuadratureRule", "Side", "SignState", "SphericalCode", "arcsine",
-    "average_check", "build_H2k", "build_H2k_s", "build_H2k_tilde", "catalog",
-    "certify_design", "certify_sign", "covering_radius_r", "eval_h",
+    "build_H2k", "build_H2k_s", "build_H2k_tilde", "catalog", "certify_design",
+    "certify_sign", "covering_radius_r", "eval_h",
     "extrema", "extremize", "gaussian_sym", "gegenbauer",
     "integrate_mu", "is_kk_design", "largest_gauss_node", "load_code",
     "lower_bound", "moment", "monomial_2k", "monomial_moment",

@@ -586,21 +586,3 @@ def certify_design(code: SphericalCode, k: int, pot: Potential,
         covering_radius=radius,
         covering_radius_kind=radius_kind,
         checks=tuple(checks))
-
-
-def average_check(code: SphericalCode, k: int, samples: int = 10_000,
-                  seed: int = 0) -> float:
-    """Monte Carlo check of the sphere average of the degree-2k monomial
-    potential sum: returns (sample average) - c_2k * N, which should be
-    O(N / sqrt(samples)) for any code."""
-    if k < 1:
-        raise PreconditionError(f"k must be >= 1, got {k}")
-    if samples < 10_000:
-        raise PreconditionError(
-            f"averaging needs at least 10000 samples, got {samples}")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((samples, code.n))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    dots = x @ code.points.T
-    vals = np.sum(dots ** (2 * k), axis=1)
-    return float(np.mean(vals)) - monomial_moment(code.n, 2 * k) * code.size

@@ -2,8 +2,11 @@
 potential extremization: BFGS in tangent coordinates, all starts at once
 (tangent_bfgs).  Its objectives come with a Euclidean gradient, which may
 be a finite-difference estimate or, at the cusps of a nonsmooth
-objective, a subgradient; the Armijo search then stops a row where no
-step decreases its value.
+objective, a subgradient.  Each line search backtracks over the trial
+steps 1, 1/2, ..., 2^-20 (Nocedal & Wright, Numerical Optimization, 2006,
+section 3.1) in at most two objective calls: the full step, then every
+halving at once for the rows it did not satisfy.  A row where no step
+decreases its value stops.
 """
 
 from __future__ import annotations
@@ -39,8 +42,13 @@ def _bfgs_round(fg, xs: np.ndarray) -> np.ndarray:
     the unit points reached.  The chart gradient is T^t P grad / |x + T z|,
     with P the tangent projection at the image point.  Each row keeps its
     own inverse Hessian and stops when its largest chart-gradient component
-    falls to _GTOL, or when its Armijo backtracking finds no step within
-    _HALVINGS halvings that strictly decreases its value."""
+    falls to _GTOL, or when no trial step strictly decreases its value.
+    The trial steps are alpha = 1, 1/2, ..., 2^-_HALVINGS along the BFGS
+    direction; a row takes the largest that passes Armijo (_ARMIJO_C1)
+    with a strict decrease.  One fg call tries alpha = 1 for every row, a
+    second tries all the halvings at once for the rows it failed: the
+    step that halving one call at a time would take, in 2 calls instead
+    of up to _HALVINGS + 1."""
     count, n = xs.shape
     m = n - 1
     bases = _householder_bases(xs)
@@ -70,6 +78,21 @@ def _bfgs_round(fg, xs: np.ndarray) -> np.ndarray:
         fresh[rows] = True
 
     restart(everyone)
+    ladder = np.ldexp(1.0, -np.arange(_HALVINGS + 1))
+
+    def first_passing(at, step, slope, alphas):
+        # every trial z + alpha step of the rows at, in one call; per row
+        # the index of the largest alpha that passes Armijo and a strict
+        # decrease (which matters where c1 alpha slope is below the spacing
+        # of floats at f), or -1
+        trials = z[at][:, None, :] + alphas[None, :, None] * step[:, None, :]
+        value, grad = local(np.repeat(at, alphas.size), trials.reshape(-1, m))
+        value = value.reshape(at.size, alphas.size)
+        ok = ((value <= f[at, None] + _ARMIJO_C1 * alphas * slope[:, None])
+              & (value < f[at, None]))
+        hit = np.where(np.any(ok, axis=1), np.argmax(ok, axis=1), -1)
+        return value, grad.reshape(at.size, alphas.size, m), hit
+
     live = np.isfinite(f) & np.all(np.isfinite(g), axis=1)
     live &= np.max(np.abs(g), axis=1) > _GTOL
     for _ in range(200 * m):
@@ -90,19 +113,17 @@ def _bfgs_round(fg, xs: np.ndarray) -> np.ndarray:
         f_new = np.full(rows.size, np.nan)
         g_new = np.empty((rows.size, m))
         pending = np.arange(rows.size)
-        for _ in range(_HALVINGS + 1):
-            at = rows[pending]
-            value, grad = local(at, z[at] + alpha[pending, None] * step[pending])
-            # Armijo, and a strict decrease where c1 alpha slope is below
-            # the spacing of floats at f
-            ok = ((value <= f[at] + _ARMIJO_C1 * alpha[pending] * slope[pending])
-                  & (value < f[at]))
-            f_new[pending[ok]] = value[ok]
-            g_new[pending[ok]] = grad[ok]
-            pending = pending[~ok]
+        for alphas in (ladder[:1], ladder[1:]):
+            value, grad, hit = first_passing(
+                rows[pending], step[pending], slope[pending], alphas)
+            took = hit >= 0
+            chosen = pending[took]
+            alpha[chosen] = alphas[hit[took]]
+            f_new[chosen] = value[took, hit[took]]
+            g_new[chosen] = grad[took, hit[took]]
+            pending = pending[~took]
             if pending.size == 0:
                 break
-            alpha[pending] *= 0.5
 
         moved = ~np.isnan(f_new)
         live[rows[~moved]] = False

@@ -5,12 +5,12 @@ import math
 import numpy as np
 from scipy import optimize
 
-from kkpolar import polarization
+from kkpolar import polarization, sphere_opt
 from kkpolar.codes import SphericalCode
 from kkpolar.errors import PreconditionError
 from kkpolar.interpolants import Side
 from kkpolar.polarization import Direction, ExtremizationResult
-from kkpolar.polynomials import Polynomial
+from kkpolar.polynomials import Polynomial, monomial_moment
 from kkpolar.potentials import Potential, SignState, certify_sign, eval_h
 
 
@@ -60,6 +60,24 @@ def reference_margin(p: Polynomial, pot: Potential, side: Side,
         if margin < worst:
             worst = margin
     return worst
+
+
+def average_check(code: SphericalCode, k: int, samples: int = 10_000,
+                  seed: int = 0) -> float:
+    """Monte Carlo check of the sphere average of the degree-2k monomial
+    potential sum: returns (sample average) - c_2k * N, which should be
+    O(N / sqrt(samples)) for any code."""
+    if k < 1:
+        raise PreconditionError(f"k must be >= 1, got {k}")
+    if samples < 10_000:
+        raise PreconditionError(
+            f"averaging needs at least 10000 samples, got {samples}")
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((samples, code.n))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    dots = x @ code.points.T
+    vals = np.sum(dots ** (2 * k), axis=1)
+    return float(np.mean(vals)) - monomial_moment(code.n, 2 * k) * code.size
 
 
 # ---------------------------------------------------------------------------
@@ -168,3 +186,101 @@ def reference_extremize(code: SphericalCode, pot: Potential,
     return ExtremizationResult(
         value=polarization._u_sum(points, pot, best_x), argpoint=tuple(best_x),
         restarts=len(survivors), stationarity_norm=stationarity_norm(f, best_x))
+
+
+# ---------------------------------------------------------------------------
+# sequential line-search reference: one fg call per Armijo halving
+
+
+def reference_bfgs_round(fg, xs: np.ndarray) -> np.ndarray:
+    """sphere_opt._bfgs_round with its Armijo backtracking run one halving
+    at a time, one fg call per trial step (up to _HALVINGS + 1 calls per
+    line search): the reference the one-call ladder is compared against."""
+    count, n = xs.shape
+    m = n - 1
+    bases = sphere_opt._householder_bases(xs)
+
+    def points(rows, z):
+        cand = xs[rows] + np.einsum("bij,bj->bi", bases[rows], z)
+        radius = np.linalg.norm(cand, axis=1)
+        return cand / radius[:, None], radius
+
+    def local(rows, z):
+        point, radius = points(rows, z)
+        value, grad = fg(point)
+        tangent = grad - np.sum(grad * point, axis=1)[:, None] * point
+        return value, np.einsum("bij,bi->bj", bases[rows], tangent) / radius[:, None]
+
+    everyone = np.arange(count)
+    z = np.zeros((count, m))
+    f, g = local(everyone, z)
+    eye = np.eye(m)
+    inv_hess = np.empty((count, m, m))
+    fresh = np.empty(count, dtype=bool)
+
+    def restart(rows):
+        # the identity, scaled so that the first step has length at most 1
+        norms = np.maximum(1.0, np.linalg.norm(g[rows], axis=1))
+        inv_hess[rows] = eye / norms[:, None, None]
+        fresh[rows] = True
+
+    restart(everyone)
+    live = np.isfinite(f) & np.all(np.isfinite(g), axis=1)
+    live &= np.max(np.abs(g), axis=1) > sphere_opt._GTOL
+    for _ in range(200 * m):
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        step = -np.einsum("bij,bj->bi", inv_hess[rows], g[rows])
+        slope = np.sum(step * g[rows], axis=1)
+        uphill = ~(slope < 0.0)
+        if np.any(uphill):
+            # roundoff broke positive definiteness
+            restart(rows[uphill])
+            step[uphill] = -np.einsum("bij,bj->bi", inv_hess[rows[uphill]],
+                                      g[rows[uphill]])
+            slope[uphill] = np.sum(step[uphill] * g[rows[uphill]], axis=1)
+
+        alpha = np.ones(rows.size)
+        f_new = np.full(rows.size, np.nan)
+        g_new = np.empty((rows.size, m))
+        pending = np.arange(rows.size)
+        for _ in range(sphere_opt._HALVINGS + 1):
+            at = rows[pending]
+            value, grad = local(at, z[at] + alpha[pending, None] * step[pending])
+            # Armijo, and a strict decrease where c1 alpha slope is below
+            # the spacing of floats at f
+            ok = ((value <= f[at] + sphere_opt._ARMIJO_C1 * alpha[pending] * slope[pending])
+                  & (value < f[at]))
+            f_new[pending[ok]] = value[ok]
+            g_new[pending[ok]] = grad[ok]
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            alpha[pending] *= 0.5
+
+        moved = ~np.isnan(f_new)
+        live[rows[~moved]] = False
+        rows = rows[moved]
+        s = alpha[moved, None] * step[moved]
+        y = g_new[moved] - g[rows]
+        z[rows] += s
+        f[rows] = f_new[moved]
+        g[rows] = g_new[moved]
+        live[rows] &= np.all(np.isfinite(g[rows]), axis=1)
+        live[rows] &= np.max(np.abs(g[rows]), axis=1) > sphere_opt._GTOL
+
+        ys = np.sum(y * s, axis=1)
+        curved = ys > 0.0
+        rows, s, y, ys = rows[curved], s[curved], y[curved], ys[curved]
+        first = fresh[rows]
+        # Nocedal & Wright (6.20): rescale the identity before the first update
+        inv_hess[rows[first]] = eye * (ys[first] / np.sum(y[first] ** 2, axis=1))[:, None, None]
+        fresh[rows] = False
+        rho = 1.0 / ys
+        hy = np.einsum("bij,bj->bi", inv_hess[rows], y)
+        yhy = np.sum(y * hy, axis=1)
+        inv_hess[rows] += ((rho * rho * yhy + rho)[:, None, None] * s[:, :, None] * s[:, None, :]
+                           - rho[:, None, None] * (s[:, :, None] * hy[:, None, :]
+                                                   + hy[:, :, None] * s[:, None, :]))
+    return points(everyone, z)[0]

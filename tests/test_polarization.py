@@ -8,17 +8,17 @@ import pytest
 from kkpolar.codes import CATALOG_DESIGNS, SphericalCode, catalog
 from kkpolar.errors import PreconditionError
 from kkpolar import codes, polarization, quadrature, signed_measure
-from kkpolar.polarization import (BoundReport, Direction, average_check,
-                                  certify_design, extrema, extremize,
-                                  lower_bound, potential_U,
-                                  upper_bound_finite, upper_bound_s)
+from kkpolar.polarization import (BoundReport, Direction, certify_design,
+                                  extrema, extremize, lower_bound,
+                                  potential_U, upper_bound_finite,
+                                  upper_bound_s)
 from kkpolar.polynomials import integrate_mu, monomial_moment
 from kkpolar.potentials import (gaussian_sym, monomial_2k, p_frame,
                                 parse_potential, riesz_sym, user_potential)
 from kkpolar.quadrature import largest_gauss_node, rule_alpha, rule_beta
 from kkpolar.signed_measure import ADMISSIBILITY_MARGIN
 
-from helpers import negate, reference_extremize
+from helpers import average_check, negate, reference_extremize
 
 
 def perturbed_onb3() -> SphericalCode:

@@ -1,9 +1,16 @@
 """Local minimization on the unit sphere."""
 
+import math
+
 import numpy as np
 import pytest
 
+from kkpolar import polarization, sphere_opt
+from kkpolar.codes import SphericalCode
+from kkpolar.potentials import parse_potential, user_potential
 from kkpolar.sphere_opt import tangent_bfgs, tangent_component
+
+from helpers import reference_bfgs_round
 
 
 def test_tangent_component_is_orthogonal():
@@ -57,3 +64,106 @@ def test_batched_rows_converge_independently(n):
         solo_values, solo_xs = tangent_bfgs(fg, x0[None, :])
         assert abs(solo_values[0] - values[row]) <= 1e-13
         assert np.max(np.abs(solo_xs[0] - xs[row])) <= 1e-7
+
+
+def counted(fg):
+    """fg, and a list that records the batch size of each call to it."""
+    calls = []
+
+    def wrapped(xs):
+        calls.append(xs.shape[0])
+        return fg(xs)
+
+    return wrapped, calls
+
+
+def flat_objective(xs):
+    # constant value, nonzero tangent gradient: no step passes Armijo
+    grads = np.zeros_like(xs)
+    grads[:, 0] = 1.0
+    return np.zeros(xs.shape[0]), grads
+
+
+def test_failed_line_search_costs_two_calls():
+    x0 = np.full((1, 4), 0.5)
+    fg, calls = counted(flat_objective)
+    end = sphere_opt._bfgs_round(fg, x0)
+    # the start, alpha = 1, and every halving 2^-1 .. 2^-20 at once
+    assert calls == [1, 1, sphere_opt._HALVINGS]
+    assert np.array_equal(end, x0)
+    fg, calls = counted(flat_objective)
+    assert np.array_equal(reference_bfgs_round(fg, x0), x0)
+    assert len(calls) == sphere_opt._HALVINGS + 2
+
+
+def scalar_only_exp():
+    # math.exp rejects arrays, so g and its finite-difference g' go
+    # through potentials._elementwise's scalar loop
+    return user_potential("exp", lambda u: math.exp(u))
+
+
+def survivor_problems(n, size, pot):
+    """(fg, starts) of each direction that polarization refines on a seeded
+    random (n, size) code (not MAX where h(1) = +inf): its objective and
+    its screened survivors."""
+    rng = np.random.default_rng(100 * n + size)
+    pts = rng.standard_normal((size, n))
+    code = SphericalCode.from_points(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    pot = parse_potential(pot) if isinstance(pot, str) else pot()
+    mat, u = polarization._screen(code, pot, 0, None)
+    for sgn in (1.0, -1.0) if pot.h_at_1 < math.inf else (1.0,):
+        starts = mat[np.argsort(sgn * u)[:polarization._SURVIVORS]]
+        yield polarization._fg(code.points, pot, sgn), starts
+
+
+def both_ways(monkeypatch, fg, starts):
+    """tangent_bfgs from the same starts with the one-call ladder and with
+    the sequential reference round."""
+    batched = tangent_bfgs(fg, starts.copy())
+    with monkeypatch.context() as patched:
+        patched.setattr(sphere_opt, "_bfgs_round", reference_bfgs_round)
+        sequential = tangent_bfgs(fg, starts.copy())
+    return batched, sequential
+
+
+def row_by_row(fg):
+    """fg one row at a time, so that no row's value or gradient depends on
+    the batch it is evaluated in."""
+
+    def wrapped(xs):
+        parts = [fg(x[None]) for x in xs]
+        return (np.concatenate([value for value, _ in parts]),
+                np.concatenate([grad for _, grad in parts]))
+
+    return wrapped
+
+
+CASES = [
+    (3, 200, "cosh"), (5, 40, "riesz:m=1"), (8, 120, "monomial:k=1"),
+    (6, 12, "pframe:p=4"), (4, 60, "pframe:p=1"), (5, 16, scalar_only_exp),
+]
+P_HALF_CASES = [(7, 30, "pframe:p=0.5"), (3, 12, "pframe:p=0.5")]
+
+
+@pytest.mark.parametrize("n, size, pot", CASES + P_HALF_CASES)
+def test_batched_backtracking_takes_the_sequential_steps(monkeypatch, n, size, pot):
+    """With an fg that does not depend on batch shape, the one-call ladder
+    tries the same steps in the same order as the sequential halvings, so
+    every row ends at the same point."""
+    for fg, starts in survivor_problems(n, size, pot):
+        (values, ends), (ref_values, ref_ends) = both_ways(
+            monkeypatch, row_by_row(fg), starts)
+        np.testing.assert_array_equal(values, ref_values)
+        np.testing.assert_array_equal(ends, ref_ends)
+
+
+@pytest.mark.parametrize("n, size, pot", CASES)
+def test_batched_backtracking_matches_sequential(monkeypatch, n, size, pot):
+    """With the batched fg, rows are evaluated in other batch shapes, which
+    moves values by roundoff; the best value agrees to 1e-12.  The p = 0.5
+    cases are left to the row-by-row test: at their cusps a roundoff change
+    in fg sends a row to another cusp, in the sequential round as well."""
+    for fg, starts in survivor_problems(n, size, pot):
+        (values, _), (ref_values, _) = both_ways(monkeypatch, fg, starts)
+        best, reference = np.min(values), np.min(ref_values)
+        assert abs(best - reference) <= 1e-12 * abs(reference)
