@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .codes import CATALOG_DESIGNS, catalog, is_kk_design, load_code
-from .errors import CodeFormatError, KkpolarError, PreconditionError
+from .errors import KkpolarError, PreconditionError
 from .polarization import (Direction, certify_design, extrema, extremize,
                            lower_bound, upper_bound_finite, upper_bound_s)
 from .potentials import parse_potential
@@ -248,10 +248,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         payload["error"] = str(exc)
         status = 2
-    except (CodeFormatError, OSError) as exc:
-        payload["error"] = str(exc)
-        status = 1
-    except KkpolarError as exc:
+    except (KkpolarError, OSError) as exc:
         payload["error"] = str(exc)
         status = 1
     if status == 0 and args.subcommand == "report" and args.csv:

@@ -1,5 +1,6 @@
-"""Spherical codes: validated point sets, reference designs, moment tests,
-the squared-inner-product Waring identity, covering radius, and JSON I/O.
+"""Spherical codes: validated point sets, reference designs, moment tests
+by the Gegenbauer recurrence, the squared-inner-product Waring identity,
+covering radius, and JSON I/O.
 
 The covering radius is exact: the nearest facet of the convex hull of the
 antipodal closure, in every dimension including the circle.  Only codes
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import CodeFormatError, PreconditionError
-from .polynomials import gegenbauer, monomial_moment
+from .polynomials import monomial_moment
 
 _NORM_TOL = 1e-12
 _DUP_TOL = 1e-12
@@ -92,22 +93,39 @@ class DesignCertificate:
         }
 
 
+def _moments(code: SphericalCode, top: int) -> list[float]:
+    """The moments of orders 1..top in one pass of the GegenbauerFamily
+    recurrence on the Gram matrix clipped to [-1, 1], where it is stable;
+    P_ell's monomial coefficients lose digits from degree 20 on."""
+    t = np.clip(code.gram(), -1.0, 1.0)
+    prev, cur = 1.0, t
+    sums = [float(np.sum(t))]
+    for ell in range(2, top + 1):
+        step = t * cur
+        step *= (2 * ell + code.n - 4) / (ell + code.n - 3)
+        step -= (ell - 1) / (ell + code.n - 3) * prev
+        prev, cur = cur, step
+        sums.append(float(np.sum(cur)))
+    return sums
+
+
 def moment(code: SphericalCode, ell: int) -> float:
     """Sum of the degree-ell Gegenbauer polynomial over all inner-product
     pairs; nonnegative up to roundoff."""
     if ell < 1:
         raise PreconditionError(f"moment order must be >= 1, got {ell}")
-    return float(np.sum(gegenbauer(code.n, ell)(code.gram())))
+    return _moments(code, ell)[-1]
 
 
 def is_kk_design(code: SphericalCode, k: int, tol: float | None = None) -> DesignCertificate:
-    """Even moments 2..2k must all vanish; tolerance scales with the N^2
-    terms entering each moment sum."""
+    """Even moments 2..2k must all vanish, all computed in one pass;
+    tolerance scales with the N^2 terms entering each moment sum."""
     if k < 1:
         raise PreconditionError(f"design order must be >= 1, got {k}")
     if tol is None:
         tol = 1e-9 * code.size**2
-    moments = {ell: moment(code, ell) for ell in range(2, 2 * k + 1, 2)}
+    sums = _moments(code, 2 * k)
+    moments = {ell: sums[ell - 1] for ell in range(2, 2 * k + 1, 2)}
     residual = max(abs(v) for v in moments.values())
     return DesignCertificate(k, moments, residual, tol, residual <= tol)
 

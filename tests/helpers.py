@@ -5,7 +5,7 @@ import math
 import numpy as np
 from scipy import optimize
 
-from kkpolar import polarization, sphere_opt
+from kkpolar import polarization, potentials, sphere_opt
 from kkpolar.codes import SphericalCode
 from kkpolar.errors import PreconditionError
 from kkpolar.interpolants import Side
@@ -186,6 +186,42 @@ def reference_extremize(code: SphericalCode, pot: Potential,
     return ExtremizationResult(
         value=polarization._u_sum(points, pot, best_x), argpoint=tuple(best_x),
         restarts=len(survivors), stationarity_norm=stationarity_norm(f, best_x))
+
+
+# ---------------------------------------------------------------------------
+# circle reference: angle sweep plus bounded Brent refinement
+
+
+def reference_extremize_circle(points: np.ndarray, pot: Potential,
+                               sgn: float) -> ExtremizationResult:
+    """The minimum of sgn U on S^1 by a dense angle sweep plus bounded
+    scalar refinement: the reference that extrema on the circle, screened
+    and refined like every other dimension, is compared against."""
+    angles = np.arctan2(points[:, 1], points[:, 0])
+    count = 4096
+    phis = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    dots = np.cos(phis[:, None] - angles[None, :])
+    vals = sgn * np.sum(
+        potentials._elementwise(pot.eval_g, np.minimum(dots * dots, 1.0)), axis=1)
+    idx = int(np.argmin(vals))
+
+    def objective(phi: float) -> float:
+        d = np.cos(phi - angles)
+        return sgn * float(np.sum(potentials._elementwise(
+            pot.eval_g, np.minimum(d * d, 1.0))))
+
+    span = 2.0 * np.pi / count
+    res = optimize.minimize_scalar(
+        objective, bounds=(phis[idx] - span, phis[idx] + span),
+        method="bounded", options={"xatol": 1e-13})
+    phi = float(res.x) if res.fun <= vals[idx] else float(phis[idx])
+    x = np.array([math.cos(phi), math.sin(phi)])
+    step = 1e-7
+    slope = (objective(phi + step) - objective(phi - step)) / (2.0 * step)
+    return ExtremizationResult(
+        value=polarization._u_sum(points, pot, x), argpoint=tuple(x),
+        restarts=1,
+        stationarity_norm=abs(slope) if math.isfinite(slope) else math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from kkpolar import cli
 from kkpolar.cli import main
 from kkpolar.codes import SphericalCode, save_code
+from kkpolar.errors import NumericalDegeneracyError
 
 from helpers import nearly_flat_code
 
@@ -88,6 +90,20 @@ class TestVerify:
             capsys, ["verify", "--code", str(tmp_path / "nope.json"), "--k", "1"])
         assert status == 1
         assert "error" in data
+
+    def test_malformed_file_is_format_error(self, capsys, tmp_path):
+        path = tmp_path / "code.json"
+        path.write_text("{not json")
+        status, data = run_json(capsys, ["verify", "--code", str(path), "--k", "1"])
+        assert status == 1
+        assert data["error"].startswith("not valid JSON")
+
+    def test_polygon_31_is_a_15_15_design(self, capsys):
+        status, data = run_json(
+            capsys, ["verify", "--code", "catalog:polygon_half:31", "--k", "15"])
+        assert status == 0
+        assert data["is_design"] is True
+        assert data["certificate"]["max_even_moment_residual"] <= 1e-9
 
     def test_unknown_catalog_name_is_precondition(self, capsys):
         status, data = run_json(
@@ -175,6 +191,29 @@ class TestCertify:
             "certify", "--code", str(path), "--k", "1", "--pot", "cosh"])
         assert status == 0
         assert data["report"]["covering_radius_kind"] == "upper_estimate"
+
+    def test_polygon_31_monomial_15_is_certified_as_design(self, capsys):
+        status, data = run_json(capsys, [
+            "certify", "--code", "catalog:polygon_half:31", "--k", "15",
+            "--pot", "monomial:k=15"])
+        assert status == 0
+        report = data["report"]
+        assert report["design"]["is_design"] is True
+        assert report["all_passed"] is True
+        names = [c["name"] for c in report["checks"]]
+        assert "monomial_min_is_average" in names
+        assert [b["kind"] for b in report["bounds"]] == [
+            "ULB_ALPHA", "UUB_BETA", "UUB_LAMBDA"]
+
+    def test_numerical_failure_exits_1(self, capsys, monkeypatch):
+        def fail(*args):
+            raise NumericalDegeneracyError("interpolation residual too large")
+
+        monkeypatch.setattr(cli, "lower_bound", fail)
+        status, data = run_json(capsys, [
+            "bounds", "--n", "3", "--k", "1", "--N", "4", "--pot", "cosh"])
+        assert status == 1
+        assert data["error"] == "interpolation residual too large"
 
     def test_seeded_runs_are_byte_identical(self, capsys):
         argv = ["certify", "--code", "catalog:onb:4", "--k", "1",

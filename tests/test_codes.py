@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
+from scipy.special import eval_gegenbauer
 from scipy.spatial import ConvexHull, QhullError
 
 from kkpolar.codes import (
@@ -130,6 +131,69 @@ class TestDesignTest:
             assert is_kk_design(code, k).is_design == is_kk_design(flipped, k).is_design
             assert is_kk_design(code, k).max_even_moment_residual == pytest.approx(
                 is_kk_design(flipped, k).max_even_moment_residual, rel=1e-12)
+
+
+def scipy_moment(code, ell):
+    """The degree-ell moment from scipy's Gegenbauer polynomials (Chebyshev
+    on the circle), normalized to 1 at t = 1."""
+    t = np.clip(code.gram(), -1.0, 1.0)
+    if code.n == 2:
+        return float(np.sum(np.cos(ell * np.arccos(t))))
+    lam = (code.n - 2) / 2.0
+    return float(np.sum(eval_gegenbauer(ell, lam, t)) / eval_gegenbauer(ell, lam, 1.0))
+
+
+CATALOG_CODES = ([f"onb:{n}" for n in range(2, 7)] + [f"cross_half:{n}" for n in range(2, 6)]
+                 + [f"simplex_frame:{n}" for n in range(2, 7)]
+                 + [f"polygon_half:{m}" for m in range(1, 10)]
+                 + ["cube_half", "icosahedron_half", "cell24_half"])
+
+
+class TestRecurrenceMoments:
+    """Moments by the three-term recurrence on the Gram matrix, which holds
+    its accuracy where the monomial coefficients of P_ell do not."""
+
+    @pytest.mark.parametrize("n,size,seed", [(2, 30, 6), (3, 25, 7), (5, 40, 8)])
+    def test_matches_scipy_to_degree_40(self, n, size, seed):
+        code = random_code(n, size, seed)
+        for ell in (1, 2, 7, 10, 25, 40):
+            assert moment(code, ell) == pytest.approx(
+                scipy_moment(code, ell), rel=0.0, abs=1e-11 * size**2)
+
+    def test_polygons_are_designs_below_their_size(self):
+        # polygon_half:m is a (k,k)-design exactly for k < m; the monomial
+        # coefficients read 1.26e-5 at m = 31, k = 15, above the 9.61e-7
+        # tolerance.  The test at k = m - 1 covers every k < m: its moments
+        # extend theirs (test_moments_from_one_pass) under the same tol.
+        for m in range(3, 82):
+            code = catalog(f"polygon_half:{m}")
+            cert = is_kk_design(code, m - 1)
+            assert cert.is_design, (m, cert.max_even_moment_residual)
+            assert not is_kk_design(code, m).is_design
+
+    @pytest.mark.parametrize("name", CATALOG_CODES)
+    def test_catalog_verdicts_match_monomial_basis(self, name):
+        # at degree <= 10 the monomial coefficients are accurate to ~1e-13
+        code = catalog(name)
+        gram = code.gram()
+        for k in range(1, 6):
+            by_coeffs = max(abs(float(np.sum(gegenbauer(code.n, ell)(gram))))
+                            for ell in range(2, 2 * k + 1, 2))
+            cert = is_kk_design(code, k)
+            assert cert.is_design == (by_coeffs <= cert.tol)
+            assert cert.max_even_moment_residual == pytest.approx(
+                by_coeffs, rel=1e-9, abs=1e-11)
+
+    def test_moments_from_one_pass(self):
+        code = random_code(3, 12, 9)
+        cert = is_kk_design(code, 4)
+        assert sorted(cert.moments) == [2, 4, 6, 8]
+        for ell, value in cert.moments.items():
+            assert value == moment(code, ell)
+        for k in (1, 2, 3):
+            lower = is_kk_design(code, k)
+            assert lower.tol == cert.tol
+            assert lower.moments == {ell: cert.moments[ell] for ell in lower.moments}
 
 
 class TestWaring:

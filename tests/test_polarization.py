@@ -1,6 +1,7 @@
 """Bound assembly, sphere extremization, and design certification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from kkpolar.potentials import (gaussian_sym, monomial_2k, p_frame,
 from kkpolar.quadrature import largest_gauss_node, rule_alpha, rule_beta
 from kkpolar.signed_measure import ADMISSIBILITY_MARGIN
 
-from helpers import average_check, negate, reference_extremize
+from helpers import (average_check, negate, reference_extremize,
+                     reference_extremize_circle)
 
 
 def perturbed_onb3() -> SphericalCode:
@@ -245,6 +247,65 @@ class TestExtrema:
                                    whole, rtol=1e-15, atol=0.0)
 
 
+def circle_code(seed):
+    """N 1-40 seeded random points on the circle."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, math.pi, int(rng.integers(1, 41)))
+    return SphericalCode.from_points(np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+CIRCLE_CODES = ([catalog(f"polygon_half:{m}") for m in range(2, 42)]
+                + [circle_code(seed) for seed in range(30)])
+CIRCLE_POTENTIALS = (["cosh"] + [f"pframe:p={p:g}" for p in (0.5, 1, 1.5, 3, 4)]
+                     + [f"monomial:k={k}" for k in (1, 3, 5)]
+                     + ["riesz:m=1", "riesz:m=2", "arcsine"])
+
+
+class TestCircle:
+    """The circle is screened and refined like every other dimension; the
+    angle sweep plus Brent refinement is its reference."""
+
+    @pytest.mark.parametrize("text", CIRCLE_POTENTIALS)
+    def test_never_worse_than_angle_sweep(self, text):
+        pot = parse_potential(text)
+        for code in CIRCLE_CODES:
+            low, high = extrema(code, pot)
+            ref_low = reference_extremize_circle(code.points, pot, 1.0)
+            assert low.value <= ref_low.value + 1e-13 * abs(ref_low.value)
+            if text in ("pframe:p=0.5", "pframe:p=1"):
+                # U is concave on every arc between the directions orthogonal
+                # to the code points, so its minimum is the least value there
+                cusps = code.points @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+                best = min(potential_U(x, code, pot) for x in cusps)
+                assert low.value == pytest.approx(best, rel=1e-14, abs=0.0)
+            if math.isinf(pot.h_at_1):
+                assert high.value == math.inf
+                continue
+            ref_high = reference_extremize_circle(code.points, pot, -1.0)
+            assert high.value >= ref_high.value - 1e-13 * abs(ref_high.value)
+
+    def test_pentagon_pframe1_closed_form(self):
+        # the cusps give cot(pi/10), a code point gives csc(pi/10) = 1 + sqrt(5)
+        low, high = extrema(catalog("polygon_half:5"), p_frame(1))
+        assert low.value == pytest.approx(1.0 / math.tan(math.pi / 10), rel=1e-12)
+        assert high.value == pytest.approx(1.0 + math.sqrt(5.0), rel=1e-12)
+
+    def test_runs_tangent_bfgs(self, monkeypatch):
+        calls = []
+        original = polarization.tangent_bfgs
+
+        def counting(fg, x0):
+            calls.append(x0.shape)
+            return original(fg, x0)
+
+        monkeypatch.setattr(polarization, "tangent_bfgs", counting)
+        low, high = extrema(catalog("polygon_half:7"), gaussian_sym())
+        assert calls == [(polarization._SURVIVORS, 2)] * 2
+        assert low.restarts == high.restarts == polarization._SURVIVORS
+        # the exact Riemannian gradient norm at a smooth extremum
+        assert low.stationarity_norm <= 1e-12 and high.stationarity_norm <= 1e-12
+
+
 class TestLowerBound:
     @pytest.mark.parametrize("n,N,p", [(3, 4, 2.0), (3, 6, 4.0), (4, 7, 3.0)])
     def test_pframe_closed_form(self, n, N, p):
@@ -468,6 +529,16 @@ class TestCertifyDesign:
         names = [c.name for c in rep.checks]
         assert "monomial_min_below_average" in names
         assert rep.all_passed
+
+    def test_zero_width_straddle_fails(self, monkeypatch):
+        # a design misread as a non-design: its monomial extremes equal the
+        # average to roundoff, which must not pass as a straddle
+        cert = codes.is_kk_design(catalog("cube_half"), 1)
+        monkeypatch.setattr(polarization, "is_kk_design", lambda code, k: replace(
+            cert, is_design=False))
+        rep = certify_design(catalog("cube_half"), 1, monomial_2k(1))
+        failed = {c.name for c in rep.checks if not c.passed}
+        assert failed == {"monomial_min_below_average", "monomial_max_above_average"}
 
     def test_cell24_monomial_extremes_equal_average(self):
         rep = certify_design(catalog("cell24_half"), 2, monomial_2k(2))
