@@ -23,10 +23,10 @@ Extremization is one multistart global search in every dimension: local
 searches from screened seeds (on the circle, with the cusps of |t|^p
 among them), refined together by batched tangent BFGS on the gradient of
 the potential sum, for every potential; extrema screens the seeds once
-for both directions.  A search can miss the global optimum, so its
-results are estimates: an upper estimate of the minimum and a lower
-estimate of the maximum.  Sandwich checks remain sound with estimates on
-those sides.
+for both directions, in cache-sized row blocks (codes.BLOCK_ENTRIES).
+A search can miss the global optimum, so its results are estimates: an
+upper estimate of the minimum and a lower estimate of the maximum.
+Sandwich checks remain sound with estimates on those sides.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import (DesignCertificate, SphericalCode, _fibonacci_sphere,
-                    _structured_seeds, covering_radius_r, is_kk_design)
+from .codes import (BLOCK_ENTRIES, DesignCertificate, SphericalCode,
+                    _fibonacci_sphere, _structured_seeds, covering_radius_r,
+                    is_kk_design)
 from .errors import NumericalDegeneracyError, PreconditionError
 from .interpolants import Side, _interpolate, verify_one_sided
 from .polynomials import Polynomial, monomial_moment
@@ -65,8 +66,6 @@ class Direction(Enum):
 _SIGN = {Direction.MIN: 1.0, Direction.MAX: -1.0}
 # seeds refined by local search, out of the screened ones
 _SURVIVORS = 10
-# rows of the seed screen evaluated at once
-_SCREEN_CHUNK = 4096
 # squared inner products taken as exact orthogonality
 _ORTHOGONAL = 2.0 ** -100
 
@@ -258,9 +257,10 @@ def upper_bound_s(n: int, k: int, N: int, s: float, pot: Potential,
 
 
 def _squares(dots: np.ndarray) -> np.ndarray:
-    """t^2 clipped to [0, 1], and 0 below 2^-100: fused multiply-adds in
-    BLAS leave |t| ~ 1e-17 at x orthogonal to x_i, ~1e-9 in |t|^(1/2)."""
-    u = dots * dots
+    """t^2 clipped to [0, 1], and 0 below 2^-100, in place of the t in
+    dots: fused multiply-adds in BLAS leave |t| ~ 1e-17 at x orthogonal to
+    x_i, ~1e-9 in |t|^(1/2)."""
+    u = np.multiply(dots, dots, out=dots)
     np.minimum(u, 1.0, out=u)
     u[u < _ORTHOGONAL] = 0.0
     return u
@@ -272,13 +272,18 @@ def _u_sum(points: np.ndarray, pot: Potential, x: np.ndarray) -> float:
 
 
 def _u_batch(points: np.ndarray, pot: Potential, mat: np.ndarray) -> np.ndarray:
-    """U at each row of mat, _SCREEN_CHUNK rows at a time, which bounds the
-    (rows, N) temporaries on large screens."""
-    out = np.empty(mat.shape[0])
-    for start in range(0, mat.shape[0], _SCREEN_CHUNK):
-        u = _squares(mat[start:start + _SCREEN_CHUNK] @ points.T)
-        out[start:start + _SCREEN_CHUNK] = np.sum(
-            potentials._elementwise(pot.eval_g, u), axis=1)
+    """U at each row of mat, in cache-sized blocks of BLOCK_ENTRIES // N
+    rows (see codes): each (rows, N) temporary stays in L2 and each GEMM on
+    one thread.  Every row's sum is bitwise that of one pass."""
+    size = len(mat)
+    out = np.empty(size)
+    step = max(2, BLOCK_ENTRIES // points.shape[0])
+    for start in range(0, size, step):
+        # a lone last row would take numpy's gemv path, whose sums differ
+        # from gemm's in the last bits: take it with the row before
+        rows = slice(min(start, max(size - 2, 0)), start + step)
+        u = _squares(mat[rows] @ points.T)
+        out[rows] = np.sum(potentials._elementwise(pot.eval_g, u), axis=1)
     return out
 
 
@@ -305,7 +310,7 @@ def _fg(points: np.ndarray, pot: Potential, sgn: float):
 
     def fg(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d = xs @ points.T
-        u = _squares(d)
+        u = _squares(d.copy())
         zero = u == 0.0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             values = sgn * np.sum(potentials._elementwise(pot.eval_g, u), axis=1)

@@ -35,6 +35,17 @@ def negate(pot: Potential) -> Potential:
     )
 
 
+def reference_duplicate(pts: np.ndarray):
+    """The first pair (i, j), i < j, of rows within 1e-12 of each other, or
+    None: the per-row loop that SphericalCode.from_points replaced, kept
+    as its reference."""
+    for i in range(len(pts)):
+        close = np.linalg.norm(pts[i + 1:] - pts[i], axis=1) <= 1e-12
+        if np.any(close):
+            return i, i + 1 + int(np.argmax(close))
+    return None
+
+
 def nearly_flat_code() -> SphericalCode:
     """12 random unit points in R^4 with the fourth coordinate scaled by
     1e-14: full rank by numpy's test, but Qhull finds no initial simplex."""

@@ -10,12 +10,15 @@ from scipy import optimize
 from scipy.special import eval_gegenbauer
 from scipy.spatial import ConvexHull, QhullError
 
+from kkpolar import codes
 from kkpolar.codes import (
+    BLOCK_ENTRIES,
     CATALOG_DESIGNS,
     HULL_FACET_CAP,
     SphericalCode,
     _covering_radius_search,
     _hull_over_cap,
+    _seed_scores,
     _structured_seeds,
     catalog,
     covering_radius_r,
@@ -30,7 +33,7 @@ from kkpolar.errors import CodeFormatError, PreconditionError
 from kkpolar.polynomials import gegenbauer
 from kkpolar.quadrature import largest_gauss_node
 
-from helpers import nearly_flat_code
+from helpers import nearly_flat_code, reference_duplicate
 
 
 def random_code(n, size, seed):
@@ -63,6 +66,78 @@ class TestConstruction:
         code = catalog("onb:3")
         with pytest.raises(ValueError):
             code.points[0, 0] = 2.0
+
+
+def unit_rows(rng, count, n):
+    rows = rng.standard_normal((count, n))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+class TestDuplicateCheck:
+    """The blocked duplicate check against the per-row loop it replaced:
+    same verdict, same first pair in the message."""
+
+    @pytest.mark.parametrize("gap", [0.0, 5e-13, 2e-12])
+    @pytest.mark.parametrize("size", [12, 120, 200, 1000])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_matches_row_loop(self, n, size, gap):
+        rng = np.random.default_rng(1000 * n + size)
+        pts = unit_rows(rng, size, n)
+        for _ in range(3):
+            i, j = sorted(rng.choice(size, 2, replace=False))
+            # a step of length gap orthogonal to x_i keeps the norm within
+            # roundoff of 1
+            away = rng.standard_normal(n)
+            away -= (away @ pts[i]) * pts[i]
+            pts[j] = pts[i] + gap * away / np.linalg.norm(away)
+        expected = reference_duplicate(pts)
+        if gap < 1e-12:
+            assert expected is not None
+        if expected is None:
+            assert SphericalCode.from_points(pts).size == size
+        else:
+            with pytest.raises(CodeFormatError) as err:
+                SphericalCode.from_points(pts)
+            assert str(err.value) == (
+                f"repeated point: rows {expected[0]} and {expected[1]} coincide")
+
+    @pytest.mark.parametrize("entries", [1, 120, 420])
+    def test_pairs_across_small_blocks(self, monkeypatch, entries):
+        # blocks of 1, 2 and 7 rows of the 20 x 3 code: pairs inside a
+        # block, across blocks and at the last row
+        monkeypatch.setattr(codes, "BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(entries)
+        for i, j in [(0, 1), (2, 3), (4, 17), (5, 18), (18, 19), (0, 19)]:
+            pts = unit_rows(rng, 20, 3)
+            pts[j] = pts[i]
+            with pytest.raises(CodeFormatError, match=f"rows {i} and {j} "):
+                SphericalCode.from_points(pts)
+        assert SphericalCode.from_points(unit_rows(rng, 20, 3)).size == 20
+
+
+class TestSeedScores:
+    """The covering search's blocked seed scores are bitwise those of one
+    pass, including a partial last block and a lone last row."""
+
+    @pytest.mark.parametrize("size", [12, 120, 200, 1000])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_one_pass_values(self, n, size):
+        rng = np.random.default_rng(7 * size + n)
+        points = unit_rows(rng, size, n)
+        step = BLOCK_ENTRIES // size
+        for count in (step - 1, 2 * step + 1, 3 * step + 5):
+            mat = unit_rows(rng, count, n)
+            assert np.array_equal(_seed_scores(points, mat),
+                                  np.max(np.abs(mat @ points.T), axis=1))
+
+    @pytest.mark.parametrize("n,size", [(3, 200), (8, 120), (5, 40), (6, 12)])
+    def test_search_independent_of_blocks(self, monkeypatch, n, size):
+        points = unit_rows(np.random.default_rng(size), size, n)
+        blocked = _covering_radius_search(points, 3)
+        monkeypatch.setattr(codes, "BLOCK_ENTRIES", 2 ** 62)
+        whole = _covering_radius_search(points, 3)
+        assert blocked[0] == whole[0]
+        assert np.array_equal(blocked[1], whole[1])
 
 
 class TestMoment:
@@ -483,6 +558,30 @@ class TestIO:
             {"dim": 2, "points": [[1.0, 0.0], [1.0, 0.0]]}))
         with pytest.raises(CodeFormatError):
             load_code(path)
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"dim": 3, "points": [[0.5, 0.0, 0.0]]},
+         "row norms must be within 1e-9 of 1 (worst error 5.000e-01)"),
+        ({"dim": 1, "points": [[1.0], [-1.0]]},
+         "need a nonempty 2-D array of vectors with dimension >= 2, "
+         "got shape (2, 1)"),
+        ({"dim": 1, "points": [[0.5]]},
+         "row norms must be within 1e-9 of 1 (worst error 5.000e-01)"),
+        ({"dim": 2, "points": [[1.0, 0.0], [0.0, 1.0], [1.0 + 5e-10, 0.0]]},
+         "repeated point: rows 0 and 2 coincide"),
+        ({"dim": 2, "points": [1.0, 0.0]},
+         "a code must contain at least one point"),
+        ({"dim": 3, "points": [[1.0, 0.0]]},
+         "dim says 3 but points have 2 coordinates"),
+        ({"dim": 2, "points": [[1.0, 0.0], [0.0]]},
+         "points must be a rectangular numeric array"),
+    ])
+    def test_error_messages(self, tmp_path, payload, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CodeFormatError) as err:
+            load_code(path)
+        assert str(err.value) == message
 
     def test_renormalizes_slightly_off_rows(self, tmp_path):
         path = tmp_path / "off.json"

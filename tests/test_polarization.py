@@ -239,12 +239,40 @@ class TestExtrema:
         code = random_code(4, 30, 5)
         pot = gaussian_sym()
         mat = np.random.default_rng(6).standard_normal(
-            (2 * polarization._SCREEN_CHUNK + 3, 4))
+            (2 * (polarization.BLOCK_ENTRIES // code.size) + 3, 4))
         mat /= np.linalg.norm(mat, axis=1, keepdims=True)
         dots = mat @ code.points.T
         whole = np.sum(pot.eval_g(np.minimum(dots * dots, 1.0)), axis=1)
         np.testing.assert_allclose(polarization._u_batch(code.points, pot, mat),
                                    whole, rtol=1e-15, atol=0.0)
+
+
+class TestScreenBlocks:
+    """The blocked screen is bitwise one pass over all rows, including a
+    partial last block and a lone last row."""
+
+    @pytest.mark.parametrize("size", [12, 120, 200, 1000])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_one_pass_values(self, n, size):
+        code = random_code(n, size, size + n)
+        rng = np.random.default_rng(size)
+        step = polarization.BLOCK_ENTRIES // size
+        for pot in (parse_potential("cosh"), riesz_sym(1.0)):
+            for count in (step - 1, 2 * step + 1, 3 * step + 5):
+                mat = rng.standard_normal((count, n))
+                mat /= np.linalg.norm(mat, axis=1, keepdims=True)
+                u = polarization._squares(mat @ code.points.T)
+                whole = np.sum(pot.eval_g(u), axis=1)
+                assert np.array_equal(
+                    polarization._u_batch(code.points, pot, mat), whole)
+
+    @pytest.mark.parametrize("entries", [2, 40, 2 ** 62])
+    def test_extrema_independent_of_blocks(self, monkeypatch, entries):
+        code = random_code(3, 200, 9)
+        pot = parse_potential("cosh")
+        blocked = extrema(code, pot, seed=3)
+        monkeypatch.setattr(polarization, "BLOCK_ENTRIES", entries)
+        assert extrema(code, pot, seed=3) == blocked
 
 
 def circle_code(seed):
