@@ -15,14 +15,13 @@ from .codes import (CATALOG_DESIGNS, DesignCertificate, SphericalCode,
                     moment, save_code, waring_residual)
 from .errors import (CodeFormatError, KkpolarError, NumericalDegeneracyError,
                      PreconditionError)
-from .interpolants import (Side, build_H2k, build_H2k_s, build_H2k_tilde,
-                           verify_one_sided)
+from .interpolants import Side, verify_one_sided
 from .polarization import (BoundReport, CertificationReport, CheckResult,
                            Direction, ExtremizationResult, certify_design,
                            extrema, extremize, lower_bound, potential_U,
                            upper_bound_finite, upper_bound_s)
-from .polynomials import (GegenbauerFamily, Polynomial, gegenbauer,
-                          integrate_mu, monomial_moment, substitute_t_squared)
+from .polynomials import (GegenbauerFamily, Polynomial, monomial_moment,
+                          substitute_t_squared)
 from .potentials import (Potential, SignState, arcsine, certify_sign, eval_h,
                          gaussian_sym, monomial_2k, p_frame,
                          parse_potential, riesz_sym, user_potential)
@@ -35,17 +34,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "CATALOG_DESIGNS", "CertificationReport", "CheckResult",
     "CodeFormatError", "DesignCertificate", "Direction", "ExtremizationResult",
-    "GegenbauerFamily", "KkpolarError",
-    "NumericalDegeneracyError", "Polynomial", "Potential", "PreconditionError",
-    "QuadratureRule", "Side", "SignState", "SphericalCode", "arcsine",
-    "build_H2k", "build_H2k_s", "build_H2k_tilde", "catalog", "certify_design",
-    "certify_sign", "covering_radius_r", "eval_h",
-    "extrema", "extremize", "gaussian_sym", "gegenbauer",
-    "integrate_mu", "is_kk_design", "largest_gauss_node", "load_code",
-    "lower_bound", "moment", "monomial_2k", "monomial_moment",
-    "p_frame", "parse_potential", "potential_U", "riesz_sym", "rule_alpha",
-    "rule_beta", "rule_lambda", "save_code",
-    "substitute_t_squared", "upper_bound_finite", "upper_bound_s",
-    "user_potential", "verify_exactness", "verify_one_sided",
+    "GegenbauerFamily", "KkpolarError", "NumericalDegeneracyError",
+    "Polynomial", "Potential", "PreconditionError", "QuadratureRule", "Side",
+    "SignState", "SphericalCode", "arcsine", "catalog", "certify_design",
+    "certify_sign", "covering_radius_r", "eval_h", "extrema", "extremize",
+    "gaussian_sym", "is_kk_design", "largest_gauss_node", "load_code",
+    "lower_bound", "moment", "monomial_2k", "monomial_moment", "p_frame",
+    "parse_potential", "potential_U", "riesz_sym", "rule_alpha", "rule_beta",
+    "rule_lambda", "save_code", "substitute_t_squared", "upper_bound_finite",
+    "upper_bound_s", "user_potential", "verify_exactness", "verify_one_sided",
     "waring_residual",
 ]

@@ -117,10 +117,8 @@ def _cmd_certify(args) -> dict:
 
 def _cmd_catalog(args) -> dict:
     if args.dump is not None:
-        code = catalog(args.dump)
         # dim/points at top level keep the dump loadable as a code file
-        return {"dim": code.n,
-                "points": [[float(v) for v in row] for row in code.points]}
+        return catalog(args.dump).to_dict()
     entries = []
     for name, order in sorted(CATALOG_DESIGNS.items()):
         code = catalog(name)

@@ -11,13 +11,13 @@ applies).  The search refines its best seeds by exact vertex ascent on the
 polar polytope {y : |x_i . y| <= 1} and ends at local minima; nothing here
 uses Nelder-Mead.
 
-Every kernel that pairs a batch of rows with the whole code (the covering
-search's seed scores here, the extremization seed screen in polarization,
-the duplicate check of SphericalCode.from_points) runs in row blocks whose
-temporaries hold at most BLOCK_ENTRIES entries, so each block stays in L2
-cache and a GEMM on it runs on one OpenBLAS thread (n <= 16).  The per-row
-arithmetic does not depend on the block, so the results are bitwise those
-of one pass.
+Every kernel that pairs a batch of rows with the whole code runs in row
+blocks whose temporaries hold at most BLOCK_ENTRIES entries, so each block
+stays in L2 cache and a GEMM on it runs on one OpenBLAS thread (n <= 16):
+the covering search's seed scores and polarization's seed screen in the
+blocks of _row_blocks, the duplicate check of SphericalCode.from_points in
+blocks of its difference tensor.  The per-row arithmetic does not depend on
+the block, so the results are bitwise those of one pass.
 """
 
 from __future__ import annotations
@@ -54,6 +54,30 @@ _ASCENT_STARTS = 48
 _MAX_PIVOTS = 100
 
 
+def _row_blocks(size: int, width: int):
+    """Slices covering rows 0..size-1 of a kernel against width columns, in
+    order, of at most max(2, BLOCK_ENTRIES // width) rows each."""
+    step = max(2, BLOCK_ENTRIES // width)
+    for start in range(0, size, step):
+        # a lone last row would take numpy's gemv path, whose sums differ
+        # from gemm's in the last bits: take it with the row before
+        yield slice(min(start, max(size - 2, 0)), start + step)
+
+
+def _unit_norms(pts: np.ndarray, tol: float, requirement: str) -> np.ndarray:
+    """The row norms, or CodeFormatError naming the worst error (the row,
+    if that norm is NaN or inf) unless each lies within tol of 1."""
+    norms = np.linalg.norm(pts, axis=1)
+    off = np.abs(norms - 1.0)
+    if not np.all(off <= tol):
+        # argmax stops at the first NaN
+        row = int(np.argmax(off))
+        detail = (f"worst error {off[row]:.3e}" if math.isfinite(off[row])
+                  else f"row {row} has norm {norms[row]}")
+        raise CodeFormatError(f"{requirement} ({detail})")
+    return norms
+
+
 def _vector_rows(points) -> np.ndarray:
     """points as a new float array of at least one row of dimension >= 2."""
     pts = np.array(points, dtype=float)
@@ -74,10 +98,7 @@ class SphericalCode:
     @classmethod
     def from_points(cls, points) -> "SphericalCode":
         pts = _vector_rows(points)
-        norms = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(norms - 1.0) > _NORM_TOL):
-            worst = float(np.max(np.abs(norms - 1.0)))
-            raise CodeFormatError(f"rows must be unit vectors (worst norm error {worst:.3e})")
+        _unit_norms(pts, _NORM_TOL, "rows must be unit vectors")
         return cls._distinct(pts)
 
     @classmethod
@@ -111,6 +132,11 @@ class SphericalCode:
 
     def gram(self) -> np.ndarray:
         return self.points @ self.points.T
+
+    def to_dict(self) -> dict:
+        """The code-file schema that load_code reads."""
+        return {"dim": self.n,
+                "points": [[float(v) for v in row] for row in self.points]}
 
 
 @dataclass(frozen=True)
@@ -176,7 +202,7 @@ def waring_residual(code: SphericalCode, x, ell: int) -> float:
     if ell < 2 or ell % 2 != 0:
         raise PreconditionError(f"power must be a positive even integer, got {ell}")
     x = np.asarray(x, dtype=float)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(x) - 1.0) <= 1e-9:
         raise PreconditionError("evaluation point must be a unit vector")
     powers = (code.points @ x) ** ell
     return float(np.sum(powers) - monomial_moment(code.n, ell) * code.size)
@@ -236,10 +262,6 @@ def max_hull_facets(n: int, vertices: int) -> int:
     vertices can have, attained by the cyclic polytope (vertices > n)."""
     return (math.comb(vertices - (n + 1) // 2, n // 2)
             + math.comb(vertices - n // 2 - 1, (n + 1) // 2 - 1))
-
-
-def _hull_over_cap(n: int, size: int) -> bool:
-    return max_hull_facets(n, 2 * size) > HULL_FACET_CAP
 
 
 def _ratio_test(rows: np.ndarray, ys: np.ndarray, dirs: np.ndarray,
@@ -317,15 +339,10 @@ def _vertex_ascent(points: np.ndarray, starts: np.ndarray) -> tuple[float, np.nd
 
 
 def _seed_scores(points: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """max_i |m . x_i| at each row m of mat, in row blocks of
-    BLOCK_ENTRIES // N; every value is bitwise that of one pass."""
-    size = len(mat)
-    scores = np.empty(size)
-    step = max(2, BLOCK_ENTRIES // points.shape[0])
-    for start in range(0, size, step):
-        # a lone last row would take numpy's gemv path, whose sums differ
-        # from gemm's in the last bits: take it with the row before
-        rows = slice(min(start, max(size - 2, 0)), start + step)
+    """max_i |m . x_i| at each row m of mat, in the row blocks of
+    _row_blocks; every value is bitwise that of one pass."""
+    scores = np.empty(len(mat))
+    for rows in _row_blocks(len(mat), len(points)):
         d = mat[rows] @ points.T
         np.max(np.abs(d, out=d), axis=1, out=scores[rows])
     return scores
@@ -371,7 +388,7 @@ def covering_radius_r(code: SphericalCode, seed: int = 0
     null = _null_direction(pts)
     if null is not None:
         return 0.0, null, "exact"
-    if not _hull_over_cap(code.n, code.size):
+    if max_hull_facets(code.n, 2 * code.size) <= HULL_FACET_CAP:
         try:
             hull = ConvexHull(np.vstack([pts, -pts]))
         except QhullError:
@@ -485,9 +502,7 @@ CATALOG_DESIGNS = {
 
 
 def save_code(code: SphericalCode, path) -> None:
-    payload = {"dim": code.n,
-               "points": [[float(v) for v in row] for row in code.points]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(code.to_dict(), indent=2) + "\n")
 
 
 def load_code(path) -> SphericalCode:
@@ -507,11 +522,7 @@ def load_code(path) -> SphericalCode:
     if pts.shape[1] != n:
         raise CodeFormatError(
             f"dim says {n} but points have {pts.shape[1]} coordinates")
-    norms = np.linalg.norm(pts, axis=1)
-    off = np.abs(norms - 1.0)
-    if np.any(off > 1e-9):
-        raise CodeFormatError(
-            f"row norms must be within 1e-9 of 1 (worst error {float(np.max(off)):.3e})")
+    norms = _unit_norms(pts, 1e-9, "row norms must be within 1e-9 of 1")
     # renormalized, the rows are unit vectors: only the dimension and the
     # duplicate checks of from_points remain
     return SphericalCode._distinct(_vector_rows(pts / norms[:, None]))

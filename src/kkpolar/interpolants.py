@@ -1,10 +1,11 @@
 """One-sided Hermite interpolants to even potentials, the closed-form
 optima of the underlying linear programs.
 
-All interpolation runs in the u = t*t variable through a confluent Newton
-tableau, then coefficients map back to t by index doubling.  Working in u
-halves the degree and avoids the missing derivative of |t|-type potentials
-at t = 0; a node at u = 0 therefore only ever carries a function value.
+All interpolation runs in the u = t*t variable through the confluent
+Newton tableau of polynomials._newton_coefficients, then coefficients map
+back to t by index doubling.  Working in u halves the degree and avoids the
+missing derivative of |t|-type potentials at t = 0; a node at u = 0
+therefore only ever carries a function value.
 
 The quadrature rule and the side alone fix the interpolant and decide
 whether it is admitted.  By the Hermite remainder
@@ -16,7 +17,7 @@ at the double nodes, u at a node at 0) and <= 0 once the top node is a
 simple endpoint or anchor.  So the interpolant lies below h exactly when
 g^(k+1) >= 0 at the alpha rule or <= 0 at the beta and lambda rules, and
 above h in the other two cases.  _interpolate is the only place that checks
-this, and each build_H2k* is _interpolate on its rule and side.
+this; polarization._bound hands it the rule, the side and the certificate.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalDegeneracyError, PreconditionError
-from .polynomials import Polynomial, substitute_t_squared
-from .potentials import Potential, SignState, certify_sign, eval_h
-from .quadrature import QuadratureRule, rule_alpha, rule_beta
-from .signed_measure import rule_lambda
+from .polynomials import Polynomial, _newton_coefficients, substitute_t_squared
+from .potentials import Potential, SignState, eval_h
+from .quadrature import QuadratureRule
 
 
 class Side(Enum):
@@ -42,23 +42,21 @@ class Side(Enum):
 
 
 def _interpolate(rule: QuadratureRule, pot: Potential, side: Side,
-                 state: Optional[SignState] = None) -> Polynomial:
+                 state: SignState) -> Polynomial:
     """Interpolant in t at the nodes of the rule, admitted on its side of h.
 
-    The sign certificate of g^(k+1) on (0, top^2), top the anchor of the
-    rule or 1, must be nonnegative when the side is BELOW at the alpha rule
-    or ABOVE at the beta and lambda rules, and nonpositive otherwise; a
-    state passed in stands for that certificate.  A node at t = 1 needs
-    h(1) finite.  The nodes fix the confluent conditions in u = t*t: a node
-    at 0 carries a value only, every positive node a value and a slope,
-    except the top node of the beta and lambda rules, which carries a value
-    only.  Raises PreconditionError when the interpolant is not admitted or
-    a value is not finite, NumericalDegeneracyError when the conditions do
-    not number k + 1 or a residual exceeds 1e-10 relative.
+    state is the sign certificate of g^(k+1) on (0, top^2), top the anchor
+    of the rule or 1.  It must be nonnegative when the side is BELOW at the
+    alpha rule or ABOVE at the beta and lambda rules, and nonpositive
+    otherwise.  A node at t = 1 needs h(1) finite.  The nodes fix the
+    confluent conditions in u = t*t: a node at 0 carries a value only,
+    every positive node a value and a slope, except the top node of the
+    beta and lambda rules, which carries a value only.  Raises
+    PreconditionError when the interpolant is not admitted or a value is
+    not finite, NumericalDegeneracyError when the conditions do not number
+    k + 1 or a residual exceeds 1e-10 relative.
     """
     top = 1.0 if rule.s is None else rule.s
-    if state is None:
-        state = certify_sign(pot, rule.k, top * top)
     nonnegative = (side is Side.BELOW) == (rule.kind == "alpha")
     if not (state.admits_nonnegative() if nonnegative
             else state.admits_nonpositive()):
@@ -92,14 +90,7 @@ def _interpolate(rule: QuadratureRule, pot: Potential, side: Side,
         raise NumericalDegeneracyError(
             f"rule gives {m} conditions, wanted {rule.k + 1}")
 
-    newton = [table[0]]
-    for level in range(1, m):
-        # a confluent pair's first divided difference is g'
-        table = [slopes[i] if z[i + level] == z[i]
-                 else (table[i + 1] - table[i]) / (z[i + level] - z[i])
-                 for i in range(m - level)]
-        newton.append(table[0])
-
+    newton = _newton_coefficients(z, table, slopes)
     poly = Polynomial((newton[-1],))
     for j in range(m - 2, -1, -1):
         poly = poly * Polynomial((-z[j], 1.0)) + Polynomial((newton[j],))
@@ -108,27 +99,6 @@ def _interpolate(rule: QuadratureRule, pot: Potential, side: Side,
             raise NumericalDegeneracyError(
                 f"interpolation residual too large at u={u}: {poly(u)} vs {v}")
     return substitute_t_squared(poly)
-
-
-def build_H2k(n: int, k: int, pot: Potential) -> Polynomial:
-    """Below-side interpolant at the interior Gauss nodes: touches h at
-    every node, tangentially at the nonzero ones.  Needs g^(k+1) >= 0 on
-    (0,1); the result lies below h on all of [-1,1]."""
-    return _interpolate(rule_alpha(n, k), pot, Side.BELOW)
-
-
-def build_H2k_tilde(n: int, k: int, pot: Potential) -> Polynomial:
-    """Below-side interpolant at the endpoint-augmented nodes.  Needs
-    g^(k+1) <= 0 on (0,1) and h(1) finite; the endpoint node carries only
-    a function value."""
-    return _interpolate(rule_beta(n, k), pot, Side.BELOW)
-
-
-def build_H2k_s(n: int, k: int, s: float, pot: Potential) -> Polynomial:
-    """Above-side interpolant at the nodes of the rule anchored at s,
-    dominating h on [-s, s].  The anchor must be admissible for
-    rule_lambda, and g^(k+1) >= 0 on (0, s*s)."""
-    return _interpolate(rule_lambda(n, k, s), pot, Side.ABOVE)
 
 
 def verify_one_sided(p: Polynomial, pot: Potential, side: Side,

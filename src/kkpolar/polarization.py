@@ -23,7 +23,7 @@ Extremization is one multistart global search in every dimension: local
 searches from screened seeds (on the circle, with the cusps of |t|^p
 among them), refined together by batched tangent BFGS on the gradient of
 the potential sum, for every potential; extrema screens the seeds once
-for both directions, in cache-sized row blocks (codes.BLOCK_ENTRIES).
+for both directions, in the cache-sized row blocks of codes._row_blocks.
 A search can miss the global optimum, so its results are estimates: an
 upper estimate of the minimum and a lower estimate of the maximum.
 Sandwich checks remain sound with estimates on those sides.
@@ -38,8 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import (BLOCK_ENTRIES, DesignCertificate, SphericalCode,
-                    _fibonacci_sphere, _structured_seeds, covering_radius_r,
+from .codes import (DesignCertificate, SphericalCode, _fibonacci_sphere,
+                    _row_blocks, _structured_seeds, covering_radius_r,
                     is_kk_design)
 from .errors import NumericalDegeneracyError, PreconditionError
 from .interpolants import Side, _interpolate, verify_one_sided
@@ -272,16 +272,11 @@ def _u_sum(points: np.ndarray, pot: Potential, x: np.ndarray) -> float:
 
 
 def _u_batch(points: np.ndarray, pot: Potential, mat: np.ndarray) -> np.ndarray:
-    """U at each row of mat, in cache-sized blocks of BLOCK_ENTRIES // N
-    rows (see codes): each (rows, N) temporary stays in L2 and each GEMM on
+    """U at each row of mat, in the cache-sized row blocks of
+    codes._row_blocks: each (rows, N) temporary stays in L2 and each GEMM on
     one thread.  Every row's sum is bitwise that of one pass."""
-    size = len(mat)
-    out = np.empty(size)
-    step = max(2, BLOCK_ENTRIES // points.shape[0])
-    for start in range(0, size, step):
-        # a lone last row would take numpy's gemv path, whose sums differ
-        # from gemm's in the last bits: take it with the row before
-        rows = slice(min(start, max(size - 2, 0)), start + step)
+    out = np.empty(len(mat))
+    for rows in _row_blocks(len(mat), len(points)):
         u = _squares(mat[rows] @ points.T)
         out[rows] = np.sum(potentials._elementwise(pot.eval_g, u), axis=1)
     return out
@@ -295,7 +290,7 @@ def potential_U(x, code: SphericalCode, pot: Potential) -> float:
         raise PreconditionError(
             f"direction has shape {x.shape}, expected ({code.n},)")
     nrm = float(np.linalg.norm(x))
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:
         raise PreconditionError(f"direction must be a unit vector, |x|={nrm}")
     return _u_sum(code.points, pot, x / nrm)
 

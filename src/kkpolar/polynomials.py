@@ -1,17 +1,18 @@
-"""Dense univariate polynomials, Gegenbauer families, and exact integration
-against the inner-product distribution of the sphere.
+"""Dense univariate polynomials for display, the closed-form monomial
+moments of the inner-product distribution of the sphere, and the one
+divided-difference tableau.
 
-Everything here works in the monomial basis, where integration reduces to a
-dot product with closed-form moments.  That basis grows ill-conditioned
-with the degree, so the quadrature rules do not use it: they come from the
-three-term recurrence in :mod:`kkpolar.quadrature`.  The weight
-normalization constant is never computed explicitly; all integrals go
-through :func:`monomial_moment`.
+The monomial basis grows ill-conditioned with the degree, so nothing that
+decides a result works in it: the quadrature rules come from the three-term
+recurrence in :mod:`kkpolar.quadrature`, the design moments from the same
+recurrence on the Gram matrix, and the interpolants from the Newton
+coefficients of _newton_coefficients, which the sampled sign certificate of
+:mod:`kkpolar.potentials` also uses.  A Polynomial holds an interpolant's
+expansion in t for reports.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +61,6 @@ class Polynomial:
         """The polynomial t."""
         return cls((0.0, 1.0))
 
-    @classmethod
-    def monomial(cls, j: int, coeff: float = 1.0) -> "Polynomial":
-        return cls((0.0,) * j + (float(coeff),))
-
     def __call__(self, t):
         """Horner evaluation; accepts scalars or numpy arrays."""
         result = np.zeros_like(np.asarray(t, dtype=float))
@@ -72,15 +69,6 @@ class Polynomial:
         if np.ndim(t) == 0:
             return float(result)
         return result
-
-    def derivative(self, order: int = 1) -> "Polynomial":
-        c = list(self.coeffs)
-        for _ in range(order):
-            c = [j * c[j] for j in range(1, len(c))]
-        return Polynomial(c)
-
-    def eval_derivative(self, t, order: int = 1):
-        return self.derivative(order)(t)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
@@ -128,22 +116,21 @@ def monomial_moment(n: int, ell: int) -> float:
     return value
 
 
-def integrate_mu(n: int, p: Polynomial) -> float:
-    """Integral of p against the axis-projection probability measure.
-
-    Exact in formula: a dot product of the coefficients with the
-    closed-form monomial moments.  For p expanded in the Gegenbauer basis
-    this equals the zeroth Gegenbauer coefficient.
-    """
-    return math.fsum(
-        c * monomial_moment(n, j) for j, c in enumerate(p.coeffs) if j % 2 == 0
-    )
-
-
-def gegenbauer(n: int, ell: int) -> Polynomial:
-    """Degree-ell Gegenbauer polynomial for dimension n, normalized to 1
-    at t = 1, in monomial coefficients."""
-    return GegenbauerFamily(n, ell).poly(ell)
+def _newton_coefficients(z, values, slopes=None) -> list[float]:
+    """The divided differences f[z_0], f[z_0, z_1], ..., f[z_0, ..., z_m-1]:
+    the coefficients of the Newton form at the nodes z, in their order.
+    A node may repeat once, next to its twin; the first divided difference
+    of such a confluent pair is its entry in slopes, the derivative there.
+    Without slopes the nodes must be distinct."""
+    table = list(values)
+    newton = [table[0]]
+    m = len(z)
+    for level in range(1, m):
+        table = [slopes[i] if z[i + level] == z[i]
+                 else (table[i + 1] - table[i]) / (z[i + level] - z[i])
+                 for i in range(m - level)]
+        newton.append(table[0])
+    return newton
 
 
 class GegenbauerFamily:
@@ -153,6 +140,8 @@ class GegenbauerFamily:
         P_ell = ((2*ell + n - 4) * t * P_{ell-1} - (ell - 1) * P_{ell-2})
                 / (ell + n - 3),
     whose coefficients are chosen so that P_ell(1) = 1 for all ell.
+    Nothing in the package calls it; it stays while perfbench/tracer.py
+    patches it by name.
     """
 
     def __init__(self, n: int, max_degree: int = 0):
@@ -173,6 +162,3 @@ class GegenbauerFamily:
                 self._cache[m - 2].scale(-(m - 1) / denom)
             self._cache.append(p)
         return self._cache[ell]
-
-    def eval(self, ell: int, t):
-        return self.poly(ell)(t)

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PreconditionError
+from .polynomials import _newton_coefficients
 
 
 class SignState(str, Enum):
@@ -252,20 +253,11 @@ def user_potential(name: str, g: Callable[[float], float],
     )
 
 
-def _divided_difference(values: list, xs: list) -> float:
-    vals = list(values)
-    m = len(xs)
-    for level in range(1, m):
-        for i in range(m - level):
-            vals[i] = (vals[i + 1] - vals[i]) / (xs[i + level] - xs[i])
-    return vals[0]
-
-
 def _sampled_sign(g: Callable[[float], float], k: int, u_max: float,
                   samples: int = 200, clear: float = 1e-9) -> SignState:
-    """Heuristic certificate: estimate g^(k+1) by confluent-free divided
-    differences at `samples` interior centers; a verdict needs every
-    estimate on one side of +-clear."""
+    """Heuristic certificate: estimate g^(k+1) by the top divided
+    difference of k + 2 distinct nodes around each of `samples` interior
+    centers; a verdict needs every estimate on one side of +-clear."""
     order = k + 1
     fact = math.factorial(order)
     # stencils stay inside (0, u_max) with room below any endpoint blowup
@@ -276,7 +268,7 @@ def _sampled_sign(g: Callable[[float], float], k: int, u_max: float,
         xs = [c + (j - order / 2.0) * step for j in range(order + 1)]
         if xs[0] <= 0.0 or xs[-1] >= u_max:
             continue
-        estimates.append(fact * _divided_difference([g(x) for x in xs], xs))
+        estimates.append(fact * _newton_coefficients(xs, [g(x) for x in xs])[-1])
     if len(estimates) < samples // 2:
         return SignState.UNKNOWN
     if all(e > clear for e in estimates):

@@ -5,13 +5,15 @@ import math
 import numpy as np
 from scipy import optimize
 
-from kkpolar import polarization, potentials, sphere_opt
+from kkpolar import interpolants, polarization, potentials, sphere_opt
 from kkpolar.codes import SphericalCode
 from kkpolar.errors import PreconditionError
 from kkpolar.interpolants import Side
 from kkpolar.polarization import Direction, ExtremizationResult
-from kkpolar.polynomials import Polynomial, monomial_moment
+from kkpolar.polynomials import GegenbauerFamily, Polynomial, monomial_moment
 from kkpolar.potentials import Potential, SignState, certify_sign, eval_h
+from kkpolar.quadrature import QuadratureRule, rule_alpha, rule_beta
+from kkpolar.signed_measure import rule_lambda
 
 
 def negate(pot: Potential) -> Potential:
@@ -33,6 +35,101 @@ def negate(pot: Potential) -> Potential:
         sign_certificate=cert,
         derivative_kind=pot.derivative_kind,
     )
+
+
+# ---------------------------------------------------------------------------
+# monomial-basis toolkit: the package keeps polynomials in the monomial
+# basis for display only, so differentiation, Gegenbauer polynomials in
+# coefficients and exact integration against the measure live here
+
+
+def monomial(j: int, coeff: float = 1.0) -> Polynomial:
+    """coeff * t**j."""
+    return Polynomial((0.0,) * j + (float(coeff),))
+
+
+def derivative(p: Polynomial, order: int = 1) -> Polynomial:
+    c = list(p.coeffs)
+    for _ in range(order):
+        c = [j * c[j] for j in range(1, len(c))]
+    return Polynomial(c)
+
+
+def eval_derivative(p: Polynomial, t, order: int = 1):
+    return derivative(p, order)(t)
+
+
+def integrate_mu(n: int, p: Polynomial) -> float:
+    """Integral of p against the axis-projection probability measure.
+
+    Exact in formula: a dot product of the coefficients with the
+    closed-form monomial moments.  For p expanded in the Gegenbauer basis
+    this equals the zeroth Gegenbauer coefficient.
+    """
+    return math.fsum(
+        c * monomial_moment(n, j) for j, c in enumerate(p.coeffs) if j % 2 == 0
+    )
+
+
+def gegenbauer(n: int, ell: int) -> Polynomial:
+    """Degree-ell Gegenbauer polynomial for dimension n, normalized to 1
+    at t = 1, in monomial coefficients."""
+    return GegenbauerFamily(n, ell).poly(ell)
+
+
+def gegenbauer_eval(family: GegenbauerFamily, ell: int, t):
+    """P_ell of the family at t."""
+    return family.poly(ell)(t)
+
+
+def reference_divided_difference(values: list, xs: list) -> float:
+    """The top divided difference f[x_0, ..., x_m-1] of distinct nodes by
+    the in-place loop that the sampled sign certificate used before it
+    shared polynomials._newton_coefficients, kept as its reference."""
+    vals = list(values)
+    m = len(xs)
+    for level in range(1, m):
+        for i in range(m - level):
+            vals[i] = (vals[i + 1] - vals[i]) / (xs[i + level] - xs[i])
+    return vals[0]
+
+
+# ---------------------------------------------------------------------------
+# interpolant builders: each is _interpolate on its rule and side, with the
+# sign certificate that polarization._bound computes
+
+
+def interpolate(rule: QuadratureRule, pot: Potential, side: Side) -> Polynomial:
+    """_interpolate with the certificate of g^(k+1) on (0, top^2), top the
+    anchor of the rule or 1."""
+    top = 1.0 if rule.s is None else rule.s
+    state = certify_sign(pot, rule.k, top * top)
+    return interpolants._interpolate(rule, pot, side, state)
+
+
+def build_H2k(n: int, k: int, pot: Potential) -> Polynomial:
+    """Below-side interpolant at the interior Gauss nodes: touches h at
+    every node, tangentially at the nonzero ones.  Needs g^(k+1) >= 0 on
+    (0,1); the result lies below h on all of [-1,1]."""
+    return interpolate(rule_alpha(n, k), pot, Side.BELOW)
+
+
+def build_H2k_tilde(n: int, k: int, pot: Potential) -> Polynomial:
+    """Below-side interpolant at the endpoint-augmented nodes.  Needs
+    g^(k+1) <= 0 on (0,1) and h(1) finite; the endpoint node carries only
+    a function value."""
+    return interpolate(rule_beta(n, k), pot, Side.BELOW)
+
+
+def build_H2k_s(n: int, k: int, s: float, pot: Potential) -> Polynomial:
+    """Above-side interpolant at the nodes of the rule anchored at s,
+    dominating h on [-s, s].  The anchor must be admissible for
+    rule_lambda, and g^(k+1) >= 0 on (0, s*s)."""
+    return interpolate(rule_lambda(n, k, s), pot, Side.ABOVE)
+
+
+# ---------------------------------------------------------------------------
+# code and margin references
 
 
 def reference_duplicate(pts: np.ndarray):

@@ -8,16 +8,17 @@ import pytest
 
 from kkpolar.codes import (CATALOG_DESIGNS, SphericalCode, catalog,
                            covering_radius_r, is_kk_design, waring_residual)
-from kkpolar.interpolants import Side, build_H2k, build_H2k_s, build_H2k_tilde
-from kkpolar.interpolants import verify_one_sided
+from kkpolar.interpolants import Side, verify_one_sided
 from kkpolar.polarization import (Direction, extremize, upper_bound_finite,
                                   upper_bound_s)
-from kkpolar.polynomials import Polynomial, integrate_mu, monomial_moment
+from kkpolar.polynomials import Polynomial, monomial_moment
 from kkpolar.potentials import (arcsine, eval_h, gaussian_sym, monomial_2k,
                                 p_frame, riesz_sym)
 from kkpolar.quadrature import (largest_gauss_node, rule_alpha, rule_beta,
                                 verify_exactness)
 from kkpolar.signed_measure import rule_lambda
+
+from helpers import build_H2k, build_H2k_s, build_H2k_tilde, integrate_mu
 
 
 def report_line(index: int, label: str, ok: bool, detail: str) -> None:

@@ -10,7 +10,7 @@ import pytest
 
 from kkpolar import cli
 from kkpolar.cli import main
-from kkpolar.codes import SphericalCode, save_code
+from kkpolar.codes import SphericalCode, catalog, save_code
 from kkpolar.errors import NumericalDegeneracyError
 
 from helpers import nearly_flat_code
@@ -90,6 +90,15 @@ class TestVerify:
             capsys, ["verify", "--code", str(tmp_path / "nope.json"), "--k", "1"])
         assert status == 1
         assert "error" in data
+
+    @pytest.mark.parametrize("command", [["verify", "--k", "1"],
+                                         ["polarize", "--pot", "cosh"]])
+    def test_nan_row_is_format_error(self, capsys, tmp_path, command):
+        path = tmp_path / "nan.json"
+        path.write_text('{"dim": 3, "points": [[NaN, 0, 0], [0, 1, 0]]}')
+        status, data = run_json(capsys, command + ["--code", str(path)])
+        assert status == 1
+        assert "row 0" in data["error"]
 
     def test_malformed_file_is_format_error(self, capsys, tmp_path):
         path = tmp_path / "code.json"
@@ -240,6 +249,12 @@ class TestCatalog:
             capsys, ["verify", "--code", "catalog:icosahedron_half", "--k", "2"])
         del from_file["config"], from_name["config"]
         assert from_file == from_name
+
+    def test_dump_is_the_code_file_schema(self, capsys):
+        status, data = run_json(capsys, ["catalog", "--dump", "cube_half"])
+        assert status == 0
+        del data["command"], data["config"]
+        assert data == catalog("cube_half").to_dict()
 
     def test_dump_unknown_name(self, capsys):
         status, data = run_json(capsys, ["catalog", "--dump", "qux"])

@@ -17,7 +17,6 @@ from kkpolar.codes import (
     HULL_FACET_CAP,
     SphericalCode,
     _covering_radius_search,
-    _hull_over_cap,
     _seed_scores,
     _structured_seeds,
     catalog,
@@ -30,10 +29,9 @@ from kkpolar.codes import (
     waring_residual,
 )
 from kkpolar.errors import CodeFormatError, PreconditionError
-from kkpolar.polynomials import gegenbauer
 from kkpolar.quadrature import largest_gauss_node
 
-from helpers import nearly_flat_code, reference_duplicate
+from helpers import gegenbauer, nearly_flat_code, reference_duplicate
 
 
 def random_code(n, size, seed):
@@ -57,6 +55,13 @@ class TestConstruction:
     def test_rejects_duplicates(self):
         with pytest.raises(CodeFormatError):
             SphericalCode.from_points([[1.0, 0.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_row(self, bad):
+        # NaN fails every comparison, so a gate written as "error > tol"
+        # let it through
+        with pytest.raises(CodeFormatError, match="row 1 has norm"):
+            SphericalCode.from_points([[1.0, 0.0, 0.0], [bad, 0.0, 0.0]])
 
     def test_antipodes_allowed(self):
         code = SphericalCode.from_points([[1.0, 0.0], [-1.0, 0.0]])
@@ -303,6 +308,10 @@ class TestWaring:
         with pytest.raises(PreconditionError):
             waring_residual(single_point(), [0.5, 0.0, 0.0], 2)
 
+    def test_rejects_nan_point(self):
+        with pytest.raises(PreconditionError):
+            waring_residual(single_point(), [math.nan, 0.0, 0.0], 2)
+
 
 class TestCoveringRadius:
     def test_cube_half(self):
@@ -433,10 +442,9 @@ class TestCoveringRadius:
 
     def test_facet_cap_sends_large_codes_to_search(self):
         assert max_hull_facets(8, 240) > HULL_FACET_CAP
-        assert _hull_over_cap(8, 120)
         assert covering_radius_r(random_code(8, 120, 0))[2] == "upper_estimate"
         for n, size in [(3, 200), (5, 40), (6, 12), (6, 40)]:
-            assert not _hull_over_cap(n, size)
+            assert max_hull_facets(n, 2 * size) <= HULL_FACET_CAP
 
 
 def structured_seeds_loop(points):
@@ -527,6 +535,23 @@ class TestIO:
         again = load_code(path)
         assert again.n == 3
         assert np.max(np.abs(again.points - code.points)) <= 1e-15
+
+    def test_save_writes_the_code_file_schema(self, tmp_path):
+        code = catalog("cube_half")
+        path = tmp_path / "cube.json"
+        save_code(code, path)
+        payload = {"dim": code.n,
+                   "points": [[float(v) for v in row] for row in code.points]}
+        assert path.read_text() == json.dumps(payload, indent=2) + "\n"
+
+    def test_rejects_nan_row(self, tmp_path):
+        # Python's json reads NaN; the row must not pass the norm test
+        path = tmp_path / "nan.json"
+        path.write_text('{"dim": 3, "points": [[NaN, 0, 0], [0, 1, 0]]}')
+        with pytest.raises(CodeFormatError) as err:
+            load_code(path)
+        assert str(err.value) == (
+            "row norms must be within 1e-9 of 1 (row 0 has norm nan)")
 
     def test_rejects_short_norm(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 
 from kkpolar.errors import NumericalDegeneracyError, PreconditionError
-from kkpolar.interpolants import (
-    Side,
-    _interpolate,
-    build_H2k,
-    build_H2k_s,
-    build_H2k_tilde,
-    verify_one_sided,
-)
+from kkpolar.interpolants import Side, _interpolate, verify_one_sided
 from kkpolar.polarization import (_MARGIN_GRID, lower_bound, upper_bound_finite,
                                   upper_bound_s)
-from kkpolar.polynomials import Polynomial, integrate_mu, substitute_t_squared
+from kkpolar.polynomials import Polynomial, substitute_t_squared
 from kkpolar.potentials import (
     SignState,
     arcsine,
@@ -29,7 +22,8 @@ from kkpolar.potentials import (
 from kkpolar.quadrature import largest_gauss_node, rule_alpha, rule_beta
 from kkpolar.signed_measure import rule_lambda
 
-from helpers import negate, reference_margin
+from helpers import (build_H2k, build_H2k_s, build_H2k_tilde, derivative,
+                     integrate_mu, interpolate, negate, reference_margin)
 
 
 def anchor(n, k, frac=0.6):
@@ -44,7 +38,7 @@ class TestHermiteConfluent:
     def test_tangent_line(self):
         # the alpha rule for n = 5, k = 1 has one double node at u = 1/5:
         # the tangent line 2u/5 - 1/25 to g(u) = u^2
-        H = _interpolate(rule_alpha(5, 1), p_frame(4), Side.BELOW)
+        H = interpolate(rule_alpha(5, 1), p_frame(4), Side.BELOW)
         assert list(H.coeffs) == pytest.approx([-1.0 / 25.0, 0.0, 2.0 / 5.0],
                                                abs=1e-14)
 
@@ -52,7 +46,7 @@ class TestHermiteConfluent:
         # two double nodes in u (the alpha rule for k = 3) fix a cubic in u
         rng = np.random.default_rng(3)
         target = Polynomial(rng.standard_normal(4))
-        dtarget = target.derivative()
+        dtarget = derivative(target)
         pot = user_potential("cubic", target, dtarget, h_at_1=target(1.0))
         H = _interpolate(rule_alpha(3, 3), pot, Side.BELOW, SignState.ZERO)
         want = substitute_t_squared(target)
@@ -61,7 +55,7 @@ class TestHermiteConfluent:
     def test_two_simple_nodes_on_square(self):
         # the beta rule for k = 1 puts simple nodes at u = 0 and u = 1:
         # interpolating u^2 there gives u, which dominates u^2 inside [0,1]
-        H = _interpolate(rule_beta(3, 1), p_frame(4), Side.ABOVE)
+        H = interpolate(rule_beta(3, 1), p_frame(4), Side.ABOVE)
         assert list(H.coeffs) == pytest.approx([0.0, 0.0, 1.0], abs=1e-15)
         ts = np.linspace(-1, 1, 201)
         assert np.all(H(ts) - ts**4 >= -1e-15)
@@ -92,7 +86,7 @@ class TestBuildBelowInterior:
     ], ids=["pf4", "riesz2", "cosh"])
     def test_interpolation_residuals(self, n, k, pot):
         H = build_H2k(n, k, pot)
-        Hp = H.derivative()
+        Hp = derivative(H)
         for t in rule_alpha(n, k).nodes:
             hv = pot.eval_g(t * t)
             assert H(t) == pytest.approx(hv, rel=1e-9)
@@ -285,8 +279,8 @@ class TestMarginMatchesScalarLoop:
 
 
 class TestBoundInterpolantMatchesBuilder:
-    """A bound report carries the interpolant of the public builder for its
-    rule, coefficient for coefficient."""
+    """A bound report carries the interpolant of the builder for its rule
+    (helpers), coefficient for coefficient."""
 
     @pytest.mark.parametrize("pot,kinds", [
         (riesz_sym(1.5), {"ULB_ALPHA", "UUB_LAMBDA"}),
@@ -407,7 +401,7 @@ def _refused(call):
 
 class TestAdmission:
     """_interpolate admits a rule, side and certificate exactly when the
-    Hermite remainder keeps the interpolant on that side, and every public
+    Hermite remainder keeps the interpolant on that side, and every
     builder and bound refuses the same inputs."""
 
     @pytest.mark.parametrize("pot,state,finite", _STATE_TABLE, ids=_TABLE_IDS)
@@ -422,10 +416,10 @@ class TestAdmission:
             top = rule.s or 1.0
             for side in Side:
                 allowed = _allowed(rule, side, state, finite)
-                assert _refused(lambda: _interpolate(rule, pot, side)) \
+                assert _refused(lambda: interpolate(rule, pot, side)) \
                     is not allowed, (label, side)
                 if allowed:
-                    H = _interpolate(rule, pot, side)
+                    H = interpolate(rule, pot, side)
                     margin = verify_one_sided(H, pot, side, (-top, top), 4001)
                     assert margin >= -1e-9, (label, side)
                 elif state in ("NONNEGATIVE", "NONPOSITIVE") and \

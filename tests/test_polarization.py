@@ -13,13 +13,13 @@ from kkpolar.polarization import (BoundReport, Direction, certify_design,
                                   extrema, extremize, lower_bound,
                                   potential_U, upper_bound_finite,
                                   upper_bound_s)
-from kkpolar.polynomials import integrate_mu, monomial_moment
+from kkpolar.polynomials import monomial_moment
 from kkpolar.potentials import (gaussian_sym, monomial_2k, p_frame,
                                 parse_potential, riesz_sym, user_potential)
 from kkpolar.quadrature import largest_gauss_node, rule_alpha, rule_beta
 from kkpolar.signed_measure import ADMISSIBILITY_MARGIN
 
-from helpers import (average_check, negate, reference_extremize,
+from helpers import (average_check, integrate_mu, negate, reference_extremize,
                      reference_extremize_circle)
 
 
@@ -54,6 +54,11 @@ class TestPotentialU:
         code = catalog("onb:3")
         with pytest.raises(PreconditionError):
             potential_U([1.0, 0.0], code, monomial_2k(1))
+
+    def test_nan_direction_rejected(self):
+        code = catalog("onb:3")
+        with pytest.raises(PreconditionError):
+            potential_U([math.nan, 0.0, 0.0], code, monomial_2k(1))
 
 
 class TestExtremize:
@@ -239,7 +244,7 @@ class TestExtrema:
         code = random_code(4, 30, 5)
         pot = gaussian_sym()
         mat = np.random.default_rng(6).standard_normal(
-            (2 * (polarization.BLOCK_ENTRIES // code.size) + 3, 4))
+            (2 * (codes.BLOCK_ENTRIES // code.size) + 3, 4))
         mat /= np.linalg.norm(mat, axis=1, keepdims=True)
         dots = mat @ code.points.T
         whole = np.sum(pot.eval_g(np.minimum(dots * dots, 1.0)), axis=1)
@@ -256,7 +261,7 @@ class TestScreenBlocks:
     def test_one_pass_values(self, n, size):
         code = random_code(n, size, size + n)
         rng = np.random.default_rng(size)
-        step = polarization.BLOCK_ENTRIES // size
+        step = codes.BLOCK_ENTRIES // size
         for pot in (parse_potential("cosh"), riesz_sym(1.0)):
             for count in (step - 1, 2 * step + 1, 3 * step + 5):
                 mat = rng.standard_normal((count, n))
@@ -271,8 +276,18 @@ class TestScreenBlocks:
         code = random_code(3, 200, 9)
         pot = parse_potential("cosh")
         blocked = extrema(code, pot, seed=3)
-        monkeypatch.setattr(polarization, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(codes, "BLOCK_ENTRIES", entries)
+        blocks = []
+
+        def recording(size, width):
+            new = list(codes._row_blocks(size, width))
+            blocks.extend(new)
+            return iter(new)
+
+        monkeypatch.setattr(polarization, "_row_blocks", recording)
         assert extrema(code, pot, seed=3) == blocked
+        # 2 and 40 entries give blocks of 2 rows, 2^62 one block
+        assert (len(blocks) > 1) is (entries < 2 ** 62)
 
 
 def circle_code(seed):

@@ -9,11 +9,13 @@ from kkpolar.errors import PreconditionError
 from kkpolar.polynomials import (
     GegenbauerFamily,
     Polynomial,
-    gegenbauer,
-    integrate_mu,
+    _newton_coefficients,
     monomial_moment,
     substitute_t_squared,
 )
+
+from helpers import (eval_derivative, gegenbauer, gegenbauer_eval,
+                     integrate_mu, monomial, reference_divided_difference)
 
 
 def mu_integral_numeric(n, f):
@@ -45,8 +47,8 @@ class TestPolynomial:
         assert p.coeffs == pytest.approx((-1.0, 0.0, 1.0))
 
     def test_eval_derivative(self):
-        assert Polynomial.monomial(3).eval_derivative(2.0) == pytest.approx(12.0)
-        assert Polynomial.monomial(3).eval_derivative(1.0, order=2) == pytest.approx(6.0)
+        assert eval_derivative(monomial(3), 2.0) == pytest.approx(12.0)
+        assert eval_derivative(monomial(3), 1.0, order=2) == pytest.approx(6.0)
 
     def test_horner_matches_naive(self):
         rng = np.random.default_rng(7)
@@ -85,7 +87,7 @@ class TestMoments:
         assert monomial_moment(n, ell) == pytest.approx(oracle, rel=1e-10)
 
     def test_integrate_mu_examples(self):
-        assert integrate_mu(3, Polynomial.monomial(2)) == pytest.approx(1.0 / 3.0)
+        assert integrate_mu(3, monomial(2)) == pytest.approx(1.0 / 3.0)
         assert integrate_mu(5, Polynomial.one()) == 1.0
         assert integrate_mu(4, Polynomial([0.0, 7.0, 0.0, 1.0])) == 0.0
 
@@ -114,7 +116,7 @@ class TestGegenbauer:
     def test_value_one_at_one(self, n):
         fam = GegenbauerFamily(n, 12)
         for ell in range(13):
-            assert fam.eval(ell, 1.0) == pytest.approx(1.0, abs=1e-12)
+            assert gegenbauer_eval(fam, ell, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_orthogonality(self, n):
@@ -156,3 +158,31 @@ class TestGegenbauer:
         fam = GegenbauerFamily(n, 4)
         p = fam.poly(0).scale(2.0) + fam.poly(2).scale(0.3) + fam.poly(4).scale(1.7)
         assert integrate_mu(n, p) == pytest.approx(2.0, abs=1e-12)
+
+
+class TestNewtonCoefficients:
+    """The one divided-difference tableau, shared by the interpolants and
+    the sampled sign certificate."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bitwise_equal_to_the_in_place_loop(self, seed):
+        # every coefficient is the top divided difference of a prefix of
+        # the nodes, by the same operations in the same order
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 16))
+        xs = list(np.sort(rng.uniform(0.0, 1.0, m)))
+        if seed % 2:
+            xs = list(rng.permutation(xs))
+        values = [math.cosh(x) + float(rng.standard_normal()) for x in xs]
+        newton = _newton_coefficients(xs, values)
+        assert len(newton) == m
+        for j in range(m):
+            assert newton[j] == reference_divided_difference(
+                values[:j + 1], xs[:j + 1])
+
+    def test_confluent_pair_takes_the_slope(self):
+        # g(u) = u^2 at the double node 0.5 and the simple node 1:
+        # g[0.5] = 0.25, g[0.5, 0.5] = g'(0.5) = 1, g[0.5, 0.5, 1] = 1
+        newton = _newton_coefficients([0.5, 0.5, 1.0], [0.25, 0.25, 1.0],
+                                      [1.0, 1.0, None])
+        assert newton == [0.25, 1.0, 1.0]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.special import roots_gegenbauer
 
 from kkpolar.errors import PreconditionError
-from kkpolar.polynomials import gegenbauer
 from kkpolar.quadrature import (
     _jacobi_rule,
     largest_gauss_node,
@@ -16,6 +15,8 @@ from kkpolar.quadrature import (
     verify_exactness,
 )
 from kkpolar.signed_measure import ADMISSIBILITY_MARGIN, rule_lambda
+
+from helpers import gegenbauer
 
 
 class TestRootFinding:

@@ -3,11 +3,12 @@ import pytest
 from scipy import integrate
 
 from kkpolar.errors import PreconditionError
-from kkpolar.interpolants import build_H2k_s
-from kkpolar.polynomials import Polynomial, gegenbauer, integrate_mu
+from kkpolar.polynomials import Polynomial
 from kkpolar.potentials import gaussian_sym
 from kkpolar.quadrature import largest_gauss_node, rule_beta, verify_exactness
 from kkpolar.signed_measure import rule_lambda
+
+from helpers import build_H2k_s, gegenbauer, integrate_mu, monomial
 
 _T_SQUARED = Polynomial((0.0, 0.0, 1.0))
 
@@ -25,7 +26,7 @@ def signed_orthogonal_polys(n, k, s):
     a second projection pass."""
     polys, norms = [], []
     for j in range(k + 1):
-        q = Polynomial.monomial(j)
+        q = monomial(j)
         for _ in range(2):
             for prev, nrm in zip(polys, norms):
                 q = q - prev.scale(signed_inner_product(n, s, q, prev) / nrm)
