@@ -20,8 +20,7 @@ from .polarization import (BoundReport, CertificationReport, CheckResult,
                            Direction, ExtremizationResult, certify_design,
                            extrema, extremize, lower_bound, potential_U,
                            upper_bound_finite, upper_bound_s)
-from .polynomials import (GegenbauerFamily, Polynomial, monomial_moment,
-                          substitute_t_squared)
+from .polynomials import GegenbauerFamily, Polynomial, monomial_moment
 from .potentials import (Potential, SignState, arcsine, certify_sign, eval_h,
                          gaussian_sym, monomial_2k, p_frame,
                          parse_potential, riesz_sym, user_potential)
@@ -41,7 +40,6 @@ __all__ = [
     "gaussian_sym", "is_kk_design", "largest_gauss_node", "load_code",
     "lower_bound", "moment", "monomial_2k", "monomial_moment", "p_frame",
     "parse_potential", "potential_U", "riesz_sym", "rule_alpha", "rule_beta",
-    "rule_lambda", "save_code", "substitute_t_squared", "upper_bound_finite",
-    "upper_bound_s", "user_potential", "verify_exactness", "verify_one_sided",
-    "waring_residual",
+    "rule_lambda", "save_code", "upper_bound_finite", "upper_bound_s",
+    "user_potential", "verify_exactness", "verify_one_sided", "waring_residual",
 ]

@@ -1,11 +1,12 @@
 """One-sided Hermite interpolants to even potentials, the closed-form
 optima of the underlying linear programs.
 
-All interpolation runs in the u = t*t variable through the confluent
-Newton tableau of polynomials._newton_coefficients, then coefficients map
-back to t by index doubling.  Working in u halves the degree and avoids the
-missing derivative of |t|-type potentials at t = 0; a node at u = 0
-therefore only ever carries a function value.
+All interpolation runs in the u = t*t variable: the interpolant is the
+NewtonForm of the confluent tableau polynomials._newton_coefficients, on
+which the node residuals and the one-sided margin are computed; its
+expansion in t is for display only.  Working in u halves the degree and
+avoids the missing derivative of |t|-type potentials at t = 0; a node at
+u = 0 therefore only ever carries a function value.
 
 The quadrature rule and the side alone fix the interpolant and decide
 whether it is admitted.  By the Hermite remainder
@@ -24,12 +25,12 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import NumericalDegeneracyError, PreconditionError
-from .polynomials import Polynomial, _newton_coefficients, substitute_t_squared
+from .polynomials import NewtonForm, _newton_coefficients
 from .potentials import Potential, SignState, eval_h
 from .quadrature import QuadratureRule
 
@@ -42,8 +43,9 @@ class Side(Enum):
 
 
 def _interpolate(rule: QuadratureRule, pot: Potential, side: Side,
-                 state: SignState) -> Polynomial:
-    """Interpolant in t at the nodes of the rule, admitted on its side of h.
+                 state: SignState) -> NewtonForm:
+    """Interpolant at the nodes of the rule, admitted on its side of h, as
+    its Newton form in u at the nodes in increasing order.
 
     state is the sign certificate of g^(k+1) on (0, top^2), top the anchor
     of the rule or 1.  It must be nonnegative when the side is BELOW at the
@@ -75,39 +77,34 @@ def _interpolate(rule: QuadratureRule, pot: Potential, side: Side,
     if rule.kind != "alpha":
         nodes[-1] = (nodes[-1][0], 1)
     values = [pot.eval_g(u) for u, _ in nodes]
-    z: list[float] = []
-    table: list[float] = []
-    slopes: list[Optional[float]] = []
+    z, table, slopes = [], [], []
     for (u, mult), v in zip(nodes, values):
         if not math.isfinite(v):
             raise PreconditionError(f"non-finite interpolation value at u={u}")
         d = pot.eval_g_prime(u) if mult == 2 else None
-        z.extend([u] * mult)
-        table.extend([v] * mult)
-        slopes.extend([d] * mult)
-    m = len(z)
-    if m != rule.k + 1:
+        z += [u] * mult
+        table += [v] * mult
+        slopes += [d] * mult
+    if len(z) != rule.k + 1:
         raise NumericalDegeneracyError(
-            f"rule gives {m} conditions, wanted {rule.k + 1}")
+            f"rule gives {len(z)} conditions, wanted {rule.k + 1}")
 
     newton = _newton_coefficients(z, table, slopes)
-    poly = Polynomial((newton[-1],))
-    for j in range(m - 2, -1, -1):
-        poly = poly * Polynomial((-z[j], 1.0)) + Polynomial((newton[j],))
-    for (u, _), v in zip(nodes, values):
-        if abs(poly(u) - v) > 1e-10 * (1.0 + abs(v)):
+    form = NewtonForm(tuple(map(float, z)), tuple(map(float, newton)))
+    for (u, _), v, hv in zip(nodes, values, form.at_u([u for u, _ in nodes])):
+        if abs(hv - v) > 1e-10 * (1.0 + abs(v)):
             raise NumericalDegeneracyError(
-                f"interpolation residual too large at u={u}: {poly(u)} vs {v}")
-    return substitute_t_squared(poly)
+                f"interpolation residual too large at u={u}: {float(hv)} vs {v}")
+    return form
 
 
-def verify_one_sided(p: Polynomial, pot: Potential, side: Side,
+def verify_one_sided(p: Callable, pot: Potential, side: Side,
                      interval: tuple[float, float], grid_size: int = 2000) -> float:
     """Worst signed margin of the side constraint over a uniform grid:
-    min of side * (h - p), with h and p evaluated on the whole grid at
-    once.  Nonnegative (within -1e-9) means the polynomial stays on its
-    side of the potential.  Raises NumericalDegeneracyError if h is NaN
-    anywhere on the grid."""
+    min of side * (h - p), with h and the polynomial p (a NewtonForm or any
+    callable on t arrays) evaluated on the whole grid at once.  Nonnegative
+    (within -1e-9) means the polynomial stays on its side of the potential.
+    Raises NumericalDegeneracyError if h is NaN anywhere on the grid."""
     if grid_size < 1000:
         raise PreconditionError(f"grid_size must be >= 1000, got {grid_size}")
     a, b = interval

@@ -43,7 +43,7 @@ from .codes import (DesignCertificate, SphericalCode, _fibonacci_sphere,
                     is_kk_design)
 from .errors import NumericalDegeneracyError, PreconditionError
 from .interpolants import Side, _interpolate, verify_one_sided
-from .polynomials import Polynomial, monomial_moment
+from .polynomials import NewtonForm, monomial_moment
 from . import potentials
 from .potentials import Potential, SignState, certify_sign, eval_h
 from .quadrature import (QuadratureRule, largest_gauss_node, rule_alpha,
@@ -95,9 +95,11 @@ class ExtremizationResult:
 @dataclass(frozen=True)
 class BoundReport:
     """A certified bound carrying everything that produced it: the rule
-    (nodes/weights copied verbatim), the one-sided interpolant in t, the
-    sign certificate that authorized the branch, and the numerical checks
-    (one-sided margin, quadrature exactness residual) backing it."""
+    (nodes/weights copied verbatim), the one-sided interpolant as the
+    Newton form its margin is computed on (to_dict writes its expansion in
+    t, for display only), the sign certificate that authorized the branch,
+    and the numerical checks (one-sided margin, quadrature exactness
+    residual) backing it."""
 
     kind: str
     n: int
@@ -108,7 +110,7 @@ class BoundReport:
     weights: tuple[float, ...]
     bound_value: float
     per_point_value: float
-    interpolant: Polynomial
+    interpolant: NewtonForm
     sign_state: str
     certificate_kind: str
     one_sided_margin: float
@@ -125,7 +127,7 @@ class BoundReport:
             "weights": list(self.weights),
             "bound_value": self.bound_value,
             "per_point_value": self.per_point_value,
-            "interpolant_t_coeffs": list(self.interpolant.coeffs),
+            "interpolant_t_coeffs": list(self.interpolant.expand_t().coeffs),
             "sign_state": self.sign_state,
             "certificate_kind": self.certificate_kind,
             "one_sided_margin": self.one_sided_margin,
@@ -320,33 +322,17 @@ def _fg(points: np.ndarray, pot: Potential, sgn: float):
     return fg
 
 
-def _lat_long_grid(res: int = 36) -> np.ndarray:
-    """Hemisphere latitude-longitude grid (the potential sum is even in x,
-    so one hemisphere suffices); rings thin toward the pole."""
-    rows = [np.array([0.0, 0.0, 1.0])]
-    for lat in np.linspace(0.0, np.pi / 2.0, res)[1:]:
-        ring = max(8, int(round(2 * res * math.sin(lat))))
-        for lng in np.linspace(0.0, 2.0 * np.pi, ring, endpoint=False):
-            rows.append(np.array([
-                math.sin(lat) * math.cos(lng),
-                math.sin(lat) * math.sin(lng),
-                math.cos(lat)]))
-    return np.vstack(rows)
-
-
 def _screen(code: SphericalCode, pot: Potential, seed: int,
             restarts: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
     """Seed directions as rows, and U at each: structured seeds, the N
-    directions orthogonal to the code points on the circle, a
-    latitude-longitude grid and a Fibonacci sphere in R^3, and random
-    directions."""
+    directions orthogonal to the code points on the circle, a Fibonacci
+    sphere in R^3, and random directions."""
     seeds = [_structured_seeds(code.points)]
     if code.n == 2:
         # the cusps of |t|^p; for p <= 1 U is concave on every arc between
         # them, so its minimum lies at one of these seeds
         seeds.append(code.points @ np.array([[0.0, 1.0], [-1.0, 0.0]]))
     if code.n == 3:
-        seeds.append(_lat_long_grid())
         seeds.append(_fibonacci_sphere(600))
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((max(128, restarts or 0), code.n))
@@ -403,8 +389,8 @@ def extremize(code: SphericalCode, pot: Potential, direction: Direction,
     any code point; that case is reported without search.  In every
     dimension structured seeds (code points, axes, normalized pairwise
     sums, sign combinations), the directions orthogonal to the code points
-    on the circle, a latitude-longitude grid in R^3, and random directions
-    are screened, and the ten best are refined together by batched BFGS in
+    on the circle, a Fibonacci sphere in R^3, and random directions are
+    screened, and the ten best are refined together by batched BFGS in
     tangent coordinates (sphere_opt.tangent_bfgs) with the gradient
     2 sum_i g'(u_i) (x . x_i) x_i.  Terms with x . x_i = 0 contribute 0,
     so g' is needed on (0, 1) only; for p-frames with p <= 1 that is a

@@ -1,14 +1,14 @@
-"""Dense univariate polynomials for display, the closed-form monomial
-moments of the inner-product distribution of the sphere, and the one
-divided-difference tableau.
+"""The one divided-difference tableau and the Newton form of the
+interpolants, dense polynomials for display, and the closed-form monomial
+moments of the inner-product distribution of the sphere.
 
 The monomial basis grows ill-conditioned with the degree, so nothing that
 decides a result works in it: the quadrature rules come from the three-term
 recurrence in :mod:`kkpolar.quadrature`, the design moments from the same
-recurrence on the Gram matrix, and the interpolants from the Newton
-coefficients of _newton_coefficients, which the sampled sign certificate of
-:mod:`kkpolar.potentials` also uses.  A Polynomial holds an interpolant's
-expansion in t for reports.
+recurrence on the Gram matrix, and the interpolants are NewtonForm objects,
+the divided differences of _newton_coefficients evaluated by Horner; the
+sampled sign certificate of :mod:`kkpolar.potentials` shares the tableau.
+A Polynomial holds an interpolant's expansion in t, for reports only.
 """
 
 from __future__ import annotations
@@ -23,30 +23,22 @@ from .errors import PreconditionError
 TRIM_TOL = 1e-14
 
 
-def _trim(coeffs) -> tuple[float, ...]:
-    c = [float(x) for x in coeffs]
-    while c and abs(c[-1]) <= TRIM_TOL:
-        c.pop()
-    return tuple(c)
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """Real polynomial stored as monomial coefficients.
 
     ``coeffs[j]`` multiplies ``t**j``.  Trailing coefficients below
     ``TRIM_TOL`` in absolute value are dropped at construction, so the zero
-    polynomial has an empty coefficient tuple and degree -1.
+    polynomial has an empty coefficient tuple.
     """
 
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _trim(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+        c = [float(x) for x in coeffs]
+        while c and abs(c[-1]) <= TRIM_TOL:
+            c.pop()
+        object.__setattr__(self, "coeffs", tuple(c))
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -79,9 +71,6 @@ class Polynomial:
             out[j] += c
         return Polynomial(out)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1.0)
-
     def scale(self, factor: float) -> "Polynomial":
         return Polynomial([factor * c for c in self.coeffs])
 
@@ -89,14 +78,6 @@ class Polynomial:
         if not self.coeffs or not other.coeffs:
             return Polynomial.zero()
         return Polynomial(np.convolve(self.coeffs, other.coeffs))
-
-
-def substitute_t_squared(p_u: Polynomial) -> Polynomial:
-    """Expand p(t^2) into a polynomial in t (index doubling)."""
-    out = [0.0] * (2 * len(p_u.coeffs))
-    for j, c in enumerate(p_u.coeffs):
-        out[2 * j] = c
-    return Polynomial(out)
 
 
 def monomial_moment(n: int, ell: int) -> float:
@@ -131,6 +112,42 @@ def _newton_coefficients(z, values, slopes=None) -> list[float]:
                  for i in range(m - level)]
         newton.append(table[0])
     return newton
+
+
+@dataclass(frozen=True)
+class NewtonForm:
+    """H(t) = p(t*t), where p(u) = c_0 + c_1 (u - z_0) + ... +
+    c_m-1 (u - z_0)...(u - z_m-2) is the Newton form with the
+    divided_differences c of _newton_coefficients at the u_nodes z.  Calls
+    evaluate it by Horner in u, which stays accurate where the expansion in
+    t does not; expand_t gives that expansion, for display only."""
+
+    u_nodes: tuple[float, ...]
+    divided_differences: tuple[float, ...]
+
+    def at_u(self, u):
+        """p(u) by Horner in the Newton basis; scalars or numpy arrays."""
+        c, z = self.divided_differences, self.u_nodes
+        u = np.asarray(u, dtype=float)
+        result = np.full(u.shape, c[-1])
+        for j in range(len(c) - 2, -1, -1):
+            result = result * (u - z[j]) + c[j]
+        return float(result) if result.ndim == 0 else result
+
+    def __call__(self, t):
+        """H(t) = p(t*t); scalars or numpy arrays."""
+        return self.at_u(np.square(t, dtype=float))
+
+    def expand_t(self) -> Polynomial:
+        """The expansion of H in powers of t: the Newton recurrence in
+        Polynomial arithmetic, then index doubling from u to t."""
+        c, z = self.divided_differences, self.u_nodes
+        p = Polynomial((c[-1],))
+        for j in range(len(c) - 2, -1, -1):
+            p = p * Polynomial((-z[j], 1.0)) + Polynomial((c[j],))
+        coeffs = [0.0] * (2 * len(p.coeffs))
+        coeffs[::2] = p.coeffs
+        return Polynomial(coeffs)
 
 
 class GegenbauerFamily:

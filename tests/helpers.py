@@ -10,7 +10,8 @@ from kkpolar.codes import SphericalCode
 from kkpolar.errors import PreconditionError
 from kkpolar.interpolants import Side
 from kkpolar.polarization import Direction, ExtremizationResult
-from kkpolar.polynomials import GegenbauerFamily, Polynomial, monomial_moment
+from kkpolar.polynomials import (GegenbauerFamily, NewtonForm, Polynomial,
+                                 monomial_moment)
 from kkpolar.potentials import Potential, SignState, certify_sign, eval_h
 from kkpolar.quadrature import QuadratureRule, rule_alpha, rule_beta
 from kkpolar.signed_measure import rule_lambda
@@ -59,6 +60,13 @@ def eval_derivative(p: Polynomial, t, order: int = 1):
     return derivative(p, order)(t)
 
 
+def even_in_t(p_u: Polynomial) -> Polynomial:
+    """p(t^2) as a polynomial in t (index doubling)."""
+    coeffs = [0.0] * (2 * len(p_u.coeffs))
+    coeffs[::2] = p_u.coeffs
+    return Polynomial(coeffs)
+
+
 def integrate_mu(n: int, p: Polynomial) -> float:
     """Integral of p against the axis-projection probability measure.
 
@@ -99,7 +107,7 @@ def reference_divided_difference(values: list, xs: list) -> float:
 # sign certificate that polarization._bound computes
 
 
-def interpolate(rule: QuadratureRule, pot: Potential, side: Side) -> Polynomial:
+def interpolate(rule: QuadratureRule, pot: Potential, side: Side) -> NewtonForm:
     """_interpolate with the certificate of g^(k+1) on (0, top^2), top the
     anchor of the rule or 1."""
     top = 1.0 if rule.s is None else rule.s
@@ -107,21 +115,21 @@ def interpolate(rule: QuadratureRule, pot: Potential, side: Side) -> Polynomial:
     return interpolants._interpolate(rule, pot, side, state)
 
 
-def build_H2k(n: int, k: int, pot: Potential) -> Polynomial:
+def build_H2k(n: int, k: int, pot: Potential) -> NewtonForm:
     """Below-side interpolant at the interior Gauss nodes: touches h at
     every node, tangentially at the nonzero ones.  Needs g^(k+1) >= 0 on
     (0,1); the result lies below h on all of [-1,1]."""
     return interpolate(rule_alpha(n, k), pot, Side.BELOW)
 
 
-def build_H2k_tilde(n: int, k: int, pot: Potential) -> Polynomial:
+def build_H2k_tilde(n: int, k: int, pot: Potential) -> NewtonForm:
     """Below-side interpolant at the endpoint-augmented nodes.  Needs
     g^(k+1) <= 0 on (0,1) and h(1) finite; the endpoint node carries only
     a function value."""
     return interpolate(rule_beta(n, k), pot, Side.BELOW)
 
 
-def build_H2k_s(n: int, k: int, s: float, pot: Potential) -> Polynomial:
+def build_H2k_s(n: int, k: int, s: float, pot: Potential) -> NewtonForm:
     """Above-side interpolant at the nodes of the rule anchored at s,
     dominating h on [-s, s].  The anchor must be admissible for
     rule_lambda, and g^(k+1) >= 0 on (0, s*s)."""
@@ -153,10 +161,11 @@ def nearly_flat_code() -> SphericalCode:
     return SphericalCode.from_points(pts)
 
 
-def reference_margin(p: Polynomial, pot: Potential, side: Side,
+def reference_margin(p, pot: Potential, side: Side,
                      interval: tuple[float, float], grid_size: int = 2000) -> float:
-    """The one-sided margin by one scalar eval_h call per grid point: the
-    loop that verify_one_sided replaced, kept as its reference."""
+    """The one-sided margin by one scalar eval_h call per grid point, with
+    the polynomial p called on the whole grid: the loop that
+    verify_one_sided replaced, kept as its reference."""
     if grid_size < 1000:
         raise PreconditionError(f"grid_size must be >= 1000, got {grid_size}")
     a, b = interval

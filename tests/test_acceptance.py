@@ -137,7 +137,7 @@ def feasible_objective_gap(pot, interpolant, side, interval, k, rng):
     n = 3
     grid = np.linspace(interval[0], interval[1], 400_001)
     h_vals = np.array([eval_h(pot, t) for t in grid])
-    target = integrate_mu(n, interpolant)
+    target = integrate_mu(n, interpolant.expand_t())
     best = -math.inf
     for _ in range(100):
         coeffs = rng.uniform(-1.0, 1.0, 2 * k + 2)

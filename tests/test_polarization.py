@@ -532,7 +532,7 @@ class TestReportInvariants:
     ])
     def test_bound_equals_measure_integral_of_interpolant(self, make):
         rep = make()
-        integral = integrate_mu(rep.n, rep.interpolant)
+        integral = integrate_mu(rep.n, rep.interpolant.expand_t())
         assert rep.bound_value == pytest.approx(rep.N * integral, abs=1e-9)
 
     def test_margin_and_residual_within_tolerance(self):
@@ -595,6 +595,14 @@ class TestCertifyDesign:
         assert rep.maximum.value == math.inf
         names = [c.name for c in rep.checks]
         assert "upper_finite_skipped" in names
+        assert rep.all_passed
+
+    def test_polygon_half_12_riesz_at_high_degree(self):
+        # the 12-gon half is an (11,11)-design; its Riesz lower bound at
+        # k = 11 needs the interpolant evaluated in Newton form
+        rep = certify_design(catalog("polygon_half:12"), 11, riesz_sym(3))
+        assert rep.design.is_design
+        assert [b.kind for b in rep.bounds] == ["ULB_ALPHA", "UUB_LAMBDA"]
         assert rep.all_passed
 
     def test_convex_hull_built_once(self, monkeypatch):

@@ -8,10 +8,10 @@ from scipy.special import eval_gegenbauer
 from kkpolar.errors import PreconditionError
 from kkpolar.polynomials import (
     GegenbauerFamily,
+    NewtonForm,
     Polynomial,
     _newton_coefficients,
     monomial_moment,
-    substitute_t_squared,
 )
 
 from helpers import (eval_derivative, gegenbauer, gegenbauer_eval,
@@ -36,10 +36,9 @@ def eval_naive(p, t):
 
 
 class TestPolynomial:
-    def test_trim_and_degree(self):
-        p = Polynomial([1.0, 2.0, 0.0, 1e-16])
-        assert p.degree == 1
-        assert Polynomial([0.0, 0.0]).degree == -1
+    def test_trim(self):
+        assert Polynomial([1.0, 2.0, 0.0, 1e-16]).coeffs == (1.0, 2.0)
+        assert Polynomial([0.0, 0.0]).coeffs == ()
         assert Polynomial.zero().coeffs == ()
 
     def test_multiply(self):
@@ -63,10 +62,6 @@ class TestPolynomial:
         t = np.array([0.0, 0.5, 1.0])
         assert p(t) == pytest.approx([1.0, 0.5, -1.0])
 
-    def test_substitute_t_squared(self):
-        # u -> 2u^2 + 3 becomes 2t^4 + 3
-        p = substitute_t_squared(Polynomial([3.0, 0.0, 2.0]))
-        assert p.coeffs == pytest.approx((3.0, 0.0, 0.0, 0.0, 2.0))
 
 
 class TestMoments:
@@ -186,3 +181,36 @@ class TestNewtonCoefficients:
         newton = _newton_coefficients([0.5, 0.5, 1.0], [0.25, 0.25, 1.0],
                                       [1.0, 1.0, None])
         assert newton == [0.25, 1.0, 1.0]
+
+
+class TestNewtonForm:
+    """H(t) = p(t^2) with p in Newton form: Horner in u, and the expansion
+    in t for display."""
+
+    def test_expand_t_doubles_the_index(self):
+        # u -> 2u^2 + 3, in Newton form at the nodes 0, 0, 1:
+        # 3 + 0 (u - 0) + 2 (u - 0)(u - 0), becomes 2t^4 + 3
+        form = NewtonForm((0.0, 0.0, 1.0), (3.0, 0.0, 2.0))
+        assert form.expand_t().coeffs == pytest.approx((3.0, 0.0, 0.0, 0.0, 2.0))
+
+    def test_horner_matches_expansion(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            m = int(rng.integers(1, 8))
+            form = NewtonForm(tuple(np.sort(rng.uniform(0.0, 1.0, m))),
+                              tuple(rng.standard_normal(m)))
+            ts = rng.uniform(-1.0, 1.0, 9)
+            assert form(ts) == pytest.approx(form.expand_t()(ts),
+                                             rel=1e-12, abs=1e-12)
+            assert form.at_u(ts * ts) == pytest.approx(form(ts), rel=0, abs=0)
+
+    def test_scalar_and_array_evaluation(self):
+        form = NewtonForm((0.25, 0.25, 1.0), (1.0, -2.0, 0.5))
+        value = form(0.5)
+        assert type(value) is float
+        assert form(np.array([0.5, -0.5])).tolist() == [value, value]
+        assert type(form.at_u(0.25)) is float
+
+    def test_compares_by_value(self):
+        assert NewtonForm((0.0, 1.0), (2.0, 3.0)) == NewtonForm((0.0, 1.0), (2.0, 3.0))
+        assert NewtonForm((0.0, 1.0), (2.0, 3.0)) != NewtonForm((0.0, 1.0), (2.0, 3.5))

@@ -29,7 +29,8 @@ def signed_orthogonal_polys(n, k, s):
         q = monomial(j)
         for _ in range(2):
             for prev, nrm in zip(polys, norms):
-                q = q - prev.scale(signed_inner_product(n, s, q, prev) / nrm)
+                q = q + prev.scale(
+                    signed_inner_product(n, s, q, prev) / nrm).scale(-1.0)
         polys.append(q)
         norms.append(signed_inner_product(n, s, q, q))
     return polys, norms
