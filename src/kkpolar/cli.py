@@ -11,6 +11,7 @@ JSON body for CSV rows, keeping the config echo as a leading comment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -128,6 +129,8 @@ def _cmd_catalog(args) -> dict:
 
 
 def _cmd_report(args) -> dict:
+    if args.points < 1:
+        raise PreconditionError(f"--points must be at least 1, got {args.points}")
     pot = parse_potential(args.pot)
     low = largest_gauss_node(args.n, args.k)
     s_min = args.s_min if args.s_min is not None else low + 0.02
@@ -235,8 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one:
+    parsing leaves no state in it, and each handler looks up what it calls
+    when it runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     config = {key: value for key, value in sorted(vars(args).items())
               if key not in ("func", "subcommand")}
     payload: dict = {"command": args.subcommand, "config": config}

@@ -10,6 +10,9 @@ nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix with
 off-diagonal sqrt(b_j), and each weight is the squared first component of
 its unit eigenvector.  Pinning the two outer nodes at +-s changes only the
 last off-diagonal entry (Golub 1973); the beta rule is the case s = 1.
+The same recurrence evaluated at x gives the Sturm sequence pi_0(x), ...,
+pi_{k+1}(x), positive exactly when x lies above every alpha node, which
+tests an anchor without an eigensolve.
 """
 
 from __future__ import annotations
@@ -50,6 +53,30 @@ class QuadratureRule:
         return d
 
 
+def _recurrence(n: int, k: int, size: int) -> np.ndarray:
+    """b_1, ..., b_{size-1} of the monic recurrence for dimension n."""
+    if n < 2 or k < 1:
+        raise PreconditionError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
+    j = np.arange(2, size, dtype=float)
+    return np.concatenate(([1.0 / n], j * (j + n - 3) / ((2 * j + n - 2) * (2 * j + n - 4))))
+
+
+def _sturm(b: np.ndarray, x: float) -> list[float]:
+    """pi_0(x), ..., pi_m(x) with m = len(b) + 1.  This Sturm sequence is
+    all positive exactly when x exceeds every root of pi_m."""
+    pi_x = [1.0, x]
+    for bj in b.tolist():
+        pi_x.append(x * pi_x[-1] - bj * pi_x[-2])
+    return pi_x
+
+
+def exceeds_gauss_nodes(n: int, k: int, x: float) -> bool:
+    """Whether x lies above the largest node of the alpha rule, decided by
+    the Sturm sequence pi_0(x), ..., pi_{k+1}(x) without an eigensolve.
+    NaN gives False."""
+    return all(p > 0.0 for p in _sturm(_recurrence(n, k, k + 1), x))
+
+
 def _jacobi_rule(kind: str, n: int, k: int, anchor: float | None = None) -> QuadratureRule:
     """Gauss rule on k+1 nodes, or, with an anchor s, the rule on +-s plus k
     interior nodes.  Both are exact through degree 2k+1.
@@ -58,19 +85,12 @@ def _jacobi_rule(kind: str, n: int, k: int, anchor: float | None = None) -> Quad
     by s * pi_{k+1}(s) / pi_k(s), which makes +-s eigenvalues.  The anchor
     must exceed the largest Gauss node.
     """
-    if n < 2 or k < 1:
-        raise PreconditionError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
     size = k + 1 if anchor is None else k + 2
-    j = np.arange(2, size, dtype=float)
-    b = np.concatenate(([1.0 / n], j * (j + n - 3) / ((2 * j + n - 2) * (2 * j + n - 4))))
+    b = _recurrence(n, k, size)
     if anchor is not None:
         s = anchor
-        pi_s = [1.0, s]
-        for bj in b[:k]:
-            pi_s.append(s * pi_s[-1] - bj * pi_s[-2])
-        # Sturm sequence: pi_0(s), ..., pi_{k+1}(s) are all positive exactly
-        # when s exceeds every root of pi_{k+1}
-        if min(pi_s) <= 0.0:
+        pi_s = _sturm(b[:k], s)
+        if not all(p > 0.0 for p in pi_s):
             raise PreconditionError(
                 f"anchor s={s} does not exceed the largest Gauss node (n={n}, k={k})")
         b[-1] = s * pi_s[-1] / pi_s[-2]

@@ -5,14 +5,16 @@ The weight is positive on (-s, s) and negative outside, so the induced
 bilinear form is positive definite on low-degree polynomials only when the
 anchor s is large enough; the threshold is the largest node of the interior
 Gauss rule of the same strength.  rule_lambda checks its own anchor against
-that threshold.  At s = 1 the construction collapses to the
-endpoint-augmented rule.
+that threshold by the Sturm sequence of the recurrence that builds the rule
+(Golub 1973), so an admissible anchor costs no eigensolve beyond its own
+rule.  At s = 1 the construction collapses to the endpoint-augmented rule.
 """
 
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .quadrature import QuadratureRule, _jacobi_rule, largest_gauss_node
+from .quadrature import (QuadratureRule, _jacobi_rule, exceeds_gauss_nodes,
+                         largest_gauss_node)
 
 # below this distance above the threshold the anchored rule has interior
 # weights too close to 0 to trust
@@ -28,10 +30,17 @@ def rule_lambda(n: int, k: int, s: float) -> QuadratureRule:
     PreconditionError.  An anchor above 1 by at most 1e-12 is taken as 1,
     so every node lies in [-1, 1].  Interior nodes lie strictly inside
     (-s, s); at s = 1 the rule agrees with the endpoint-augmented rule.
+
+    An anchor whose Sturm sequence is positive at s - 2 *
+    ADMISSIBILITY_MARGIN lies above lo by more than the margin and is
+    admitted without computing lo.  lo itself (an alpha eigensolve) is
+    computed only for the anchors left: those refused, whose message
+    names it, and those within 2 * ADMISSIBILITY_MARGIN above it.
     """
     s = float(s)
-    lo = largest_gauss_node(n, k)
-    if not (lo + ADMISSIBILITY_MARGIN <= s <= 1 + 1e-12):
-        raise PreconditionError(
-            f"anchor s={s} outside admissible range ({lo:.12g}, 1.0] for n={n}, k={k}")
+    if not (s <= 1 + 1e-12 and exceeds_gauss_nodes(n, k, s - 2 * ADMISSIBILITY_MARGIN)):
+        lo = largest_gauss_node(n, k)
+        if not (lo + ADMISSIBILITY_MARGIN <= s <= 1 + 1e-12):
+            raise PreconditionError(
+                f"anchor s={s} outside admissible range ({lo:.12g}, 1.0] for n={n}, k={k}")
     return _jacobi_rule("lambda", n, k, min(s, 1.0))

@@ -291,6 +291,15 @@ class TestReport:
             "--s-min", "0.2", "--s-max", "0.9"])
         assert status == 2
 
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_points_below_one_is_precondition(self, capsys, points):
+        status, data = run_json(capsys, [
+            "report", "--n", "3", "--k", "2", "--N", "6", "--pot", "cosh",
+            "--points", points])
+        assert status == 2
+        assert "--points" in data["error"]
+        assert "rows" not in data
+
 
 class TestParsing:
     def test_unknown_flag_rejected(self):
@@ -307,3 +316,66 @@ class TestParsing:
         data = json.loads(proc.stdout)
         assert data["rule"]["nodes"] == pytest.approx(
             [-math.sqrt(0.5), math.sqrt(0.5)])
+
+
+# one call of each kind; main shares one parser between all of them
+SHARED_PARSER_CALLS = [
+    ["quad", "--n", "3", "--k", "2", "--kind", "lambda", "--s", "0.9"],
+    ["quad", "--n", "3", "--k", "2", "--kind", "beta"],
+    ["verify", "--code", "catalog:cube_half", "--k", "1"],
+    ["bounds", "--n", "3", "--k", "2", "--N", "6", "--pot", "cosh",
+     "--s", "0.9"],
+    ["bounds", "--n", "3", "--k", "2", "--N", "6", "--pot", "cosh"],
+    ["polarize", "--code", "catalog:cube_half", "--pot", "cosh",
+     "--restarts", "3"],
+    ["polarize", "--code", "catalog:cube_half", "--pot", "cosh"],
+    ["report", "--n", "3", "--k", "1", "--N", "4", "--pot", "cosh",
+     "--points", "3", "--csv"],
+    ["report", "--n", "3", "--k", "1", "--N", "4", "--pot", "cosh",
+     "--points", "3"],
+    ["catalog", "--dump", "cube_half"],
+    ["quad", "--n", "3", "--k", "1", "--kind", "lambda"],
+    ["quad", "--n", "3", "--k", "1", "--kind", "beta", "--frob", "1"],
+]
+
+
+class TestSharedParser:
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    def test_built_once(self, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        for argv in SHARED_PARSER_CALLS[:3]:
+            self.call(capsys, argv)
+        assert len(built) == 1
+
+    def test_calls_leave_no_state(self, capsys):
+        forward = {i: self.call(capsys, argv)
+                   for i, argv in enumerate(SHARED_PARSER_CALLS)}
+        backward = {i: self.call(capsys, SHARED_PARSER_CALLS[i])
+                    for i in reversed(range(len(SHARED_PARSER_CALLS)))}
+        assert backward == forward
+        statuses = [forward[i][0] for i in range(len(SHARED_PARSER_CALLS))]
+        assert statuses == [0] * 10 + [2, 2]
+        assert "error" in json.loads(forward[10][1])
+        assert forward[11][1] == ""
+        # after every other call, in-process output matches a fresh process
+        for i in (3, 8, 10):
+            proc = subprocess.run(
+                [sys.executable, "-m", "kkpolar.cli", *SHARED_PARSER_CALLS[i]],
+                capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout) == forward[i][:2]

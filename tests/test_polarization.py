@@ -479,8 +479,9 @@ class TestUpperBoundS:
 
 
 class TestOneRulePerBound:
-    """Each bound builds its rule once; the anchored bound also builds the
-    alpha rule once, whose top node is the threshold for its anchor."""
+    """Each bound builds its rule once and no other; the anchored bound
+    admits its anchor by the Sturm sequence, so away from the threshold it
+    builds no alpha rule to find the top Gauss node."""
 
     @pytest.fixture
     def kinds(self, monkeypatch):
@@ -497,7 +498,7 @@ class TestOneRulePerBound:
 
     def test_upper_bound_s(self, kinds):
         upper_bound_s(3, 2, 10, 0.9, riesz_sym(2))
-        assert sorted(kinds) == ["alpha", "lambda"]
+        assert sorted(kinds) == ["lambda"]
 
     @pytest.mark.parametrize("k,pot,want", [
         (2, riesz_sym(2), ["alpha"]),

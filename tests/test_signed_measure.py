@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from kkpolar.errors import PreconditionError
 from kkpolar.polynomials import Polynomial
 from kkpolar.potentials import gaussian_sym
 from kkpolar.quadrature import largest_gauss_node, rule_beta, verify_exactness
-from kkpolar.signed_measure import rule_lambda
+from kkpolar.signed_measure import ADMISSIBILITY_MARGIN, rule_lambda
 
 from helpers import build_H2k_s, gegenbauer, integrate_mu, monomial
 
@@ -219,3 +223,28 @@ class TestRuleLambda:
         d = lambda_rule(3, 2, s).to_dict()
         assert d["kind"] == "lambda"
         assert d["s"] == pytest.approx(s)
+
+
+class TestAnchorVerdict:
+    """rule_lambda admits most anchors by the Sturm sequence alone; its
+    verdict and its refusal message must still be those of the direct
+    comparison with the top Gauss node, at the edges of the range too."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 10), k=st.integers(1, 40), data=st.data())
+    def test_accepts_exactly_the_admissible_range(self, n, k, data):
+        lo = largest_gauss_node(n, k)
+        s = data.draw(st.one_of(
+            # lo + j * margin for j = -3, -2.75, ..., 3
+            st.integers(-12, 12).map(lambda i: lo + i / 4 * ADMISSIBILITY_MARGIN),
+            st.floats(lo, 1.0, exclude_min=True),
+            st.floats(1.0, 1.0 + 1e-11, exclude_min=True),
+            st.sampled_from([math.nan, math.inf, -math.inf])))
+        if lo + ADMISSIBILITY_MARGIN <= s <= 1 + 1e-12:
+            assert rule_lambda(n, k, s).s == min(s, 1.0)
+        else:
+            with pytest.raises(PreconditionError) as err:
+                rule_lambda(n, k, s)
+            assert str(err.value) == (
+                f"anchor s={s} outside admissible range ({lo:.12g}, 1.0] "
+                f"for n={n}, k={k}")
