@@ -207,7 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     polarize.add_argument("--direction", choices=["min", "max", "both"],
                           default="both")
     polarize.add_argument("--seed", type=int, default=0)
-    polarize.add_argument("--restarts", type=int, default=None)
+    polarize.add_argument("--restarts", type=int, default=None,
+                          help="random seed directions (>= 1); at least 128 "
+                               "are screened")
     polarize.set_defaults(func=_cmd_polarize)
 
     certify = sub.add_parser(

@@ -11,13 +11,13 @@ applies).  The search refines its best seeds by exact vertex ascent on the
 polar polytope {y : |x_i . y| <= 1} and ends at local minima; nothing here
 uses Nelder-Mead.
 
-Every kernel that pairs a batch of rows with the whole code runs in row
-blocks whose temporaries hold at most BLOCK_ENTRIES entries, so each block
-stays in L2 cache and a GEMM on it runs on one OpenBLAS thread (n <= 16):
-the covering search's seed scores and polarization's seed screen in the
-blocks of _row_blocks, the duplicate check of SphericalCode.from_points in
-blocks of its difference tensor.  The per-row arithmetic does not depend on
-the block, so the results are bitwise those of one pass.
+Both sphere searches, polarization's seed screen and the covering search,
+take their seed directions from _sphere_seeds and evaluate them against
+the code by _row_reduce, in the row blocks of _row_blocks: each temporary
+holds at most BLOCK_ENTRIES entries, so it stays in L2 cache and a GEMM
+on it runs on one OpenBLAS thread (n <= 16).  The per-row arithmetic does
+not depend on the block, so the results are bitwise those of one pass.
+SphericalCode.from_points finds repeated points with a k-d tree.
 """
 
 from __future__ import annotations
@@ -29,17 +29,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import CodeFormatError, PreconditionError
 from .polynomials import monomial_moment
 
 _NORM_TOL = 1e-12
 _DUP_TOL = 1e-12
-# entries of the float64 temporary of one block of a directions x code
-# kernel: 2^15 entries (256 KB) stay in L2, and OpenBLAS runs a GEMM of
-# that size on one thread for n <= 16.  Measured on 2 cores (OpenBLAS
-# 0.3.31, Haswell kernels) on the 42,375 x 200 cosh screen of a random
+# entries of the float64 temporary of a block of _row_blocks, the one block
+# rule of both sphere searches: 2^15 (256 KB) stay in L2, and OpenBLAS runs
+# a GEMM of that size on one thread for n <= 16.  Measured on 2 cores
+# (OpenBLAS 0.3.31, Haswell) on the 42,375 x 200 cosh screen of a random
 # code in R^3: 4096-row blocks take 63 ms wall and 125 ms CPU, 2^15-entry
 # blocks 45 ms of each; at n = 16, 2^16 entries run two threads again.
 BLOCK_ENTRIES = 2 ** 15
@@ -62,6 +62,15 @@ def _row_blocks(size: int, width: int):
         # a lone last row would take numpy's gemv path, whose sums differ
         # from gemm's in the last bits: take it with the row before
         yield slice(min(start, max(size - 2, 0)), start + step)
+
+
+def _row_reduce(points: np.ndarray, mat: np.ndarray, reduce) -> np.ndarray:
+    """reduce(mat[rows] @ points.T) over the row blocks of _row_blocks, one
+    value per row, bitwise that of one pass; reduce may overwrite its input."""
+    out = np.empty(len(mat))
+    for rows in _row_blocks(len(mat), len(points)):
+        out[rows] = reduce(mat[rows] @ points.T)
+    return out
 
 
 def _unit_norms(pts: np.ndarray, tol: float, requirement: str) -> np.ndarray:
@@ -105,26 +114,21 @@ class SphericalCode:
     def _distinct(cls, pts: np.ndarray) -> "SphericalCode":
         """The code on rows already checked to be unit vectors, unless two
         lie within _DUP_TOL of each other; the error names the first such
-        pair (i, j), i < j, in row order.  The distances are norms of the
+        pair (i, j), i < j, in row order.  The k-d tree measures the
         explicit differences x_j - x_i, not the Gram identity, whose
-        cancellation would blur distances near _DUP_TOL; they are taken in
-        blocks of rows whose difference tensor holds at most BLOCK_ENTRIES
-        entries."""
-        size, n = pts.shape
-        step = max(1, BLOCK_ENTRIES // (size * n))
-        for start in range(0, size, step):
-            block = pts[start:start + step]
-            # rows j > start against rows i of the block; keep j > i
-            close = np.linalg.norm(
-                pts[None, start + 1:] - block[:, None], axis=2) <= _DUP_TOL
-            close &= (np.arange(size - start - 1)[None, :]
-                      >= np.arange(len(block))[:, None])
-            if np.any(close):
-                i, j = divmod(int(np.argmax(close)), close.shape[1])
-                raise CodeFormatError(
-                    f"repeated point: rows {start + i} and {start + 1 + j} coincide")
+        cancellation would blur distances near _DUP_TOL."""
+        tree = cKDTree(pts)
+        # counts, not the N^2/2 pairs of N coinciding rows; each row lies
+        # within _DUP_TOL of itself, and the first row with a partner has
+        # only later partners
+        close = np.flatnonzero(
+            tree.query_ball_point(pts, _DUP_TOL, return_length=True) > 1)
+        if close.size:
+            i = int(close[0])
+            j = min(set(tree.query_ball_point(pts[i], _DUP_TOL)) - {i})
+            raise CodeFormatError(f"repeated point: rows {i} and {j} coincide")
         pts.setflags(write=False)
-        return cls(int(n), pts)
+        return cls(pts.shape[1], pts)
 
     @property
     def size(self) -> int:
@@ -247,6 +251,24 @@ def _structured_seeds(points: np.ndarray) -> np.ndarray:
     return np.vstack(parts)
 
 
+def _sphere_seeds(points: np.ndarray, grid: int, randoms: int,
+                  seed: int) -> np.ndarray:
+    """Seed directions of a sphere search, as rows: the structured seeds,
+    on the circle the directions orthogonal to the points, in R^3 a
+    Fibonacci sphere of grid points, then randoms seeded random directions."""
+    n = points.shape[1]
+    parts = [_structured_seeds(points)]
+    if n == 2:
+        # the cusps of |t|^p; for p <= 1 U is concave on every arc between
+        # them, so its minimum lies at one of these seeds
+        parts.append(points @ np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    if n == 3:
+        parts.append(_fibonacci_sphere(grid))
+    raw = np.random.default_rng(seed).standard_normal((randoms, n))
+    parts.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    return np.vstack(parts)
+
+
 def _null_direction(points: np.ndarray) -> np.ndarray | None:
     """A unit vector orthogonal to every point when the points do not span
     R^n (numpy's matrix_rank tolerance), else None."""
@@ -339,29 +361,16 @@ def _vertex_ascent(points: np.ndarray, starts: np.ndarray) -> tuple[float, np.nd
 
 
 def _seed_scores(points: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """max_i |m . x_i| at each row m of mat, in the row blocks of
-    _row_blocks; every value is bitwise that of one pass."""
-    scores = np.empty(len(mat))
-    for rows in _row_blocks(len(mat), len(points)):
-        d = mat[rows] @ points.T
-        np.max(np.abs(d, out=d), axis=1, out=scores[rows])
-    return scores
+    """max_i |m . x_i| at each row m of mat."""
+    return _row_reduce(points, mat, lambda d: np.max(np.abs(d, out=d), axis=1))
 
 
 def _covering_radius_search(points: np.ndarray, seed: int) -> tuple[float, np.ndarray]:
-    """Multistart fallback: structured, grid and 64 random seeds screened
-    by max_i |x . x_i| in cache-sized row blocks (_seed_scores), the best
+    """Multistart fallback: the seeds of _sphere_seeds (a 1500-point grid
+    in R^3, 64 random directions) screened by max_i |x . x_i|, the best
     _ASCENT_STARTS refined by exact vertex ascent (_vertex_ascent).  An
     upper estimate of the true minimum."""
-    n = points.shape[1]
-    parts = [_structured_seeds(points)]
-    if n == 3:
-        parts.append(_fibonacci_sphere(1500))
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((64, n))
-    parts.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-
-    mat = np.vstack(parts)
+    mat = _sphere_seeds(points, 1500, 64, seed)
     order = np.argsort(_seed_scores(points, mat))
     return _vertex_ascent(points, mat[order[:_ASCENT_STARTS]])
 

@@ -23,7 +23,8 @@ Extremization is one multistart global search in every dimension: local
 searches from screened seeds (on the circle, with the cusps of |t|^p
 among them), refined together by batched tangent BFGS on the gradient of
 the potential sum, for every potential; extrema screens the seeds once
-for both directions, in the cache-sized row blocks of codes._row_blocks.
+for both directions.  The seeds and the blocked kernel that screens them
+are those of the covering search (codes._sphere_seeds, codes._row_reduce).
 A search can miss the global optimum, so its results are estimates: an
 upper estimate of the minimum and a lower estimate of the maximum.
 Sandwich checks remain sound with estimates on those sides.
@@ -38,9 +39,8 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import (DesignCertificate, SphericalCode, _fibonacci_sphere,
-                    _row_blocks, _structured_seeds, covering_radius_r,
-                    is_kk_design)
+from .codes import (DesignCertificate, SphericalCode, _row_reduce,
+                    _sphere_seeds, covering_radius_r, is_kk_design)
 from .errors import NumericalDegeneracyError, PreconditionError
 from .interpolants import Side, _interpolate, verify_one_sided
 from .polynomials import NewtonForm, monomial_moment
@@ -274,14 +274,9 @@ def _u_sum(points: np.ndarray, pot: Potential, x: np.ndarray) -> float:
 
 
 def _u_batch(points: np.ndarray, pot: Potential, mat: np.ndarray) -> np.ndarray:
-    """U at each row of mat, in the cache-sized row blocks of
-    codes._row_blocks: each (rows, N) temporary stays in L2 and each GEMM on
-    one thread.  Every row's sum is bitwise that of one pass."""
-    out = np.empty(len(mat))
-    for rows in _row_blocks(len(mat), len(points)):
-        u = _squares(mat[rows] @ points.T)
-        out[rows] = np.sum(potentials._elementwise(pot.eval_g, u), axis=1)
-    return out
+    """U at each row of mat, by the blocked kernel codes._row_reduce."""
+    return _row_reduce(points, mat, lambda d: np.sum(
+        potentials._elementwise(pot.eval_g, _squares(d)), axis=1))
 
 
 def potential_U(x, code: SphericalCode, pot: Potential) -> float:
@@ -324,20 +319,9 @@ def _fg(points: np.ndarray, pot: Potential, sgn: float):
 
 def _screen(code: SphericalCode, pot: Potential, seed: int,
             restarts: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Seed directions as rows, and U at each: structured seeds, the N
-    directions orthogonal to the code points on the circle, a Fibonacci
-    sphere in R^3, and random directions."""
-    seeds = [_structured_seeds(code.points)]
-    if code.n == 2:
-        # the cusps of |t|^p; for p <= 1 U is concave on every arc between
-        # them, so its minimum lies at one of these seeds
-        seeds.append(code.points @ np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    if code.n == 3:
-        seeds.append(_fibonacci_sphere(600))
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((max(128, restarts or 0), code.n))
-    seeds.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-    mat = np.vstack(seeds)
+    """Seed directions as rows, and U at each: codes._sphere_seeds with a
+    600-point grid in R^3 and max(128, restarts) random directions."""
+    mat = _sphere_seeds(code.points, 600, max(128, restarts or 0), seed)
     return mat, _u_batch(code.points, pot, mat)
 
 
@@ -361,6 +345,8 @@ def _extremize(code: SphericalCode, pot: Potential,
                restarts: Optional[int]) -> list[ExtremizationResult]:
     """One result per direction; the directions that need a search share
     one seed screen."""
+    if restarts is not None and restarts < 1:
+        raise PreconditionError(f"restarts must be >= 1, got {restarts}")
     pts = code.points
     found: dict[Direction, ExtremizationResult] = {}
     searched = []
@@ -387,20 +373,20 @@ def extremize(code: SphericalCode, pot: Potential, direction: Direction,
 
     A potential infinite at the endpoints attains an infinite maximum at
     any code point; that case is reported without search.  In every
-    dimension structured seeds (code points, axes, normalized pairwise
-    sums, sign combinations), the directions orthogonal to the code points
-    on the circle, a Fibonacci sphere in R^3, and random directions are
-    screened, and the ten best are refined together by batched BFGS in
-    tangent coordinates (sphere_opt.tangent_bfgs) with the gradient
-    2 sum_i g'(u_i) (x . x_i) x_i.  Terms with x . x_i = 0 contribute 0,
-    so g' is needed on (0, 1) only; for p-frames with p <= 1 that is a
-    subgradient at the cusps.  On the circle those cusps are seeds and U
-    is concave between them, so the p <= 1 minimum there is exact;
-    elsewhere the search is a heuristic.  A numeric g' gives a
-    finite-difference gradient, and a scalar-only g or g' is evaluated in
-    a loop.  MIN results are upper estimates of the true minimum, MAX
-    results lower estimates of the true maximum.  extrema returns both
-    directions from one screen.
+    dimension the seeds of _screen (structured seeds, the cusps on the
+    circle, a grid in R^3, random directions) are screened, and the ten
+    best are refined together by batched BFGS in tangent coordinates
+    (sphere_opt.tangent_bfgs) with the gradient 2 sum_i g'(u_i) (x . x_i) x_i.
+    Terms with x . x_i = 0 contribute 0, so g' is needed on (0, 1) only;
+    for p-frames with p <= 1 that is a subgradient at the cusps.  On the
+    circle those cusps are seeds and U is concave between them, so the
+    p <= 1 minimum there is exact; elsewhere the search is a heuristic.  A
+    numeric g' gives a finite-difference gradient, and a scalar-only g or
+    g' is evaluated in a loop.  MIN results are upper estimates of the true
+    minimum, MAX results lower estimates of the true maximum.  extrema
+    returns both directions from one screen.  restarts sets the number of
+    random seed directions, of which at least 128 are screened; below 1 it
+    is a PreconditionError.
     """
     return _extremize(code, pot, (Direction(direction),), seed, restarts)[0]
 

@@ -6,7 +6,7 @@ import numpy as np
 from scipy import optimize
 
 from kkpolar import interpolants, polarization, potentials, sphere_opt
-from kkpolar.codes import SphericalCode
+from kkpolar.codes import SphericalCode, _fibonacci_sphere, _structured_seeds
 from kkpolar.errors import PreconditionError
 from kkpolar.interpolants import Side
 from kkpolar.polarization import Direction, ExtremizationResult
@@ -149,6 +149,36 @@ def reference_duplicate(pts: np.ndarray):
         if np.any(close):
             return i, i + 1 + int(np.argmax(close))
     return None
+
+
+def reference_screen_seeds(code: SphericalCode, seed: int,
+                           restarts) -> np.ndarray:
+    """The seed rows of the extremization screen, built as polarization
+    built them before both sphere searches shared codes._sphere_seeds,
+    kept as its reference."""
+    seeds = [_structured_seeds(code.points)]
+    if code.n == 2:
+        seeds.append(code.points @ np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    if code.n == 3:
+        seeds.append(_fibonacci_sphere(600))
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((max(128, restarts or 0), code.n))
+    seeds.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    return np.vstack(seeds)
+
+
+def reference_covering_seeds(points: np.ndarray, seed: int) -> np.ndarray:
+    """The seed rows of the covering search, built as it built them before
+    both sphere searches shared codes._sphere_seeds, kept as its reference
+    (with no rows of its own on the circle)."""
+    n = points.shape[1]
+    parts = [_structured_seeds(points)]
+    if n == 3:
+        parts.append(_fibonacci_sphere(1500))
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((64, n))
+    parts.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    return np.vstack(parts)
 
 
 def nearly_flat_code() -> SphericalCode:

@@ -172,6 +172,24 @@ class TestPolarize:
         assert "maximum" not in data
         assert data["minimum"]["value"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("restarts", ["0", "-2"])
+    def test_restarts_below_one_refused(self, capsys, restarts):
+        status, data = run_json(capsys, [
+            "polarize", "--code", "catalog:cube_half", "--pot", "cosh",
+            "--restarts", restarts])
+        assert status == 2
+        assert data["error"] == f"restarts must be >= 1, got {restarts}"
+        assert "minimum" not in data and "maximum" not in data
+
+    def test_few_restarts_run_the_default_search(self, capsys):
+        # at most 128 random directions are the default 128
+        argv = ["polarize", "--code", "catalog:cube_half", "--pot", "cosh"]
+        _, default = run_json(capsys, argv)
+        status, few = run_json(capsys, argv + ["--restarts", "3"])
+        assert status == 0
+        assert few.pop("config") == {**default.pop("config"), "restarts": 3}
+        assert few == default
+
     def test_seeded_runs_are_byte_identical(self, capsys):
         argv = ["polarize", "--code", "catalog:icosahedron_half",
                 "--pot", "pframe:p=3", "--seed", "7"]

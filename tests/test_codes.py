@@ -31,7 +31,8 @@ from kkpolar.codes import (
 from kkpolar.errors import CodeFormatError, PreconditionError
 from kkpolar.quadrature import largest_gauss_node
 
-from helpers import gegenbauer, nearly_flat_code, reference_duplicate
+from helpers import (gegenbauer, nearly_flat_code, reference_covering_seeds,
+                     reference_duplicate)
 
 
 def random_code(n, size, seed):
@@ -79,8 +80,8 @@ def unit_rows(rng, count, n):
 
 
 class TestDuplicateCheck:
-    """The blocked duplicate check against the per-row loop it replaced:
-    same verdict, same first pair in the message."""
+    """The duplicate check against the per-row loop it replaced: same
+    verdict, same first pair in the message."""
 
     @pytest.mark.parametrize("gap", [0.0, 5e-13, 2e-12])
     @pytest.mark.parametrize("size", [12, 120, 200, 1000])
@@ -107,10 +108,9 @@ class TestDuplicateCheck:
                 f"repeated point: rows {expected[0]} and {expected[1]} coincide")
 
     @pytest.mark.parametrize("entries", [1, 120, 420])
-    def test_pairs_across_small_blocks(self, monkeypatch, entries):
-        # blocks of 1, 2 and 7 rows of the 20 x 3 code: pairs inside a
-        # block, across blocks and at the last row
-        monkeypatch.setattr(codes, "BLOCK_ENTRIES", entries)
+    def test_pairs_across_small_blocks(self, entries):
+        # adjacent and distant pairs of the 20 x 3 code, at the first and
+        # the last row
         rng = np.random.default_rng(entries)
         for i, j in [(0, 1), (2, 3), (4, 17), (5, 18), (18, 19), (0, 19)]:
             pts = unit_rows(rng, 20, 3)
@@ -118,6 +118,43 @@ class TestDuplicateCheck:
             with pytest.raises(CodeFormatError, match=f"rows {i} and {j} "):
                 SphericalCode.from_points(pts)
         assert SphericalCode.from_points(unit_rows(rng, 20, 3)).size == 20
+
+
+    GAPS = [0.0, 5e-13, 9.99e-13, 1.001e-12, 2e-12]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("gap", GAPS)
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_first_of_several_pairs(self, tmp_path, n, gap, seed):
+        # the k-d tree returns close rows unordered; the message names the
+        # first pair in row order, through both constructors
+        rng = np.random.default_rng([n, self.GAPS.index(gap), seed])
+        size = int(rng.integers(2, 2001))
+        pts = unit_rows(rng, size, n)
+        # pairs among five random rows often share a row, which then has
+        # several close partners
+        pool = rng.choice(size, min(size, 5), replace=False)
+        for _ in range(int(rng.integers(1, 5))):
+            i, j = rng.choice(pool, 2, replace=False)
+            away = rng.standard_normal(n)
+            away -= (away @ pts[i]) * pts[i]
+            pts[j] = pts[i] + gap * away / np.linalg.norm(away)
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps({"dim": n, "points": pts.tolist()}))
+        # load_code renormalizes the rows before the check
+        loaded = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        for rows, build in ((pts, lambda: SphericalCode.from_points(pts)),
+                            (loaded, lambda: load_code(path))):
+            expected = reference_duplicate(rows)
+            if gap < 1e-12:
+                assert expected is not None
+            if expected is None:
+                assert build().size == size
+            else:
+                with pytest.raises(CodeFormatError) as err:
+                    build()
+                assert str(err.value) == (
+                    f"repeated point: rows {expected[0]} and {expected[1]} coincide")
 
 
 class TestSeedScores:
@@ -477,6 +514,39 @@ class TestStructuredSeeds:
     def test_same_rows_as_loop(self, code):
         assert np.array_equal(_structured_seeds(code.points),
                               structured_seeds_loop(code.points))
+
+
+# the (n, N) shapes of the random_codes benchmark workload
+RANDOM_CODE_SHAPES = [(3, 200), (8, 120), (5, 40), (6, 12)]
+SEED_CODES = ([random_code(n, n + 4, n) for n in range(2, 9)]
+              + [random_code(n, size, size) for n, size in RANDOM_CODE_SHAPES])
+
+
+class TestSphereSeeds:
+    """The covering search gets bitwise the seed rows it built for itself
+    before it shared _sphere_seeds with the extremization screen (pinned in
+    test_polarization): argsort orders tied scores by row."""
+
+    @pytest.mark.parametrize("code", SEED_CODES, ids=lambda c: f"{c.n}x{c.size}")
+    def test_covering_search_rows(self, monkeypatch, code):
+        built = []
+        sphere_seeds = codes._sphere_seeds
+
+        def recording(*args):
+            built.append(sphere_seeds(*args))
+            return built[-1]
+
+        monkeypatch.setattr(codes, "_sphere_seeds", recording)
+        _covering_radius_search(code.points, 3)
+        expected = reference_covering_seeds(code.points, 3)
+        if code.n == 2:
+            # the circle rows, which the covering search gained with the
+            # shared seeds; the hull handles every code on the circle
+            cut = len(_structured_seeds(code.points))
+            circle = code.points @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+            expected = np.vstack([expected[:cut], circle, expected[cut:]])
+        assert len(built) == 1
+        assert np.array_equal(built[0], expected)
 
 
 class TestWelch:

@@ -20,7 +20,7 @@ from kkpolar.quadrature import largest_gauss_node, rule_alpha, rule_beta
 from kkpolar.signed_measure import ADMISSIBILITY_MARGIN
 
 from helpers import (average_check, integrate_mu, negate, reference_extremize,
-                     reference_extremize_circle)
+                     reference_extremize_circle, reference_screen_seeds)
 
 
 def perturbed_onb3() -> SphericalCode:
@@ -278,16 +278,47 @@ class TestScreenBlocks:
         blocked = extrema(code, pot, seed=3)
         monkeypatch.setattr(codes, "BLOCK_ENTRIES", entries)
         blocks = []
+        row_blocks = codes._row_blocks
 
         def recording(size, width):
-            new = list(codes._row_blocks(size, width))
+            new = list(row_blocks(size, width))
             blocks.extend(new)
             return iter(new)
 
-        monkeypatch.setattr(polarization, "_row_blocks", recording)
+        monkeypatch.setattr(codes, "_row_blocks", recording)
         assert extrema(code, pot, seed=3) == blocked
         # 2 and 40 entries give blocks of 2 rows, 2^62 one block
         assert (len(blocks) > 1) is (entries < 2 ** 62)
+
+
+class TestScreenSeeds:
+    @pytest.mark.parametrize("restarts", [None, 300])
+    @pytest.mark.parametrize("n,size", [(n, n + 4) for n in range(2, 9)]
+                             + [(3, 200), (8, 120), (5, 40), (6, 12)])
+    def test_screen_rows_pinned(self, n, size, restarts):
+        # the rows _screen built itself before it shared codes._sphere_seeds:
+        # argsort orders tied U values by row
+        code = random_code(n, size, size)
+        for seed in (0, 3):
+            mat, _ = polarization._screen(code, parse_potential("cosh"), seed,
+                                          restarts)
+            assert np.array_equal(mat, reference_screen_seeds(code, seed, restarts))
+
+
+class TestRestarts:
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_below_one_refused_before_screening(self, monkeypatch, restarts):
+        def screen(*args):
+            raise AssertionError("screened")
+
+        monkeypatch.setattr(polarization, "_screen", screen)
+        code = catalog("cube_half")
+        for pot in (parse_potential("cosh"), riesz_sym(2)):
+            with pytest.raises(PreconditionError, match="restarts must be >= 1"):
+                extrema(code, pot, restarts=restarts)
+            for direction in Direction:
+                with pytest.raises(PreconditionError, match="restarts"):
+                    extremize(code, pot, direction, restarts=restarts)
 
 
 def circle_code(seed):
