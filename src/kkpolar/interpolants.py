@@ -6,7 +6,8 @@ NewtonForm of the confluent tableau polynomials._newton_coefficients, on
 which the node residuals and the one-sided margin are computed; its
 expansion in t is for display only.  Working in u halves the degree and
 avoids the missing derivative of |t|-type potentials at t = 0; a node at
-u = 0 therefore only ever carries a function value.
+u = 0 therefore only ever carries a function value.  g is read at all
+nodes in one array call, g' at the double nodes in another.
 
 The quadrature rule and the side alone fix the interpolant and decide
 whether it is admitted.  By the Hermite remainder
@@ -76,12 +77,16 @@ def _interpolate(rule: QuadratureRule, pot: Potential, side: Side,
     nodes.extend((x * x, 2) for x in sorted(x for x in rule.nodes if x > 1e-14))
     if rule.kind != "alpha":
         nodes[-1] = (nodes[-1][0], 1)
-    values = [pot.eval_g(u) for u, _ in nodes]
-    z, table, slopes = [], [], []
-    for (u, mult), v in zip(nodes, values):
+    values = pot.eval_g(np.array([u for u, _ in nodes])).tolist()
+    for (u, _), v in zip(nodes, values):
         if not math.isfinite(v):
             raise PreconditionError(f"non-finite interpolation value at u={u}")
-        d = pot.eval_g_prime(u) if mult == 2 else None
+    # g' only once every value is admitted, at the double nodes
+    double = iter(pot.eval_g_prime(
+        np.array([u for u, mult in nodes if mult == 2])).tolist())
+    z, table, slopes = [], [], []
+    for (u, mult), v in zip(nodes, values):
+        d = next(double) if mult == 2 else None
         z += [u] * mult
         table += [v] * mult
         slopes += [d] * mult

@@ -15,9 +15,10 @@ the same size, independent of the particular point configuration:
   * anchored rule at s < 1, interpolant above -> upper bound on the minimum,
     valid for codes whose covering radius stays below s
 
-Each bound is N * sum_j w_j h(t_j) over one rule; _bound builds every one
-of them from the rule and the side alone, which fix the interpolant, the
-certificate it needs and the interval of the one-sided check.
+Each bound is N * sum_j w_j h(t_j) over one rule, h read at all nodes in
+one array call as everywhere else; _bound builds every one of them from
+the rule and the side alone, which fix the interpolant, the certificate
+it needs and the interval of the one-sided check.
 
 Extremization is one multistart global search in every dimension: local
 searches from screened seeds (on the circle, with the cusps of |t|^p
@@ -44,7 +45,6 @@ from .codes import (DesignCertificate, SphericalCode, _row_reduce,
 from .errors import NumericalDegeneracyError, PreconditionError
 from .interpolants import Side, _interpolate, verify_one_sided
 from .polynomials import NewtonForm, monomial_moment
-from . import potentials
 from .potentials import Potential, SignState, certify_sign, eval_h
 from .quadrature import (QuadratureRule, largest_gauss_node, rule_alpha,
                          rule_beta, verify_exactness)
@@ -96,10 +96,12 @@ class ExtremizationResult:
 class BoundReport:
     """A certified bound carrying everything that produced it: the rule
     (nodes/weights copied verbatim), the one-sided interpolant as the
-    Newton form its margin is computed on (to_dict writes its expansion in
-    t, for display only), the sign certificate that authorized the branch,
+    Newton form its margin is computed on, the sign certificate that
+    authorized the branch, whether g' was analytic or a central difference,
     and the numerical checks (one-sided margin, quadrature exactness
-    residual) backing it."""
+    residual) backing it.  to_dict writes its expansion in t as
+    interpolant_t_coeffs, for display only: it loses digits as k grows (a
+    1-ulp change in g moves it by up to 11% at k = 24)."""
 
     kind: str
     n: int
@@ -113,6 +115,7 @@ class BoundReport:
     interpolant: NewtonForm
     sign_state: str
     certificate_kind: str
+    derivative_kind: str
     one_sided_margin: float
     exactness_residual: float
     notes: tuple[str, ...] = ()
@@ -130,6 +133,7 @@ class BoundReport:
             "interpolant_t_coeffs": list(self.interpolant.expand_t().coeffs),
             "sign_state": self.sign_state,
             "certificate_kind": self.certificate_kind,
+            "derivative_kind": self.derivative_kind,
             "one_sided_margin": self.one_sided_margin,
             "exactness_residual": self.exactness_residual,
             "notes": list(self.notes),
@@ -161,8 +165,7 @@ def _bound(N: int, rule: QuadratureRule, pot: Potential, side: Side,
         state = certify_sign(pot, rule.k, top * top)
     kind = ("ULB_" if side is Side.BELOW else "UUB_") + rule.kind.upper()
     interpolant = _interpolate(rule, pot, side, state)
-    per_point = math.fsum(
-        w * eval_h(pot, t) for t, w in zip(rule.nodes, rule.weights))
+    per_point = math.fsum(np.asarray(rule.weights) * eval_h(pot, rule.nodes))
     bound = N * per_point
     if not math.isfinite(bound):
         raise NumericalDegeneracyError(
@@ -177,6 +180,7 @@ def _bound(N: int, rule: QuadratureRule, pot: Potential, side: Side,
         bound_value=bound, per_point_value=per_point,
         interpolant=interpolant,
         sign_state=state.value, certificate_kind=pot.certificate_kind,
+        derivative_kind=pot.derivative_kind,
         one_sided_margin=margin, exactness_residual=residual,
         notes=notes)
 
@@ -251,11 +255,6 @@ def upper_bound_s(n: int, k: int, N: int, s: float, pot: Potential,
 
 # ---------------------------------------------------------------------------
 # potential sums and extremization
-#
-# potentials._elementwise is called through its module, not imported by
-# name: perfbench's tracer gives every private helper imported by name a
-# frame of its own, and a frame may not open inside eval_h, which the
-# tracer times as a leaf.
 
 
 def _squares(dots: np.ndarray) -> np.ndarray:
@@ -270,13 +269,13 @@ def _squares(dots: np.ndarray) -> np.ndarray:
 
 def _u_sum(points: np.ndarray, pot: Potential, x: np.ndarray) -> float:
     u = _squares(points @ x)
-    return float(np.sum(potentials._elementwise(pot.eval_g, u)))
+    return float(np.sum(pot.eval_g(u)))
 
 
 def _u_batch(points: np.ndarray, pot: Potential, mat: np.ndarray) -> np.ndarray:
     """U at each row of mat, by the blocked kernel codes._row_reduce."""
-    return _row_reduce(points, mat, lambda d: np.sum(
-        potentials._elementwise(pot.eval_g, _squares(d)), axis=1))
+    return _row_reduce(points, mat,
+                       lambda d: np.sum(pot.eval_g(_squares(d)), axis=1))
 
 
 def potential_U(x, code: SphericalCode, pot: Potential) -> float:
@@ -305,12 +304,12 @@ def _fg(points: np.ndarray, pot: Potential, sgn: float):
         u = _squares(d.copy())
         zero = u == 0.0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values = sgn * np.sum(potentials._elementwise(pot.eval_g, u), axis=1)
+            values = sgn * np.sum(pot.eval_g(u), axis=1)
             if np.count_nonzero(zero):
-                slopes = potentials._elementwise(pot.eval_g_prime, np.where(zero, 0.5, u))
+                slopes = pot.eval_g_prime(np.where(zero, 0.5, u))
                 terms = np.where(zero, 0.0, slopes * d)
             else:
-                terms = potentials._elementwise(pot.eval_g_prime, u) * d
+                terms = pot.eval_g_prime(u) * d
             grads = (2.0 * sgn) * (terms @ points)
         return values, grads
 
@@ -381,12 +380,11 @@ def extremize(code: SphericalCode, pot: Potential, direction: Direction,
     for p-frames with p <= 1 that is a subgradient at the cusps.  On the
     circle those cusps are seeds and U is concave between them, so the
     p <= 1 minimum there is exact; elsewhere the search is a heuristic.  A
-    numeric g' gives a finite-difference gradient, and a scalar-only g or
-    g' is evaluated in a loop.  MIN results are upper estimates of the true
-    minimum, MAX results lower estimates of the true maximum.  extrema
-    returns both directions from one screen.  restarts sets the number of
-    random seed directions, of which at least 128 are screened; below 1 it
-    is a PreconditionError.
+    numeric g' gives a finite-difference gradient.  MIN results are upper
+    estimates of the true minimum, MAX results lower estimates of the true
+    maximum.  extrema returns both directions from one screen.  restarts
+    sets the number of random seed directions, of which at least 128 are
+    screened; below 1 it is a PreconditionError.
     """
     return _extremize(code, pot, (Direction(direction),), seed, restarts)[0]
 

@@ -1,10 +1,12 @@
 """Even potentials h(t) = g(t*t) with endpoint behavior and a certificate
 for the sign of g^(k+1), which selects the applicable bound branch.
 
-Built-ins carry analytic certificates.  User potentials fall back to a
-divided-difference sampling heuristic; reports record which kind backed a
-bound.  Infinite endpoint values use math.inf, and ordinary float
-arithmetic gives the needed extended-real convention (x + inf = inf).
+g and g' are only ever called on float arrays, elementwise; user_potential
+adapts scalar callables to that once, at construction.  Built-ins carry
+analytic certificates.  User potentials fall back to a divided-difference
+sampling heuristic; reports record which kind backed a bound.  Infinite
+endpoint values use math.inf, and ordinary float arithmetic gives the
+needed extended-real convention (x + inf = inf).
 """
 
 from __future__ import annotations
@@ -44,20 +46,20 @@ class SignState(str, Enum):
 class Potential:
     """h(t) = g(t*t), so h is even by construction.
 
-    eval_g maps u in [0,1] to an extended real (math.inf allowed only at
-    u = 1); eval_g_prime maps u in (0,1) to a real, and the built-in ones
-    also act elementwise on arrays and are finite at u = 0 wherever g' has
-    a finite limit there.  sign_certificate is the analytic certificate
-    (k, u_max) -> SignState, or None for user potentials, which are then
-    certified by sampling.
+    eval_g and eval_g_prime act elementwise on float arrays of any shape,
+    the only arguments they get: a Potential built directly must accept
+    arrays, and user_potential adapts scalar callables.  eval_g maps u in
+    [0,1] to an extended real (math.inf allowed only at u = 1);
+    eval_g_prime maps u in (0,1) to a real, and the built-in ones are
+    finite at u = 0 wherever g' has a finite limit there.
+    sign_certificate is the analytic certificate (k, u_max) -> SignState,
+    or None for user potentials, which are then certified by sampling.
+    derivative_kind is "analytic", or "numeric" for a central difference.
     """
 
     name: str
-    # built-in eval_g callables also act elementwise on ndarrays, which the
-    # sphere extremizer and the margin check exploit; user-supplied ones
-    # may be scalar-only and run through _elementwise's loop
-    eval_g: Callable[[float], float]
-    eval_g_prime: Callable[[float], float]
+    eval_g: Callable[[np.ndarray], np.ndarray]
+    eval_g_prime: Callable[[np.ndarray], np.ndarray]
     h_at_1: float
     sign_certificate: Optional[Callable[[int, float], SignState]] = None
     derivative_kind: str = field(default="analytic")
@@ -67,34 +69,17 @@ class Potential:
         return "analytic" if self.sign_certificate is not None else "sampled"
 
 
-def _elementwise(fn, u):
-    """fn applied elementwise to an array, falling back to a scalar loop
-    for callables that do not accept arrays or return the wrong shape.
-    NaN values pass through; callers that cannot use them raise."""
-    try:
-        out = np.asarray(fn(u), dtype=float)
-        if out.shape != np.shape(u):
-            raise TypeError("scalar-only callable")
-        return out
-    except (TypeError, ValueError):
-        flat = np.array([float(fn(float(v))) for v in np.ravel(u)])
-        return flat.reshape(np.shape(u))
-
-
 def eval_h(pot: Potential, t):
-    """h(t) = g(t*t) at a scalar t, or elementwise on an array of t through
-    _elementwise; +inf is possible only at t = +-1.  Raises
+    """h(t) = g(t*t) elementwise on an array of t, in one call of g, or as
+    a float at a scalar t; +inf is possible only at t = +-1.  Raises
     PreconditionError if any |t| > 1 + 1e-12.  A NaN from g passes
     through; verify_one_sided raises on it."""
-    if np.ndim(t) == 0:
-        if abs(t) > 1.0 + 1e-12:
-            raise PreconditionError(f"t={t} outside [-1, 1]")
-        return float(pot.eval_g(min(t * t, 1.0)))
     ts = np.asarray(t, dtype=float)
     outside = np.abs(ts) > 1.0 + 1e-12
-    if np.any(outside):
+    if outside.any():
         raise PreconditionError(f"t={ts[outside][0]} outside [-1, 1]")
-    return _elementwise(pot.eval_g, np.minimum(ts * ts, 1.0))
+    h = pot.eval_g(np.minimum(ts * ts, 1.0))
+    return h if ts.ndim else float(h)
 
 
 def monomial_2k(k0: int) -> Potential:
@@ -118,10 +103,11 @@ def monomial_2k(k0: int) -> Potential:
 
 
 def p_frame(p: float) -> Potential:
-    """h(t) = |t|^p, g(u) = u^(p/2); requires p > 0."""
+    """h(t) = |t|^p, g(u) = u^(p/2); requires 0 < p < inf."""
     p = float(p)
-    if p <= 0.0:
-        raise PreconditionError(f"p-frame exponent must be positive, got {p}")
+    if not 0.0 < p < math.inf:
+        raise PreconditionError(
+            f"p-frame exponent p must be positive and finite, got {p}")
     half = p / 2.0
 
     def cert(k: int, u_max: float) -> SignState:
@@ -143,38 +129,31 @@ def p_frame(p: float) -> Potential:
 
 
 def riesz_sym(m: float) -> Potential:
-    """h(t) = (2-2t)^(-m/2) + (2+2t)^(-m/2); requires m > 0.
+    """h(t) = (2-2t)^(-m/2) + (2+2t)^(-m/2); requires 0 < m < inf.
 
     g is strictly absolutely monotone on (0,1), so every derivative is
     positive and the certificate is NONNEGATIVE for all k; g(1) = +inf.
     """
     m = float(m)
-    if m <= 0.0:
-        raise PreconditionError(f"riesz exponent must be positive, got {m}")
+    if not 0.0 < m < math.inf:
+        raise PreconditionError(
+            f"riesz exponent m must be positive and finite, got {m}")
     a = m / 2.0
 
     def g(u):
-        arr = np.asarray(u, dtype=float)
-        r = np.sqrt(np.minimum(arr, 1.0))
+        r = np.sqrt(np.minimum(u, 1.0))
         with np.errstate(divide="ignore"):
-            val = (2.0 - 2.0 * r) ** (-a) + (2.0 + 2.0 * r) ** (-a)
-        out = np.where(arr >= 1.0, np.inf, val)
-        return out if arr.ndim else float(out)
-
-    def slope(r):
-        return (a / r) * ((2.0 - 2.0 * r) ** (-a - 1.0)
-                          - (2.0 + 2.0 * r) ** (-a - 1.0))
+            return (2.0 - 2.0 * r) ** (-a) + (2.0 + 2.0 * r) ** (-a)
 
     # removable singularity at u = 0: the bracket is 2^(-a) (a+1) r + O(r^3)
     limit = a * (a + 1.0) * 2.0 ** -a
 
     def gp(u):
-        if np.ndim(u) == 0:
-            r = math.sqrt(u)
-            return slope(r) if r != 0.0 else limit
-        r = np.sqrt(np.asarray(u, dtype=float))
+        r = np.sqrt(u)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(r == 0.0, limit, slope(r))
+            slope = (a / r) * ((2.0 - 2.0 * r) ** (-a - 1.0)
+                               - (2.0 + 2.0 * r) ** (-a - 1.0))
+        return np.where(r == 0.0, limit, slope)
 
     return Potential(
         name=f"riesz:m={m:g}",
@@ -189,22 +168,14 @@ def gaussian_sym() -> Potential:
     """h(t) = cosh(t), g(u) = cosh(sqrt(u)); entire in u with positive
     power-series coefficients, so NONNEGATIVE for every k."""
 
-    def g(u):
-        arr = np.asarray(u, dtype=float)
-        out = np.cosh(np.sqrt(arr))
-        return out if arr.ndim else float(out)
-
     def gp(u):
-        if np.ndim(u) == 0:
-            r = math.sqrt(u)
-            return math.sinh(r) / (2.0 * r) if r != 0.0 else 0.5
-        r = np.sqrt(np.asarray(u, dtype=float))
+        r = np.sqrt(u)
         with np.errstate(invalid="ignore"):
             return np.where(r == 0.0, 0.5, np.sinh(r) / (2.0 * r))
 
     return Potential(
         name="cosh",
-        eval_g=g,
+        eval_g=lambda u: np.cosh(np.sqrt(u)),
         eval_g_prime=gp,
         h_at_1=math.cosh(1.0),
         sign_certificate=lambda k, u_max: SignState.NONNEGATIVE,
@@ -215,11 +186,8 @@ def arcsine() -> Potential:
     """h(t) = 1/sqrt(1-t*t), g(u) = (1-u)^(-1/2); g(1) = +inf."""
 
     def g(u):
-        arr = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore"):
-            val = (1.0 - np.minimum(arr, 1.0)) ** -0.5
-        out = np.where(arr >= 1.0, np.inf, val)
-        return out if arr.ndim else float(out)
+            return (1.0 - np.minimum(u, 1.0)) ** -0.5
 
     return Potential(
         name="arcsine",
@@ -233,9 +201,11 @@ def arcsine() -> Potential:
 def user_potential(name: str, g: Callable[[float], float],
                    g_prime: Optional[Callable[[float], float]] = None,
                    h_at_1: Optional[float] = None) -> Potential:
-    """Wrap a black-box g.  Without an analytic derivative a central
-    difference (step 1e-6) stands in, and the sign certificate is left to
-    the sampling heuristic; both facts are visible to reports."""
+    """Wrap a black-box g, a callable on one float.  g and g_prime are
+    made elementwise on arrays by np.vectorize, once, here.  Without an
+    analytic derivative a central difference (step 1e-6) stands in, and
+    the sign certificate is left to the sampling heuristic; both facts are
+    visible to reports."""
     if g_prime is None:
         step = 1e-6
         g_prime = lambda u: (g(min(u + step, 1.0)) - g(max(u - step, 0.0))) / (
@@ -245,35 +215,41 @@ def user_potential(name: str, g: Callable[[float], float],
         derivative_kind = "analytic"
     return Potential(
         name=name,
-        eval_g=g,
-        eval_g_prime=g_prime,
+        # otypes spares vectorize a first call made to guess the output type
+        eval_g=np.vectorize(g, otypes=[float]),
+        eval_g_prime=np.vectorize(g_prime, otypes=[float]),
         h_at_1=g(1.0) if h_at_1 is None else h_at_1,
         sign_certificate=None,
         derivative_kind=derivative_kind,
     )
 
 
-def _sampled_sign(g: Callable[[float], float], k: int, u_max: float,
-                  samples: int = 200, clear: float = 1e-9) -> SignState:
+# stencils of the sampled certificate, and the bar its estimates must clear
+_SIGN_SAMPLES = 200
+_SIGN_CLEAR = 1e-9
+
+
+def _sampled_sign(g: Callable[[np.ndarray], np.ndarray], k: int,
+                  u_max: float) -> SignState:
     """Heuristic certificate: estimate g^(k+1) by the top divided
-    difference of k + 2 distinct nodes around each of `samples` interior
-    centers; a verdict needs every estimate on one side of +-clear."""
+    difference of k + 2 distinct nodes around each of _SIGN_SAMPLES
+    interior centers, with g evaluated on every stencil in one call; a
+    verdict needs every estimate on one side of +-_SIGN_CLEAR."""
     order = k + 1
     fact = math.factorial(order)
     # stencils stay inside (0, u_max) with room below any endpoint blowup
     step = 0.05 * u_max / order
-    estimates = []
-    for i in range(samples):
-        c = u_max * (0.05 + 0.9 * (i + 0.5) / samples)
-        xs = [c + (j - order / 2.0) * step for j in range(order + 1)]
-        if xs[0] <= 0.0 or xs[-1] >= u_max:
-            continue
-        estimates.append(fact * _newton_coefficients(xs, [g(x) for x in xs])[-1])
-    if len(estimates) < samples // 2:
+    centers = u_max * (0.05 + 0.9 * (np.arange(_SIGN_SAMPLES) + 0.5)
+                       / _SIGN_SAMPLES)
+    xs = centers[:, None] + (np.arange(order + 1) - order / 2.0) * step
+    xs = xs[(xs[:, 0] > 0.0) & (xs[:, -1] < u_max)]
+    if len(xs) < _SIGN_SAMPLES // 2:
         return SignState.UNKNOWN
-    if all(e > clear for e in estimates):
+    estimates = [fact * _newton_coefficients(z, values)[-1]
+                 for z, values in zip(xs.tolist(), g(xs).tolist())]
+    if all(e > _SIGN_CLEAR for e in estimates):
         return SignState.NONNEGATIVE
-    if all(e < -clear for e in estimates):
+    if all(e < -_SIGN_CLEAR for e in estimates):
         return SignState.NONPOSITIVE
     return SignState.UNKNOWN
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from scipy import optimize
 
-from kkpolar import interpolants, polarization, potentials, sphere_opt
+from kkpolar import interpolants, polarization, sphere_opt
 from kkpolar.codes import SphericalCode, _fibonacci_sphere, _structured_seeds
 from kkpolar.errors import PreconditionError
 from kkpolar.interpolants import Side
@@ -349,13 +349,13 @@ def reference_extremize_circle(points: np.ndarray, pot: Potential,
     phis = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     dots = np.cos(phis[:, None] - angles[None, :])
     vals = sgn * np.sum(
-        potentials._elementwise(pot.eval_g, np.minimum(dots * dots, 1.0)), axis=1)
+        pot.eval_g(np.minimum(dots * dots, 1.0)), axis=1)
     idx = int(np.argmin(vals))
 
     def objective(phi: float) -> float:
         d = np.cos(phi - angles)
-        return sgn * float(np.sum(potentials._elementwise(
-            pot.eval_g, np.minimum(d * d, 1.0))))
+        return sgn * float(np.sum(pot.eval_g(
+            np.minimum(d * d, 1.0))))
 
     span = 2.0 * np.pi / count
     res = optimize.minimize_scalar(

@@ -27,6 +27,15 @@ def run_json(capsys, argv):
     return status, json.loads(out)
 
 
+# exponents that are not finite, and the refusal that names each; 1e400
+# overflows to inf when parsed
+NON_FINITE_EXPONENTS = [
+    (f"{head}={value}", f"{name} must be positive and finite, got {parsed}")
+    for head, name in (("riesz:m", "riesz exponent m"),
+                       ("pframe:p", "p-frame exponent p"))
+    for value, parsed in (("nan", "nan"), ("inf", "inf"), ("1e400", "inf"))]
+
+
 class TestQuad:
     def test_beta_closed_form(self, capsys):
         status, data = run_json(
@@ -155,6 +164,15 @@ class TestBounds:
             "bounds", "--n", "3", "--k", "1", "--N", "4", "--pot", "frobnicate"])
         assert status == 2
 
+    @pytest.mark.parametrize("pot,error", NON_FINITE_EXPONENTS)
+    def test_non_finite_exponent_is_precondition(self, capsys, pot, error):
+        status, data = run_json(capsys, [
+            "bounds", "--n", "3", "--k", "2", "--N", "6", "--pot", pot,
+            "--s", "0.9"])
+        assert status == 2
+        assert data["error"] == error
+        assert "lower" not in data and "upper" not in data
+
 
 class TestPolarize:
     def test_min_max_and_inf_serialization(self, capsys):
@@ -163,6 +181,14 @@ class TestPolarize:
         assert status == 0
         assert data["minimum"]["value"] == pytest.approx(6.0, abs=1e-8)
         assert data["maximum"]["value"] == "inf"
+
+    @pytest.mark.parametrize("pot,error", NON_FINITE_EXPONENTS)
+    def test_non_finite_exponent_is_precondition(self, capsys, pot, error):
+        status, data = run_json(capsys, [
+            "polarize", "--code", "catalog:cube_half", "--pot", pot])
+        assert status == 2
+        assert data["error"] == error
+        assert "minimum" not in data and "maximum" not in data
 
     def test_direction_min_only(self, capsys):
         status, data = run_json(capsys, [

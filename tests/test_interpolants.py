@@ -272,7 +272,8 @@ class TestMarginMatchesScalarLoop:
         assert seen == kinds
 
     def test_scalar_only_user_potential(self):
-        # math.exp rejects arrays, so h runs through the scalar fallback
+        # math.exp rejects arrays, so h runs through user_potential's
+        # np.vectorize
         pot = user_potential("exp", lambda u: math.exp(u))
         seen = set()
         for n in range(3, 6):

@@ -14,8 +14,9 @@ from kkpolar.polarization import (BoundReport, Direction, certify_design,
                                   potential_U, upper_bound_finite,
                                   upper_bound_s)
 from kkpolar.polynomials import monomial_moment
-from kkpolar.potentials import (gaussian_sym, monomial_2k, p_frame,
-                                parse_potential, riesz_sym, user_potential)
+from kkpolar.potentials import (arcsine, eval_h, gaussian_sym, monomial_2k,
+                                p_frame, parse_potential, riesz_sym,
+                                user_potential)
 from kkpolar.quadrature import largest_gauss_node, rule_alpha, rule_beta
 from kkpolar.signed_measure import ADMISSIBILITY_MARGIN
 
@@ -582,6 +583,69 @@ class TestReportInvariants:
         assert data["certificate_kind"] == "analytic"
         data = lower_bound(3, 1, 4, p_frame(2)).to_dict()
         assert "s" not in data
+
+    @pytest.mark.parametrize("pot,kind", [
+        (monomial_2k(2), "analytic"), (p_frame(3.0), "analytic"),
+        (riesz_sym(2.0), "analytic"), (gaussian_sym(), "analytic"),
+        (arcsine(), "analytic"),
+        (user_potential("exp", math.exp), "numeric"),
+        (user_potential("exp", math.exp, math.exp), "analytic"),
+    ], ids=lambda v: getattr(v, "name", v))
+    def test_derivative_kind_written_after_certificate_kind(self, pot, kind):
+        keys = list(lower_bound(3, 2, 6, pot).to_dict().items())
+        names = [name for name, _ in keys]
+        at = names.index("certificate_kind") + 1
+        assert keys[at] == ("derivative_kind", kind)
+
+
+def recording(pot):
+    """pot with its g and g' wrapped to record every argument they get."""
+    calls = []
+
+    def record(fn):
+        def wrapped(u):
+            calls.append(u)
+            return fn(u)
+        return wrapped
+
+    return replace(pot, eval_g=record(pot.eval_g),
+                   eval_g_prime=record(pot.eval_g_prime)), calls
+
+
+class TestOneEvaluationPath:
+    """g and g' get only arrays, on every path to a bound, an extremum or a
+    certificate; user_potential adapts a scalar g to that at construction."""
+
+    @pytest.mark.parametrize("make", [gaussian_sym, lambda: riesz_sym(2.0)],
+                             ids=["cosh", "riesz2"])
+    def test_every_call_gets_an_array(self, make):
+        pot, calls = recording(make())
+        lower_bound(3, 2, 6, pot)
+        if math.isfinite(pot.h_at_1):
+            upper_bound_finite(3, 2, 6, pot)
+        upper_bound_s(3, 2, 6, 0.85, pot)
+        extrema(catalog("cube_half"), pot)
+        certify_design(catalog("icosahedron_half"), 2, pot)
+        assert len(calls) > 10
+        assert all(isinstance(u, np.ndarray) and u.ndim >= 1 for u in calls)
+
+    def test_scalar_only_g_matches_array_g(self):
+        scalar = user_potential("exp", math.exp)
+        array = user_potential("exp", lambda u: np.exp(u))
+        for bound in (lambda pot: lower_bound(4, 3, 12, pot),
+                      lambda pot: upper_bound_finite(4, 3, 12, pot),
+                      lambda pot: upper_bound_s(4, 3, 12, 0.9, pot)):
+            assert bound(scalar).bound_value == pytest.approx(
+                bound(array).bound_value, rel=1e-15, abs=0.0)
+
+    def test_constant_g(self):
+        # a g that ignores its argument's shape still acts elementwise
+        pot = user_potential("two", lambda u: 2.0)
+        low, high = extrema(catalog("cube_half"), pot)
+        assert (low.value, high.value) == (8.0, 8.0)
+        got = eval_h(pot, np.zeros((2, 3)))
+        assert got.shape == (2, 3)
+        assert np.all(got == 2.0)
 
 
 def sweep_potentials(k):

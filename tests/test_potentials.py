@@ -99,9 +99,9 @@ class TestDerivatives:
 
 
 class TestArrayDerivatives:
-    """The sphere extremizer evaluates g' on arrays; the interpolants call
-    it on scalars, so both forms must agree (to a few ulps: numpy's
-    vectorized pow and sinh round differently from libm's)."""
+    """g' is evaluated on arrays; a scalar call must agree with it (to a
+    few ulps: numpy's vectorized pow and sinh round differently from
+    libm's)."""
 
     @pytest.mark.parametrize("pot", ALL_BUILTINS, ids=lambda p: p.name)
     def test_scalar_and_array_agree(self, pot):

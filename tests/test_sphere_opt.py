@@ -97,8 +97,8 @@ def test_failed_line_search_costs_two_calls():
 
 
 def scalar_only_exp():
-    # math.exp rejects arrays, so g and its finite-difference g' go
-    # through potentials._elementwise's scalar loop
+    # math.exp rejects arrays, so g and its finite-difference g' run
+    # elementwise through user_potential's np.vectorize
     return user_potential("exp", lambda u: math.exp(u))
 
 
