@@ -516,14 +516,20 @@ def save_code(code: SphericalCode, path) -> None:
 
 def load_code(path) -> SphericalCode:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CodeFormatError(f"not UTF-8 text: {path}") from exc
     except json.JSONDecodeError as exc:
         raise CodeFormatError(f"not valid JSON: {path}") from exc
     if not isinstance(data, dict) or "dim" not in data or "points" not in data:
         raise CodeFormatError('code JSON needs keys "dim" and "points"')
+    n = data["dim"]
+    # exact types, as bool is an int subclass; a float only when integral
+    if not (type(n) is int or type(n) is float and n.is_integer()):
+        raise CodeFormatError(f'"dim" must be an integer, got {n!r}')
+    n = int(n)
     try:
         pts = np.array(data["points"], dtype=float)
-        n = int(data["dim"])
     except (TypeError, ValueError) as exc:
         raise CodeFormatError("points must be a rectangular numeric array") from exc
     if pts.ndim != 2 or pts.shape[0] < 1:

@@ -22,10 +22,12 @@ it needs and the interval of the one-sided check.
 
 Extremization is one multistart global search in every dimension: local
 searches from screened seeds (on the circle, with the cusps of |t|^p
-among them), refined together by batched tangent BFGS on the gradient of
-the potential sum, for every potential; extrema screens the seeds once
-for both directions.  The seeds and the blocked kernel that screens them
-are those of the covering search (codes._sphere_seeds, codes._row_reduce).
+among them), refined together by batched Riemannian Newton on the exact
+Hessian of the potential sum where the potential carries h'', and by
+tangent BFGS on its gradient otherwise (p-frames with p < 2, user
+potentials); extrema screens the seeds once for both directions.  The
+seeds and the blocked kernel that screens them are those of the covering
+search (codes._sphere_seeds, codes._row_reduce).
 A search can miss the global optimum, so its results are estimates: an
 upper estimate of the minimum and a lower estimate of the maximum.
 Sandwich checks remain sound with estimates on those sides.
@@ -49,7 +51,7 @@ from .potentials import Potential, SignState, certify_sign, eval_h
 from .quadrature import (QuadratureRule, largest_gauss_node, rule_alpha,
                          rule_beta, verify_exactness)
 from .signed_measure import rule_lambda
-from .sphere_opt import tangent_bfgs, tangent_component
+from .sphere_opt import tangent_bfgs, tangent_component, tangent_newton
 
 SANDWICH_SLACK = 1e-8
 _MARGIN_GRID = 2001
@@ -291,27 +293,35 @@ def potential_U(x, code: SphericalCode, pot: Potential) -> float:
     return _u_sum(code.points, pot, x / nrm)
 
 
-def _fg(points: np.ndarray, pot: Potential, sgn: float):
+def _fg(points: np.ndarray, pot: Potential, sgn: float, hessian: bool = False):
     """fg(xs) -> (sgn U, its Euclidean gradient) at each unit row x of xs.
     The gradient is 2 sgn sum_i g'(u_i) (x . x_i) x_i, that is h'(t) =
     2 t g'(t^2) at t = x . x_i.  g' is never called at u = 0, outside the
     (0, 1) that Potential promises; those terms are set to 0, the limit of
     h'(t) for |t|^p with 1 < p < 2 and a subgradient at the cusps of
-    p <= 1."""
+    p <= 1.  With hessian, for sphere_opt.tangent_newton, fg(xs) also
+    returns the Euclidean Hessian sgn sum_i h''(t_i) x_i x_i^t, whose terms
+    at u = 0 take h''(0), the limit there as for h', and fg(xs,
+    values_only=True) returns sgn U alone."""
 
-    def fg(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def fg(xs: np.ndarray, values_only: bool = False):
         d = xs @ points.T
         u = _squares(d.copy())
         zero = u == 0.0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             values = sgn * np.sum(pot.eval_g(u), axis=1)
+            if values_only:
+                return values
             if np.count_nonzero(zero):
                 slopes = pot.eval_g_prime(np.where(zero, 0.5, u))
                 terms = np.where(zero, 0.0, slopes * d)
             else:
                 terms = pot.eval_g_prime(u) * d
             grads = (2.0 * sgn) * (terms @ points)
-        return values, grads
+            if not hessian:
+                return values, grads
+            curvature = sgn * pot.eval_h2(u)
+            return values, grads, (curvature[:, None, :] * points.T) @ points
 
     return fg
 
@@ -327,9 +337,11 @@ def _screen(code: SphericalCode, pot: Potential, seed: int,
 def _refine(points: np.ndarray, pot: Potential, sgn: float,
              survivors: np.ndarray) -> ExtremizationResult:
     """Local searches from the survivors for the minimum of sgn U, all at
-    once by tangent BFGS; the best endpoint wins."""
-    fg = _fg(points, pot, sgn)
-    values, ends = tangent_bfgs(fg, survivors)
+    once: by Riemannian Newton where the potential carries h'', by tangent
+    BFGS otherwise; the best endpoint wins."""
+    smooth = pot.eval_h2 is not None
+    fg = _fg(points, pot, sgn, hessian=smooth)
+    values, ends = (tangent_newton if smooth else tangent_bfgs)(fg, survivors)
     best_x = ends[int(np.argmin(np.where(np.isnan(values), np.inf, values)))]
     slope = float(np.linalg.norm(
         tangent_component(best_x, fg(best_x[None])[1][0])))
@@ -374,8 +386,11 @@ def extremize(code: SphericalCode, pot: Potential, direction: Direction,
     any code point; that case is reported without search.  In every
     dimension the seeds of _screen (structured seeds, the cusps on the
     circle, a grid in R^3, random directions) are screened, and the ten
-    best are refined together by batched BFGS in tangent coordinates
-    (sphere_opt.tangent_bfgs) with the gradient 2 sum_i g'(u_i) (x . x_i) x_i.
+    best are refined together: by Riemannian Newton
+    (sphere_opt.tangent_newton) with the Hessian sum_i h''(x . x_i) x_i x_i^t
+    where the potential carries h'', otherwise by BFGS in tangent
+    coordinates (sphere_opt.tangent_bfgs), both with the gradient
+    2 sum_i g'(u_i) (x . x_i) x_i.
     Terms with x . x_i = 0 contribute 0, so g' is needed on (0, 1) only;
     for p-frames with p <= 1 that is a subgradient at the cusps.  On the
     circle those cusps are seeds and U is concave between them, so the

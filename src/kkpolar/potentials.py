@@ -55,6 +55,10 @@ class Potential:
     sign_certificate is the analytic certificate (k, u_max) -> SignState,
     or None for user potentials, which are then certified by sampling.
     derivative_kind is "analytic", or "numeric" for a central difference.
+    eval_h2, when given, maps u in [0,1) to h''(t) at u = t*t, elementwise
+    on float arrays, and is finite there; the smooth built-ins carry it in
+    closed form, and p-frames with p < 2 (h'' unbounded at their cusps)
+    and user potentials leave it None.
     """
 
     name: str
@@ -63,6 +67,7 @@ class Potential:
     h_at_1: float
     sign_certificate: Optional[Callable[[int, float], SignState]] = None
     derivative_kind: str = field(default="analytic")
+    eval_h2: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property
     def certificate_kind(self) -> str:
@@ -99,6 +104,7 @@ def monomial_2k(k0: int) -> Potential:
         eval_g_prime=lambda u: k0 * u ** (k0 - 1),
         h_at_1=1.0,
         sign_certificate=cert,
+        eval_h2=lambda u: (2 * k0) * (2 * k0 - 1) * u ** (k0 - 1),
     )
 
 
@@ -125,6 +131,7 @@ def p_frame(p: float) -> Potential:
         eval_g_prime=lambda u: half * u ** (half - 1.0),
         h_at_1=1.0,
         sign_certificate=cert,
+        eval_h2=(lambda u: p * (p - 1.0) * u ** (half - 1.0)) if p >= 2.0 else None,
     )
 
 
@@ -155,12 +162,19 @@ def riesz_sym(m: float) -> Potential:
                                - (2.0 + 2.0 * r) ** (-a - 1.0))
         return np.where(r == 0.0, limit, slope)
 
+    def h2(u):
+        r = np.sqrt(np.minimum(u, 1.0))
+        with np.errstate(divide="ignore"):
+            return (4.0 * a * (a + 1.0)) * ((2.0 - 2.0 * r) ** (-a - 2.0)
+                                            + (2.0 + 2.0 * r) ** (-a - 2.0))
+
     return Potential(
         name=f"riesz:m={m:g}",
         eval_g=g,
         eval_g_prime=gp,
         h_at_1=math.inf,
         sign_certificate=lambda k, u_max: SignState.NONNEGATIVE,
+        eval_h2=h2,
     )
 
 
@@ -179,6 +193,7 @@ def gaussian_sym() -> Potential:
         eval_g_prime=gp,
         h_at_1=math.cosh(1.0),
         sign_certificate=lambda k, u_max: SignState.NONNEGATIVE,
+        eval_h2=lambda u: np.cosh(np.sqrt(u)),
     )
 
 
@@ -189,12 +204,17 @@ def arcsine() -> Potential:
         with np.errstate(divide="ignore"):
             return (1.0 - np.minimum(u, 1.0)) ** -0.5
 
+    def h2(u):
+        with np.errstate(divide="ignore"):
+            return (1.0 + 2.0 * u) * (1.0 - np.minimum(u, 1.0)) ** -2.5
+
     return Potential(
         name="arcsine",
         eval_g=g,
         eval_g_prime=lambda u: 0.5 * (1.0 - u) ** -1.5,
         h_at_1=math.inf,
         sign_certificate=lambda k, u_max: SignState.NONNEGATIVE,
+        eval_h2=h2,
     )
 
 

@@ -1,12 +1,12 @@
 """Local minimization of scalar objectives over the unit sphere, for
-potential extremization: BFGS in tangent coordinates, all starts at once
-(tangent_bfgs).  Its objectives come with a Euclidean gradient, which may
-be a finite-difference estimate or, at the cusps of a nonsmooth
-objective, a subgradient.  Each line search backtracks over the trial
-steps 1, 1/2, ..., 2^-20 (Nocedal & Wright, Numerical Optimization, 2006,
-section 3.1) in at most two objective calls: the full step, then every
-halving at once for the rows it did not satisfy.  A row where no step
-decreases its value stops.
+potential extremization, all starts at once: Riemannian Newton
+(tangent_newton) for objectives that come with an exact Euclidean Hessian,
+and BFGS in tangent coordinates (tangent_bfgs) for those with a gradient
+only, which may be a finite-difference estimate or, at the cusps of a
+nonsmooth objective, a subgradient.  Both take their steps by one Armijo
+line search (_backtrack) over the trial steps 1, 1/2, ..., 2^-20 (Nocedal
+& Wright, Numerical Optimization, 2006, section 3.1), in at most two
+objective calls.  A row where no step decreases its value stops.
 """
 
 from __future__ import annotations
@@ -34,6 +34,42 @@ def _householder_bases(xs: np.ndarray) -> np.ndarray:
 _GTOL = 1e-12
 _ARMIJO_C1 = 1e-4
 _HALVINGS = 20
+_LADDER = np.ldexp(1.0, -np.arange(_HALVINGS + 1))
+_NEWTON_ITERATIONS = 100
+# relative spacing below which values cannot judge a Newton step
+_RESOLUTION = 16 * np.finfo(float).eps
+
+
+def _backtrack(trial, f: np.ndarray, slope: np.ndarray):
+    """The line search of both routines: each row takes the largest of
+    alpha = 1, 1/2, ..., 2^-_HALVINGS that passes Armijo (_ARMIJO_C1) with
+    a strict decrease, which matters where c1 alpha slope is below the
+    spacing of floats at f.  trial(at, alphas) evaluates the rows at
+    (indices into f) at every alpha in one objective call; it returns their
+    values (at.size, alphas.size) and what the caller keeps of a step,
+    shaped (at.size, alphas.size, ...).  One call tries alpha = 1, a second
+    all the halvings at once for the rows that failed: the steps of
+    sequential halving in 2 calls instead of up to _HALVINGS + 1.  Returns
+    alpha, the value and the kept data per row; where no step passed,
+    alpha is NaN and the rest is that of alpha = 1."""
+    alpha = np.full(f.size, np.nan)
+    pending = np.arange(f.size)
+    for alphas in (_LADDER[:1], _LADDER[1:]):
+        value, extra = trial(pending, alphas)
+        if alphas.size == 1:
+            f_new, kept = value[:, 0].copy(), extra[:, 0].copy()
+        ok = ((value <= f[pending, None] + _ARMIJO_C1 * alphas * slope[pending, None])
+              & (value < f[pending, None]))
+        took = np.any(ok, axis=1)
+        hit = np.argmax(ok[took], axis=1)
+        chosen = pending[took]
+        alpha[chosen] = alphas[hit]
+        f_new[chosen] = value[took, hit]
+        kept[chosen] = extra[took, hit]
+        pending = pending[~took]
+        if pending.size == 0:
+            break
+    return alpha, f_new, kept
 
 
 def _bfgs_round(fg, xs: np.ndarray) -> np.ndarray:
@@ -42,13 +78,8 @@ def _bfgs_round(fg, xs: np.ndarray) -> np.ndarray:
     the unit points reached.  The chart gradient is T^t P grad / |x + T z|,
     with P the tangent projection at the image point.  Each row keeps its
     own inverse Hessian and stops when its largest chart-gradient component
-    falls to _GTOL, or when no trial step strictly decreases its value.
-    The trial steps are alpha = 1, 1/2, ..., 2^-_HALVINGS along the BFGS
-    direction; a row takes the largest that passes Armijo (_ARMIJO_C1)
-    with a strict decrease.  One fg call tries alpha = 1 for every row, a
-    second tries all the halvings at once for the rows it failed: the
-    step that halving one call at a time would take, in 2 calls instead
-    of up to _HALVINGS + 1."""
+    falls to _GTOL, or when no trial step of _backtrack strictly decreases
+    its value."""
     count, n = xs.shape
     m = n - 1
     bases = _householder_bases(xs)
@@ -78,20 +109,6 @@ def _bfgs_round(fg, xs: np.ndarray) -> np.ndarray:
         fresh[rows] = True
 
     restart(everyone)
-    ladder = np.ldexp(1.0, -np.arange(_HALVINGS + 1))
-
-    def first_passing(at, step, slope, alphas):
-        # every trial z + alpha step of the rows at, in one call; per row
-        # the index of the largest alpha that passes Armijo and a strict
-        # decrease (which matters where c1 alpha slope is below the spacing
-        # of floats at f), or -1
-        trials = z[at][:, None, :] + alphas[None, :, None] * step[:, None, :]
-        value, grad = local(np.repeat(at, alphas.size), trials.reshape(-1, m))
-        value = value.reshape(at.size, alphas.size)
-        ok = ((value <= f[at, None] + _ARMIJO_C1 * alphas * slope[:, None])
-              & (value < f[at, None]))
-        hit = np.where(np.any(ok, axis=1), np.argmax(ok, axis=1), -1)
-        return value, grad.reshape(at.size, alphas.size, m), hit
 
     live = np.isfinite(f) & np.all(np.isfinite(g), axis=1)
     live &= np.max(np.abs(g), axis=1) > _GTOL
@@ -109,23 +126,15 @@ def _bfgs_round(fg, xs: np.ndarray) -> np.ndarray:
                                       g[rows[uphill]])
             slope[uphill] = np.sum(step[uphill] * g[rows[uphill]], axis=1)
 
-        alpha = np.ones(rows.size)
-        f_new = np.full(rows.size, np.nan)
-        g_new = np.empty((rows.size, m))
-        pending = np.arange(rows.size)
-        for alphas in (ladder[:1], ladder[1:]):
-            value, grad, hit = first_passing(
-                rows[pending], step[pending], slope[pending], alphas)
-            took = hit >= 0
-            chosen = pending[took]
-            alpha[chosen] = alphas[hit[took]]
-            f_new[chosen] = value[took, hit[took]]
-            g_new[chosen] = grad[took, hit[took]]
-            pending = pending[~took]
-            if pending.size == 0:
-                break
+        def trial(at, alphas):
+            # every trial z + alpha step of the rows at, in one call
+            trials = z[rows[at]][:, None, :] + alphas[None, :, None] * step[at][:, None, :]
+            value, grad = local(np.repeat(rows[at], alphas.size), trials.reshape(-1, m))
+            return (value.reshape(at.size, alphas.size),
+                    grad.reshape(at.size, alphas.size, m))
 
-        moved = ~np.isnan(f_new)
+        alpha, f_new, g_new = _backtrack(trial, f[rows], slope)
+        moved = ~np.isnan(alpha)
         live[rows[~moved]] = False
         rows = rows[moved]
         s = alpha[moved, None] * step[moved]
@@ -173,4 +182,72 @@ def tangent_bfgs(fg, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xs[rows[better]] = cand[better]
         values[rows[better]] = fc[better]
         live[rows[~better]] = False
+    return values, xs
+
+
+def tangent_newton(fgh, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched Riemannian Newton (Absil, Mahony & Sepulchre, Optimization
+    Algorithms on Matrix Manifolds, 2008, ch. 5-6), one independent search
+    per row of x0 (B, n).  fgh maps unit rows (B', n) to their objective
+    values (B',), Euclidean gradients (B', n) and Euclidean Hessians
+    (B', n, n), and fgh(xs, values_only=True) to the values alone, which
+    is all the line search reads.  Each iteration works in the Householder
+    chart at the row's current point x, with tangent basis T: the chart
+    gradient is T^t grad and the Riemannian Hessian T^t Hess T - (x . grad) I.
+    Its eigenvalues are replaced by max(|lambda|, 1e-8 max |lambda|), so
+    that the modified Newton step descends at saddles and maxima too
+    (Nocedal & Wright, 2006, section 3.4); the step is capped at length 1,
+    and _backtrack picks its length along the retraction
+    (x + T z)/|x + T z|.  A row stops when its largest chart-gradient
+    component falls to _GTOL, when no trial step strictly decreases its
+    value (after a last full step where values are too coarse to judge
+    it), or after _NEWTON_ITERATIONS.  Returns (values (B,), points (B, n))
+    with the points on the sphere."""
+    xs = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
+    n = xs.shape[1]
+    values, grads, hessians = fgh(xs)
+    rows = np.arange(xs.shape[0])
+    for _ in range(_NEWTON_ITERATIONS):
+        x = xs[rows]
+        bases = _householder_bases(x)
+        g = np.einsum("bij,bi->bj", bases, grads)
+        hess = np.swapaxes(bases, 1, 2) @ hessians @ bases
+        hess -= np.sum(x * grads, axis=1)[:, None, None] * np.eye(n - 1)
+        live = (np.isfinite(values[rows]) & np.all(np.isfinite(hess), axis=(1, 2))
+                & (np.max(np.abs(g), axis=1) > _GTOL))
+        if not np.any(live):
+            break
+        rows, x, bases, g, hess = rows[live], x[live], bases[live], g[live], hess[live]
+        lam, vec = np.linalg.eigh(hess)
+        lam = np.abs(lam)
+        lam = np.maximum(lam, 1e-8 * np.max(lam, axis=1, keepdims=True) + np.finfo(float).tiny)
+        z = -np.einsum("bij,bj->bi", vec, np.einsum("bji,bj->bi", vec, g) / lam)
+        z /= np.maximum(1.0, np.linalg.norm(z, axis=1))[:, None]
+        step = np.einsum("bij,bj->bi", bases, z)
+
+        def trial(at, alphas):
+            # the retracted points x + alpha T z of the rows at, in one call
+            cand = x[at][:, None, :] + alphas[None, :, None] * step[at][:, None, :]
+            cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+            value = fgh(cand.reshape(-1, n), values_only=True)
+            return value.reshape(at.size, alphas.size), cand
+
+        f, slope = values[rows], np.sum(z * g, axis=1)
+        alpha, f_new, ends = _backtrack(trial, f, slope)
+        moved = ~np.isnan(alpha)
+        # where the model's decrease and the full step's change of value are
+        # both below the resolution of f, values cannot judge the step: the
+        # row takes it, as Newton brings it closer to the extremum, and stops
+        noise = _RESOLUTION * np.abs(f)
+        level = ~moved & (-slope <= noise) & (np.abs(f_new - f) <= noise)
+        xs[rows[level]] = ends[level]
+        values[rows[level]] = f_new[level]
+        rows = rows[moved]
+        if rows.size == 0:
+            break
+        xs[rows] = ends[moved]
+        # the line search's values, so that each row's values fall strictly
+        # even where a call on another batch shape rounds them differently
+        values[rows] = f_new[moved]
+        _, grads, hessians = fgh(xs[rows])
     return values, xs

@@ -116,6 +116,28 @@ class TestVerify:
         assert status == 1
         assert data["error"].startswith("not valid JSON")
 
+    def test_non_utf8_file_is_format_error(self, capsys, tmp_path):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe\x00{\x00}")
+        status, data = run_json(capsys, ["verify", "--code", str(path), "--k", "1"])
+        assert status == 1
+        assert data["error"].startswith("not UTF-8 text")
+
+    @pytest.mark.parametrize("dim", ["3.7", "true", '"3"'])
+    def test_dim_not_an_integer_is_format_error(self, capsys, tmp_path, dim):
+        path = tmp_path / "code.json"
+        path.write_text('{"dim": %s, "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}' % dim)
+        status, data = run_json(capsys, ["verify", "--code", str(path), "--k", "1"])
+        assert status == 1
+        assert data["error"] == '"dim" must be an integer, got %r' % json.loads(dim)
+
+    def test_integral_float_dim_is_accepted(self, capsys, tmp_path):
+        path = tmp_path / "code.json"
+        path.write_text('{"dim": 3.0, "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}')
+        status, data = run_json(capsys, ["verify", "--code", str(path), "--k", "1"])
+        assert status == 0
+        assert data["is_design"] is True
+
     def test_polygon_31_is_a_15_15_design(self, capsys):
         status, data = run_json(
             capsys, ["verify", "--code", "catalog:polygon_half:31", "--k", "15"])

@@ -205,18 +205,55 @@ class TestGradientPath:
         riesz_sym(2), p_frame(4), p_frame(1.5), cosh_numeric(), cosh_scalar(),
     ], ids=lambda v: v.name)
     def test_every_potential_runs_tangent_bfgs(self, pot, monkeypatch):
+        # the refinement path: tangent_newton where the potential carries
+        # h'', tangent_bfgs for p < 2 and user potentials
         calls = []
-        original = polarization.tangent_bfgs
+        for name in ("tangent_bfgs", "tangent_newton"):
+            def counting(fg, x0, name=name, original=getattr(polarization, name)):
+                calls.append(name)
+                return original(fg, x0)
 
-        def counting(fg, x0):
-            calls.append(1)
-            return original(fg, x0)
-
-        monkeypatch.setattr(polarization, "tangent_bfgs", counting)
+            monkeypatch.setattr(polarization, name, counting)
         res = extremize(catalog("cube_half"), pot, Direction.MIN)
-        assert calls
+        want = "tangent_newton" if pot.name in ("riesz:m=2", "pframe:p=4") else "tangent_bfgs"
+        assert calls == [want]
         assert res.value == pytest.approx(
             potential_U(np.array(res.argpoint), catalog("cube_half"), pot), rel=1e-15)
+
+
+class TestNewtonPath:
+    """Riemannian Newton against tangent BFGS from the same survivors."""
+
+    @pytest.mark.parametrize("code,k", [
+        pytest.param(catalog(name), k, id=name)
+        for name, k in sorted(CATALOG_DESIGNS.items())
+    ] + [
+        pytest.param(seeded_code(seed)[0], 2, id=f"seeded{seed}") for seed in range(8)
+    ])
+    def test_never_worse_than_bfgs(self, code, k):
+        for text in ("riesz:m=2", "pframe:p=3", "pframe:p=4", "cosh", "arcsine",
+                     f"monomial:k={k}"):
+            pot = parse_potential(text)
+            mat, u = polarization._screen(code, pot, 0, None)
+            for sgn in (1.0, -1.0) if pot.h_at_1 < math.inf else (1.0,):
+                starts = mat[np.argsort(sgn * u)[:polarization._SURVIVORS]]
+                newton, _ = polarization.tangent_newton(
+                    polarization._fg(code.points, pot, sgn, hessian=True), starts)
+                bfgs, _ = polarization.tangent_bfgs(
+                    polarization._fg(code.points, pot, sgn), starts)
+                best = np.min(bfgs)
+                assert np.min(newton) - best <= 1e-12 * abs(best)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_quadratic_extrema_are_eigenvalues(self, seed):
+        # sum_i (x . x_i)^2 = x^t S x with S = sum_i x_i x_i^t: its extrema are
+        # the extreme eigenvalues of S, reached to the roundoff of the gradient
+        code = random_code(5, 40, seed)
+        low, high = extrema(code, monomial_2k(1))
+        eigen = np.linalg.eigvalsh(code.points.T @ code.points)
+        assert low.value == pytest.approx(eigen[0], rel=1e-12, abs=0.0)
+        assert high.value == pytest.approx(eigen[-1], rel=1e-12, abs=0.0)
+        assert max(low.stationarity_norm, high.stationarity_norm) <= 1e-10
 
 
 def assert_same_result(shared, alone):
@@ -366,14 +403,15 @@ class TestCircle:
         assert high.value == pytest.approx(1.0 + math.sqrt(5.0), rel=1e-12)
 
     def test_runs_tangent_bfgs(self, monkeypatch):
+        # cosh carries h'', so the circle is refined by tangent_newton
         calls = []
-        original = polarization.tangent_bfgs
+        original = polarization.tangent_newton
 
         def counting(fg, x0):
             calls.append(x0.shape)
             return original(fg, x0)
 
-        monkeypatch.setattr(polarization, "tangent_bfgs", counting)
+        monkeypatch.setattr(polarization, "tangent_newton", counting)
         low, high = extrema(catalog("polygon_half:7"), gaussian_sym())
         assert calls == [(polarization._SURVIVORS, 2)] * 2
         assert low.restarts == high.restarts == polarization._SURVIVORS

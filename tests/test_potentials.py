@@ -130,6 +130,33 @@ class TestArrayDerivatives:
         assert pot.eval_g_prime(1e-12) == pytest.approx(limit, rel=1e-9)
 
 
+class TestSecondDerivative:
+    """eval_h2 is h'' at u = t*t, checked against a central difference of
+    h'(t) = 2 t g'(t*t)."""
+
+    @pytest.mark.parametrize("pot", ALL_BUILTINS + [
+        monomial_2k(5), p_frame(6.0), riesz_sym(3.5),
+    ], ids=lambda p: p.name)
+    def test_matches_central_difference_of_h_prime(self, pot):
+        t = np.linspace(-0.99, 0.99, 200)
+        step = 1e-6
+
+        def h_prime(t):
+            return 2.0 * t * pot.eval_g_prime(t * t)
+
+        fd = (h_prime(t + step) - h_prime(t - step)) / (2 * step)
+        np.testing.assert_allclose(pot.eval_h2(t * t), fd, rtol=1e-6)
+        assert np.all(np.isfinite(pot.eval_h2(np.zeros(3))))
+
+    @pytest.mark.parametrize("pot", [
+        p_frame(0.5), p_frame(1.0), p_frame(1.5),
+        user_potential("exp", math.exp),
+        user_potential("exp_analytic", math.exp, math.exp),
+    ], ids=lambda p: p.name)
+    def test_absent_where_unbounded_or_unknown(self, pot):
+        assert pot.eval_h2 is None
+
+
 class TestCertifySign:
     def test_pframe4_k1(self):
         assert certify_sign(p_frame(4), 1, 1.0) is SignState.NONNEGATIVE

@@ -8,7 +8,7 @@ import pytest
 from kkpolar import polarization, sphere_opt
 from kkpolar.codes import SphericalCode
 from kkpolar.potentials import parse_potential, user_potential
-from kkpolar.sphere_opt import tangent_bfgs, tangent_component
+from kkpolar.sphere_opt import tangent_bfgs, tangent_component, tangent_newton
 
 from helpers import reference_bfgs_round
 
@@ -64,6 +64,30 @@ def test_batched_rows_converge_independently(n):
         solo_values, solo_xs = tangent_bfgs(fg, x0[None, :])
         assert abs(solo_values[0] - values[row]) <= 1e-13
         assert np.max(np.abs(solo_xs[0] - xs[row])) <= 1e-7
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_newton_finds_smallest_rayleigh_quotient(n):
+    q, fg = rayleigh(n, n)
+    a = fg(np.eye(n))[1] / 2.0
+    calls = []
+
+    def fgh(xs, values_only=False):
+        values, grads = fg(xs)
+        if values_only:
+            return values
+        calls.append(xs.shape[0])
+        return values, grads, np.broadcast_to(2.0 * a, (xs.shape[0], n, n))
+
+    # eight rows around the minimizer, at distances up to about 1
+    starts = q[:, 0] + 0.3 * np.random.default_rng(n).standard_normal((8, n))
+    values, xs = tangent_newton(fgh, starts)
+    assert values.shape == (8,) and xs.shape == (8, n)
+    np.testing.assert_allclose(np.linalg.norm(xs, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(values, 1.0, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(np.abs(xs @ q[:, 0]), 1.0, rtol=0.0, atol=1e-7)
+    # the start and a handful of Newton iterations
+    assert len(calls) <= 8
 
 
 def counted(fg):
