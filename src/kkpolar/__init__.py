@@ -20,7 +20,7 @@ from .polarization import (BoundReport, CertificationReport, CheckResult,
                            Direction, ExtremizationResult, certify_design,
                            extrema, extremize, lower_bound, potential_U,
                            upper_bound_finite, upper_bound_s)
-from .polynomials import GegenbauerFamily, Polynomial, monomial_moment
+from .polynomials import monomial_moment
 from .potentials import (Potential, SignState, arcsine, certify_sign, eval_h,
                          gaussian_sym, monomial_2k, p_frame,
                          parse_potential, riesz_sym, user_potential)
@@ -33,8 +33,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "CATALOG_DESIGNS", "CertificationReport", "CheckResult",
     "CodeFormatError", "DesignCertificate", "Direction", "ExtremizationResult",
-    "GegenbauerFamily", "KkpolarError", "NumericalDegeneracyError",
-    "Polynomial", "Potential", "PreconditionError", "QuadratureRule", "Side",
+    "KkpolarError", "NumericalDegeneracyError", "Potential",
+    "PreconditionError", "QuadratureRule", "Side",
     "SignState", "SphericalCode", "arcsine", "catalog", "certify_design",
     "certify_sign", "covering_radius_r", "eval_h", "extrema", "extremize",
     "gaussian_sym", "is_kk_design", "largest_gauss_node", "load_code",

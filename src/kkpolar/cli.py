@@ -133,8 +133,11 @@ def _cmd_report(args) -> dict:
         raise PreconditionError(f"--points must be at least 1, got {args.points}")
     pot = parse_potential(args.pot)
     low = largest_gauss_node(args.n, args.k)
-    s_min = args.s_min if args.s_min is not None else low + 0.02
-    s_max = args.s_max if args.s_max is not None else 0.98
+    # [low + 0.02, 0.98] where it fits, else the middle half of (low, 1)
+    default_min, default_max = ((low + 0.02, 0.98) if low <= 0.96 else
+                                (low + 0.25 * (1.0 - low), low + 0.75 * (1.0 - low)))
+    s_min = args.s_min if args.s_min is not None else default_min
+    s_max = args.s_max if args.s_max is not None else default_max
     if not (low < s_min <= s_max < 1.0):
         raise PreconditionError(
             f"s grid [{s_min}, {s_max}] must sit inside ({low:.12g}, 1)")

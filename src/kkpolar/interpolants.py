@@ -3,8 +3,8 @@ optima of the underlying linear programs.
 
 All interpolation runs in the u = t*t variable: the interpolant is the
 NewtonForm of the confluent tableau polynomials._newton_coefficients, on
-which the node residuals and the one-sided margin are computed; its
-expansion in t is for display only.  Working in u halves the degree and
+which the node residuals and the one-sided margin are computed, and which
+reports write verbatim.  Working in u halves the degree and
 avoids the missing derivative of |t|-type potentials at t = 0; a node at
 u = 0 therefore only ever carries a function value.  g is read at all
 nodes in one array call, g' at the double nodes in another.

@@ -36,7 +36,7 @@ Sandwich checks remain sound with estimates on those sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional
 
@@ -101,9 +101,9 @@ class BoundReport:
     Newton form its margin is computed on, the sign certificate that
     authorized the branch, whether g' was analytic or a central difference,
     and the numerical checks (one-sided margin, quadrature exactness
-    residual) backing it.  to_dict writes its expansion in t as
-    interpolant_t_coeffs, for display only: it loses digits as k grows (a
-    1-ulp change in g moves it by up to 11% at k = 24)."""
+    residual) backing it.  to_dict writes the interpolant as its Newton
+    data, u_nodes and divided_differences: Horner in u = t*t over them
+    rebuilds exactly the H that was checked."""
 
     kind: str
     n: int
@@ -132,7 +132,7 @@ class BoundReport:
             "weights": list(self.weights),
             "bound_value": self.bound_value,
             "per_point_value": self.per_point_value,
-            "interpolant_t_coeffs": list(self.interpolant.expand_t().coeffs),
+            "interpolant": asdict(self.interpolant),
             "sign_state": self.sign_state,
             "certificate_kind": self.certificate_kind,
             "derivative_kind": self.derivative_kind,

@@ -1,14 +1,13 @@
 """The one divided-difference tableau and the Newton form of the
-interpolants, dense polynomials for display, and the closed-form monomial
-moments of the inner-product distribution of the sphere.
+interpolants, and the closed-form monomial moments of the inner-product
+distribution of the sphere.
 
-The monomial basis grows ill-conditioned with the degree, so nothing that
-decides a result works in it: the quadrature rules come from the three-term
-recurrence in :mod:`kkpolar.quadrature`, the design moments from the same
-recurrence on the Gram matrix, and the interpolants are NewtonForm objects,
-the divided differences of _newton_coefficients evaluated by Horner; the
-sampled sign certificate of :mod:`kkpolar.potentials` shares the tableau.
-A Polynomial holds an interpolant's expansion in t, for reports only.
+The monomial basis grows ill-conditioned with the degree, so nothing works
+in it: the quadrature rules and design moments come from the three-term
+recurrence, and the interpolants are NewtonForm objects, the divided
+differences of _newton_coefficients evaluated by Horner in u = t*t.
+Polynomial and GegenbauerFamily have no caller in the package; they stay
+only because perfbench/tracer.py patches both classes by name.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ class NewtonForm:
     c_m-1 (u - z_0)...(u - z_m-2) is the Newton form with the
     divided_differences c of _newton_coefficients at the u_nodes z.  Calls
     evaluate it by Horner in u, which stays accurate where the expansion in
-    t does not; expand_t gives that expansion, for display only."""
+    t does not; reports write both fields verbatim."""
 
     u_nodes: tuple[float, ...]
     divided_differences: tuple[float, ...]
@@ -138,17 +137,6 @@ class NewtonForm:
         """H(t) = p(t*t); scalars or numpy arrays."""
         return self.at_u(np.square(t, dtype=float))
 
-    def expand_t(self) -> Polynomial:
-        """The expansion of H in powers of t: the Newton recurrence in
-        Polynomial arithmetic, then index doubling from u to t."""
-        c, z = self.divided_differences, self.u_nodes
-        p = Polynomial((c[-1],))
-        for j in range(len(c) - 2, -1, -1):
-            p = p * Polynomial((-z[j], 1.0)) + Polynomial((c[j],))
-        coeffs = [0.0] * (2 * len(p.coeffs))
-        coeffs[::2] = p.coeffs
-        return Polynomial(coeffs)
-
 
 class GegenbauerFamily:
     """Cached Gegenbauer polynomials for a fixed dimension.
@@ -157,8 +145,6 @@ class GegenbauerFamily:
         P_ell = ((2*ell + n - 4) * t * P_{ell-1} - (ell - 1) * P_{ell-2})
                 / (ell + n - 3),
     whose coefficients are chosen so that P_ell(1) = 1 for all ell.
-    Nothing in the package calls it; it stays while perfbench/tracer.py
-    patches it by name.
     """
 
     def __init__(self, n: int, max_degree: int = 0):

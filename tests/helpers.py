@@ -39,9 +39,9 @@ def negate(pot: Potential) -> Potential:
 
 
 # ---------------------------------------------------------------------------
-# monomial-basis toolkit: the package keeps polynomials in the monomial
-# basis for display only, so differentiation, Gegenbauer polynomials in
-# coefficients and exact integration against the measure live here
+# monomial-basis toolkit: the package works in no monomial basis, so
+# expansion, differentiation, Gegenbauer polynomials in coefficients and
+# exact integration against the measure live here
 
 
 def monomial(j: int, coeff: float = 1.0) -> Polynomial:
@@ -65,6 +65,17 @@ def even_in_t(p_u: Polynomial) -> Polynomial:
     coeffs = [0.0] * (2 * len(p_u.coeffs))
     coeffs[::2] = p_u.coeffs
     return Polynomial(coeffs)
+
+
+def expand_t(form: NewtonForm) -> Polynomial:
+    """The expansion of H in powers of t: the Newton recurrence in
+    Polynomial arithmetic, then index doubling from u to t.  It loses
+    digits as the degree grows, so it serves exact integration at low k."""
+    c, z = form.divided_differences, form.u_nodes
+    p = Polynomial((c[-1],))
+    for j in range(len(c) - 2, -1, -1):
+        p = p * Polynomial((-z[j], 1.0)) + Polynomial((c[j],))
+    return even_in_t(p)
 
 
 def integrate_mu(n: int, p: Polynomial) -> float:

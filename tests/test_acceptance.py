@@ -18,7 +18,8 @@ from kkpolar.quadrature import (largest_gauss_node, rule_alpha, rule_beta,
                                 verify_exactness)
 from kkpolar.signed_measure import rule_lambda
 
-from helpers import build_H2k, build_H2k_s, build_H2k_tilde, integrate_mu
+from helpers import (build_H2k, build_H2k_s, build_H2k_tilde, expand_t,
+                     integrate_mu)
 
 
 def report_line(index: int, label: str, ok: bool, detail: str) -> None:
@@ -136,8 +137,8 @@ def feasible_objective_gap(pot, interpolant, side, interval, k, rng):
     interpolant's own objective, signed so positive means beaten."""
     n = 3
     grid = np.linspace(interval[0], interval[1], 400_001)
-    h_vals = np.array([eval_h(pot, t) for t in grid])
-    target = integrate_mu(n, interpolant.expand_t())
+    h_vals = eval_h(pot, grid)
+    target = integrate_mu(n, expand_t(interpolant))
     best = -math.inf
     for _ in range(100):
         coeffs = rng.uniform(-1.0, 1.0, 2 * k + 2)

@@ -351,6 +351,32 @@ class TestReport:
             s, bound, margin, residual = map(float, line.split(","))
             assert margin >= -1e-9
 
+    @pytest.mark.parametrize("n,k", [(3, 7), (3, 8), (3, 12), (8, 20)])
+    def test_default_grid_above_threshold_096(self, capsys, n, k):
+        # the top Gauss node exceeds 0.96, so [low + 0.02, 0.98] would not fit
+        status, data = run_json(capsys, [
+            "report", "--n", str(n), "--k", str(k), "--N", "10", "--pot",
+            "cosh", "--points", "3"])
+        assert status == 0
+        low = data["anchor_threshold"]
+        assert low > 0.96
+        s = [row["s"] for row in data["rows"]]
+        assert low < s[0] < s[-1] < 1.0
+        assert all(row["one_sided_margin"] >= -1e-9 for row in data["rows"])
+
+    def test_default_grid_unchanged_where_it_fits(self, capsys):
+        argv = ["report", "--n", "3", "--k", "2", "--N", "6", "--pot",
+                "riesz:m=1", "--points", "4"]
+        status, data = run_json(capsys, argv)
+        assert status == 0
+        low = data["anchor_threshold"]
+        assert [row["s"] for row in data["rows"]] == \
+            np.linspace(low + 0.02, 0.98, 4).tolist()
+        status, explicit = run_json(capsys, argv + [
+            "--s-min", repr(low + 0.02), "--s-max", "0.98"])
+        assert status == 0
+        assert explicit["rows"] == data["rows"]
+
     def test_bad_grid_rejected(self, capsys):
         status, data = run_json(capsys, [
             "report", "--n", "3", "--k", "1", "--N", "4", "--pot", "cosh",

@@ -1,5 +1,6 @@
 """Bound assembly, sphere extremization, and design certification."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -7,21 +8,22 @@ import numpy as np
 import pytest
 
 from kkpolar.codes import CATALOG_DESIGNS, SphericalCode, catalog
-from kkpolar.errors import PreconditionError
+from kkpolar.errors import NumericalDegeneracyError, PreconditionError
 from kkpolar import codes, polarization, quadrature, signed_measure
 from kkpolar.polarization import (BoundReport, Direction, certify_design,
                                   extrema, extremize, lower_bound,
                                   potential_U, upper_bound_finite,
                                   upper_bound_s)
-from kkpolar.polynomials import monomial_moment
+from kkpolar.polynomials import NewtonForm, monomial_moment
 from kkpolar.potentials import (arcsine, eval_h, gaussian_sym, monomial_2k,
                                 p_frame, parse_potential, riesz_sym,
                                 user_potential)
 from kkpolar.quadrature import largest_gauss_node, rule_alpha, rule_beta
 from kkpolar.signed_measure import ADMISSIBILITY_MARGIN
 
-from helpers import (average_check, integrate_mu, negate, reference_extremize,
-                     reference_extremize_circle, reference_screen_seeds)
+from helpers import (average_check, expand_t, integrate_mu, negate,
+                     reference_extremize, reference_extremize_circle,
+                     reference_screen_seeds)
 
 
 def perturbed_onb3() -> SphericalCode:
@@ -603,7 +605,7 @@ class TestReportInvariants:
     ])
     def test_bound_equals_measure_integral_of_interpolant(self, make):
         rep = make()
-        integral = integrate_mu(rep.n, rep.interpolant.expand_t())
+        integral = integrate_mu(rep.n, expand_t(rep.interpolant))
         assert rep.bound_value == pytest.approx(rep.N * integral, abs=1e-9)
 
     def test_margin_and_residual_within_tolerance(self):
@@ -634,6 +636,48 @@ class TestReportInvariants:
         names = [name for name, _ in keys]
         at = names.index("certificate_kind") + 1
         assert keys[at] == ("derivative_kind", kind)
+
+
+REBUILD_FAMILIES = ["monomial:k=3", "pframe:p=1", "pframe:p=1.5",
+                    "pframe:p=3", "pframe:p=4", "cosh", "riesz:m=1",
+                    "riesz:m=3", "arcsine"]
+
+
+class TestReportedInterpolant:
+    """The document's interpolant is the checked NewtonForm: its JSON round
+    trip rebuilds the same form, bitwise the same on the margin grid."""
+
+    @pytest.mark.parametrize("k", [1, 5, 10, 20, 30, 40])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("family", REBUILD_FAMILIES)
+    def test_json_round_trip_rebuilds_the_checked_form(self, family, n, k):
+        pot = parse_potential(family)
+        low = largest_gauss_node(n, k)
+        makers = [lambda: lower_bound(n, k, 3, pot),
+                  lambda: upper_bound_s(n, k, 3, low + 0.5 * (1.0 - low), pot)]
+        if math.isfinite(pot.h_at_1):
+            makers.append(lambda: upper_bound_finite(n, k, 3, pot))
+        refusals = []
+        for make in makers:
+            try:
+                rep = make()
+            except (PreconditionError, NumericalDegeneracyError) as exc:
+                # p-frames refuse from k near 20, and on one side by the
+                # parity of their derivative certificate
+                refusals.append(str(exc))
+                continue
+            data = json.loads(json.dumps(rep.to_dict()))
+            assert "interpolant_t_coeffs" not in data
+            keys = list(data)
+            assert keys[keys.index("per_point_value") + 1] == "interpolant"
+            form = NewtonForm(**{key: tuple(value) for key, value
+                                 in data["interpolant"].items()})
+            assert form == rep.interpolant
+            top = 1.0 if rep.s is None else rep.s
+            ts = np.linspace(-top, top, polarization._MARGIN_GRID)
+            assert form(ts).tobytes() == rep.interpolant(ts).tobytes()
+        if len(refusals) == len(makers):
+            pytest.skip("; ".join(refusals))
 
 
 def recording(pot):
