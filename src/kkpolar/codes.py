@@ -255,7 +255,10 @@ def _sphere_seeds(points: np.ndarray, grid: int, randoms: int,
                   seed: int) -> np.ndarray:
     """Seed directions of a sphere search, as rows: the structured seeds,
     on the circle the directions orthogonal to the points, in R^3 a
-    Fibonacci sphere of grid points, then randoms seeded random directions."""
+    Fibonacci sphere of grid points, then randoms seeded random directions.
+    A negative seed is a PreconditionError."""
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, got {seed}")
     n = points.shape[1]
     parts = [_structured_seeds(points)]
     if n == 2:

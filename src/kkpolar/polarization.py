@@ -22,10 +22,11 @@ it needs and the interval of the one-sided check.
 
 Extremization is one multistart global search in every dimension: local
 searches from screened seeds (on the circle, with the cusps of |t|^p
-among them), refined together by batched Riemannian Newton on the exact
-Hessian of the potential sum where the potential carries h'', and by
-tangent BFGS on its gradient otherwise (p-frames with p < 2, user
-potentials); extrema screens the seeds once for both directions.  The
+among them), refined together by batched Riemannian Newton on the
+Hessian of the potential sum, except the minimum of a potential
+nondecreasing and concave in |t| (p-frames with p <= 1), which lies at a
+vertex of the arrangement x . x_i = 0 and is sought by vertex descent;
+extrema screens the seeds once for both directions.  The
 seeds and the blocked kernel that screens them are those of the covering
 search (codes._sphere_seeds, codes._row_reduce).
 A search can miss the global optimum, so its results are estimates: an
@@ -51,7 +52,7 @@ from .potentials import Potential, SignState, certify_sign, eval_h
 from .quadrature import (QuadratureRule, largest_gauss_node, rule_alpha,
                          rule_beta, verify_exactness)
 from .signed_measure import rule_lambda
-from .sphere_opt import tangent_bfgs, tangent_component, tangent_newton
+from .sphere_opt import tangent_component, tangent_newton, vertex_descent
 
 SANDWICH_SLACK = 1e-8
 _MARGIN_GRID = 2001
@@ -70,6 +71,8 @@ _SIGN = {Direction.MIN: 1.0, Direction.MAX: -1.0}
 _SURVIVORS = 10
 # squared inner products taken as exact orthogonality
 _ORTHOGONAL = 2.0 ** -100
+# where g' >= 0 and h'' <= 0 are read to choose vertex descent for a minimum
+_SHAPE_GRID = np.arange(1, 100) / 100.0
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,9 @@ class ExtremizationResult:
     """Outcome of a sphere extremization, in every dimension.  value is
     the potential sum at argpoint; restarts counts local searches run;
     stationarity_norm is the norm of the Riemannian gradient there: exact
-    for an analytic g', from central differences for a numeric g', and
-    meaningless at cusps (p-frames with p <= 1) and poles; a diagnostic."""
+    for an analytic g', from central differences for a numeric g', that of
+    a subgradient at cusps (the vertex minima of p-frames with p <= 1) and
+    meaningless at poles; a diagnostic."""
 
     value: float
     argpoint: tuple[float, ...]
@@ -293,16 +297,14 @@ def potential_U(x, code: SphericalCode, pot: Potential) -> float:
     return _u_sum(code.points, pot, x / nrm)
 
 
-def _fg(points: np.ndarray, pot: Potential, sgn: float, hessian: bool = False):
-    """fg(xs) -> (sgn U, its Euclidean gradient) at each unit row x of xs.
-    The gradient is 2 sgn sum_i g'(u_i) (x . x_i) x_i, that is h'(t) =
-    2 t g'(t^2) at t = x . x_i.  g' is never called at u = 0, outside the
-    (0, 1) that Potential promises; those terms are set to 0, the limit of
-    h'(t) for |t|^p with 1 < p < 2 and a subgradient at the cusps of
-    p <= 1.  With hessian, for sphere_opt.tangent_newton, fg(xs) also
-    returns the Euclidean Hessian sgn sum_i h''(t_i) x_i x_i^t, whose terms
-    at u = 0 take h''(0), the limit there as for h', and fg(xs,
-    values_only=True) returns sgn U alone."""
+def _fg(points: np.ndarray, pot: Potential, sgn: float):
+    """fg(xs) -> (sgn U, its Euclidean gradient, its Euclidean Hessian) at
+    each unit row x of xs, and fg(xs, values_only=True) -> sgn U.  With
+    t = x . x_i the gradient is 2 sgn sum_i g'(t^2) t x_i and the Hessian
+    sgn sum_i h''(t) x_i x_i^t.  g' is never called at u = 0, outside the
+    (0, 1) that Potential promises: those gradient terms are 0, the limit
+    of h' for |t|^p with 1 < p < 2 and a subgradient at the cusps of
+    p <= 1, and so are the Hessian terms where h''(0) is not finite."""
 
     def fg(xs: np.ndarray, values_only: bool = False):
         d = xs @ points.T
@@ -312,16 +314,15 @@ def _fg(points: np.ndarray, pot: Potential, sgn: float, hessian: bool = False):
             values = sgn * np.sum(pot.eval_g(u), axis=1)
             if values_only:
                 return values
+            curvature = pot.eval_h2(u)
             if np.count_nonzero(zero):
                 slopes = pot.eval_g_prime(np.where(zero, 0.5, u))
                 terms = np.where(zero, 0.0, slopes * d)
+                curvature = np.where(zero & ~np.isfinite(curvature), 0.0, curvature)
             else:
                 terms = pot.eval_g_prime(u) * d
             grads = (2.0 * sgn) * (terms @ points)
-            if not hessian:
-                return values, grads
-            curvature = sgn * pot.eval_h2(u)
-            return values, grads, (curvature[:, None, :] * points.T) @ points
+            return values, grads, ((sgn * curvature)[:, None, :] * points.T) @ points
 
     return fg
 
@@ -337,11 +338,19 @@ def _screen(code: SphericalCode, pot: Potential, seed: int,
 def _refine(points: np.ndarray, pot: Potential, sgn: float,
              survivors: np.ndarray) -> ExtremizationResult:
     """Local searches from the survivors for the minimum of sgn U, all at
-    once: by Riemannian Newton where the potential carries h'', by tangent
-    BFGS otherwise; the best endpoint wins."""
-    smooth = pot.eval_h2 is not None
-    fg = _fg(points, pot, sgn, hessian=smooth)
-    values, ends = (tangent_newton if smooth else tangent_bfgs)(fg, survivors)
+    once; the best endpoint wins.  Where g' >= 0 and h'' <= 0 on
+    _SHAPE_GRID, h is nondecreasing and concave in |t| (p-frames with
+    p <= 1), so U is concave on every cell of x . x_i = 0 and its minimum
+    is a vertex: vertex descent finds it.  Everything else runs Riemannian
+    Newton.  A wrong reading for a user potential only picks the weaker
+    of two sound searches."""
+    fg = _fg(points, pot, sgn)
+    if sgn > 0.0 and (np.all(pot.eval_g_prime(_SHAPE_GRID) >= 0.0)
+                      and np.all(pot.eval_h2(_SHAPE_GRID) <= 0.0)):
+        values, ends = vertex_descent(lambda xs: fg(xs, values_only=True),
+                                      points, survivors)
+    else:
+        values, ends = tangent_newton(fg, survivors)
     best_x = ends[int(np.argmin(np.where(np.isnan(values), np.inf, values)))]
     slope = float(np.linalg.norm(
         tangent_component(best_x, fg(best_x[None])[1][0])))
@@ -387,19 +396,18 @@ def extremize(code: SphericalCode, pot: Potential, direction: Direction,
     dimension the seeds of _screen (structured seeds, the cusps on the
     circle, a grid in R^3, random directions) are screened, and the ten
     best are refined together: by Riemannian Newton
-    (sphere_opt.tangent_newton) with the Hessian sum_i h''(x . x_i) x_i x_i^t
-    where the potential carries h'', otherwise by BFGS in tangent
-    coordinates (sphere_opt.tangent_bfgs), both with the gradient
-    2 sum_i g'(u_i) (x . x_i) x_i.
-    Terms with x . x_i = 0 contribute 0, so g' is needed on (0, 1) only;
-    for p-frames with p <= 1 that is a subgradient at the cusps.  On the
-    circle those cusps are seeds and U is concave between them, so the
-    p <= 1 minimum there is exact; elsewhere the search is a heuristic.  A
-    numeric g' gives a finite-difference gradient.  MIN results are upper
-    estimates of the true minimum, MAX results lower estimates of the true
-    maximum.  extrema returns both directions from one screen.  restarts
-    sets the number of random seed directions, of which at least 128 are
-    screened; below 1 it is a PreconditionError.
+    (sphere_opt.tangent_newton) on the gradient and Hessian of _fg, or,
+    for the minimum of a potential nondecreasing and concave in |t|
+    (p-frames with p <= 1), by vertex descent (sphere_opt.vertex_descent)
+    to a vertex of the arrangement x . x_i = 0, orthogonal to n - 1 code
+    points, that no adjacent vertex lies below.  On the circle the
+    vertices are the cusps, which are seeds, so the p <= 1 minimum there
+    is exact; elsewhere the search is a heuristic.  A numeric g' gives a
+    finite-difference gradient.  MIN results are upper estimates of the
+    true minimum, MAX results lower estimates of the true maximum.
+    extrema returns both directions from one screen.  restarts sets the
+    number of random seed directions, of which at least 128 are screened;
+    below 1 it is a PreconditionError.
     """
     return _extremize(code, pot, (Direction(direction),), seed, restarts)[0]
 

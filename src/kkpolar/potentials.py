@@ -55,10 +55,9 @@ class Potential:
     sign_certificate is the analytic certificate (k, u_max) -> SignState,
     or None for user potentials, which are then certified by sampling.
     derivative_kind is "analytic", or "numeric" for a central difference.
-    eval_h2, when given, maps u in [0,1) to h''(t) at u = t*t, elementwise
-    on float arrays, and is finite there; the smooth built-ins carry it in
-    closed form, and p-frames with p < 2 (h'' unbounded at their cusps)
-    and user potentials leave it None.
+    eval_h2 maps u in [0,1) to h''(t) at u = t*t, elementwise on float
+    arrays, and may be non-finite only at u = 0 (p-frames with p < 2); the
+    built-ins carry it in closed form, others get a second difference of g.
     """
 
     name: str
@@ -68,6 +67,19 @@ class Potential:
     sign_certificate: Optional[Callable[[int, float], SignState]] = None
     derivative_kind: str = field(default="analytic")
     eval_h2: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.eval_h2 is None:
+            # the central second difference of h(t) = g(t*t), step 1e-4 in
+            # t, its stencil kept inside [-1, 1]; g' is never called
+            g, step = self.eval_g, 1e-4
+
+            def h2(u):
+                t = np.minimum(np.sqrt(u), 1.0 - step)[..., None]
+                h = g(np.minimum((t + np.array([-step, 0.0, step])) ** 2, 1.0))
+                return (h[..., 0] - 2.0 * h[..., 1] + h[..., 2]) / (step * step)
+
+            object.__setattr__(self, "eval_h2", h2)
 
     @property
     def certificate_kind(self) -> str:
@@ -131,7 +143,7 @@ def p_frame(p: float) -> Potential:
         eval_g_prime=lambda u: half * u ** (half - 1.0),
         h_at_1=1.0,
         sign_certificate=cert,
-        eval_h2=(lambda u: p * (p - 1.0) * u ** (half - 1.0)) if p >= 2.0 else None,
+        eval_h2=lambda u: p * (p - 1.0) * u ** (half - 1.0),
     )
 
 

@@ -1,12 +1,10 @@
-"""Local minimization of scalar objectives over the unit sphere, for
-potential extremization, all starts at once: Riemannian Newton
-(tangent_newton) for objectives that come with an exact Euclidean Hessian,
-and BFGS in tangent coordinates (tangent_bfgs) for those with a gradient
-only, which may be a finite-difference estimate or, at the cusps of a
-nonsmooth objective, a subgradient.  Both take their steps by one Armijo
-line search (_backtrack) over the trial steps 1, 1/2, ..., 2^-20 (Nocedal
-& Wright, Numerical Optimization, 2006, section 3.1), in at most two
-objective calls.  A row where no step decreases its value stops.
+"""Local searches for the minimum of a scalar objective over the unit
+sphere, for potential extremization, all starts at once: Riemannian
+Newton on the exact Hessian (tangent_newton), and, for objectives concave
+on every cell of the arrangement of hyperplanes x . x_i = 0, such as sums
+of |x . x_i|^p with p <= 1, descent from vertex to vertex of that
+arrangement on values alone (vertex_descent), as their minimum lies at a
+vertex, a point orthogonal to n - 1 independent normals.
 """
 
 from __future__ import annotations
@@ -40,24 +38,25 @@ _NEWTON_ITERATIONS = 100
 _RESOLUTION = 16 * np.finfo(float).eps
 
 
-def _backtrack(trial, f: np.ndarray, slope: np.ndarray):
-    """The line search of both routines: each row takes the largest of
-    alpha = 1, 1/2, ..., 2^-_HALVINGS that passes Armijo (_ARMIJO_C1) with
-    a strict decrease, which matters where c1 alpha slope is below the
-    spacing of floats at f.  trial(at, alphas) evaluates the rows at
-    (indices into f) at every alpha in one objective call; it returns their
-    values (at.size, alphas.size) and what the caller keeps of a step,
-    shaped (at.size, alphas.size, ...).  One call tries alpha = 1, a second
+def _backtrack(values, x: np.ndarray, step: np.ndarray, f: np.ndarray,
+               slope: np.ndarray):
+    """The line search of tangent_newton along the retractions
+    (x + alpha step)/|x + alpha step| of the rows: each takes the largest
+    of alpha = 1, 1/2, ..., 2^-_HALVINGS that passes Armijo (_ARMIJO_C1)
+    with a strict decrease, which matters where c1 alpha slope is below
+    the spacing of floats at f.  One values call tries alpha = 1, a second
     all the halvings at once for the rows that failed: the steps of
     sequential halving in 2 calls instead of up to _HALVINGS + 1.  Returns
-    alpha, the value and the kept data per row; where no step passed,
-    alpha is NaN and the rest is that of alpha = 1."""
+    alpha, the value and the point per row; where no step passed, alpha
+    is NaN and the rest is that of alpha = 1."""
     alpha = np.full(f.size, np.nan)
     pending = np.arange(f.size)
     for alphas in (_LADDER[:1], _LADDER[1:]):
-        value, extra = trial(pending, alphas)
+        cand = x[pending][:, None, :] + alphas[None, :, None] * step[pending][:, None, :]
+        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+        value = values(cand.reshape(-1, x.shape[1])).reshape(pending.size, alphas.size)
         if alphas.size == 1:
-            f_new, kept = value[:, 0].copy(), extra[:, 0].copy()
+            f_new, ends = value[:, 0].copy(), cand[:, 0].copy()
         ok = ((value <= f[pending, None] + _ARMIJO_C1 * alphas * slope[pending, None])
               & (value < f[pending, None]))
         took = np.any(ok, axis=1)
@@ -65,124 +64,11 @@ def _backtrack(trial, f: np.ndarray, slope: np.ndarray):
         chosen = pending[took]
         alpha[chosen] = alphas[hit]
         f_new[chosen] = value[took, hit]
-        kept[chosen] = extra[took, hit]
+        ends[chosen] = cand[took, hit]
         pending = pending[~took]
         if pending.size == 0:
             break
-    return alpha, f_new, kept
-
-
-def _bfgs_round(fg, xs: np.ndarray) -> np.ndarray:
-    """One BFGS run per row in the chart z -> (x + T z)/|x + T z| around the
-    unit rows of xs, with T the row's Householder tangent basis; returns
-    the unit points reached.  The chart gradient is T^t P grad / |x + T z|,
-    with P the tangent projection at the image point.  Each row keeps its
-    own inverse Hessian and stops when its largest chart-gradient component
-    falls to _GTOL, or when no trial step of _backtrack strictly decreases
-    its value."""
-    count, n = xs.shape
-    m = n - 1
-    bases = _householder_bases(xs)
-
-    def points(rows, z):
-        cand = xs[rows] + np.einsum("bij,bj->bi", bases[rows], z)
-        radius = np.linalg.norm(cand, axis=1)
-        return cand / radius[:, None], radius
-
-    def local(rows, z):
-        point, radius = points(rows, z)
-        value, grad = fg(point)
-        tangent = grad - np.sum(grad * point, axis=1)[:, None] * point
-        return value, np.einsum("bij,bi->bj", bases[rows], tangent) / radius[:, None]
-
-    everyone = np.arange(count)
-    z = np.zeros((count, m))
-    f, g = local(everyone, z)
-    eye = np.eye(m)
-    inv_hess = np.empty((count, m, m))
-    fresh = np.empty(count, dtype=bool)
-
-    def restart(rows):
-        # the identity, scaled so that the first step has length at most 1
-        norms = np.maximum(1.0, np.linalg.norm(g[rows], axis=1))
-        inv_hess[rows] = eye / norms[:, None, None]
-        fresh[rows] = True
-
-    restart(everyone)
-
-    live = np.isfinite(f) & np.all(np.isfinite(g), axis=1)
-    live &= np.max(np.abs(g), axis=1) > _GTOL
-    for _ in range(200 * m):
-        rows = np.flatnonzero(live)
-        if rows.size == 0:
-            break
-        step = -np.einsum("bij,bj->bi", inv_hess[rows], g[rows])
-        slope = np.sum(step * g[rows], axis=1)
-        uphill = ~(slope < 0.0)
-        if np.any(uphill):
-            # roundoff broke positive definiteness
-            restart(rows[uphill])
-            step[uphill] = -np.einsum("bij,bj->bi", inv_hess[rows[uphill]],
-                                      g[rows[uphill]])
-            slope[uphill] = np.sum(step[uphill] * g[rows[uphill]], axis=1)
-
-        def trial(at, alphas):
-            # every trial z + alpha step of the rows at, in one call
-            trials = z[rows[at]][:, None, :] + alphas[None, :, None] * step[at][:, None, :]
-            value, grad = local(np.repeat(rows[at], alphas.size), trials.reshape(-1, m))
-            return (value.reshape(at.size, alphas.size),
-                    grad.reshape(at.size, alphas.size, m))
-
-        alpha, f_new, g_new = _backtrack(trial, f[rows], slope)
-        moved = ~np.isnan(alpha)
-        live[rows[~moved]] = False
-        rows = rows[moved]
-        s = alpha[moved, None] * step[moved]
-        y = g_new[moved] - g[rows]
-        z[rows] += s
-        f[rows] = f_new[moved]
-        g[rows] = g_new[moved]
-        live[rows] &= np.all(np.isfinite(g[rows]), axis=1)
-        live[rows] &= np.max(np.abs(g[rows]), axis=1) > _GTOL
-
-        ys = np.sum(y * s, axis=1)
-        curved = ys > 0.0
-        rows, s, y, ys = rows[curved], s[curved], y[curved], ys[curved]
-        first = fresh[rows]
-        # Nocedal & Wright (6.20): rescale the identity before the first update
-        inv_hess[rows[first]] = eye * (ys[first] / np.sum(y[first] ** 2, axis=1))[:, None, None]
-        fresh[rows] = False
-        rho = 1.0 / ys
-        hy = np.einsum("bij,bj->bi", inv_hess[rows], y)
-        yhy = np.sum(y * hy, axis=1)
-        inv_hess[rows] += ((rho * rho * yhy + rho)[:, None, None] * s[:, :, None] * s[:, None, :]
-                           - rho[:, None, None] * (s[:, :, None] * hy[:, None, :]
-                                                   + hy[:, :, None] * s[:, None, :]))
-    return points(everyone, z)[0]
-
-
-def tangent_bfgs(fg, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched BFGS in tangent coordinates, one independent run per row of
-    x0 (B, n).  fg maps unit rows (B', n) to their objective values (B',)
-    and Euclidean gradients (B', n).  Each
-    row runs two rounds (_bfgs_round), the second re-centred at the first
-    one's result; a round that does not lower a row's value is discarded
-    for that row.  Returns (values (B,), points (B, n)) with the points on
-    the sphere."""
-    xs = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
-    values = fg(xs)[0]
-    live = np.ones(xs.shape[0], dtype=bool)
-    for _ in range(2):
-        rows = np.flatnonzero(live)
-        if rows.size == 0:
-            break
-        cand = _bfgs_round(fg, xs[rows])
-        fc = fg(cand)[0]
-        better = fc <= values[rows]
-        xs[rows[better]] = cand[better]
-        values[rows[better]] = fc[better]
-        live[rows[~better]] = False
-    return values, xs
+    return alpha, f_new, ends
 
 
 def tangent_newton(fgh, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,16 +110,9 @@ def tangent_newton(fgh, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = -np.einsum("bij,bj->bi", vec, np.einsum("bji,bj->bi", vec, g) / lam)
         z /= np.maximum(1.0, np.linalg.norm(z, axis=1))[:, None]
         step = np.einsum("bij,bj->bi", bases, z)
-
-        def trial(at, alphas):
-            # the retracted points x + alpha T z of the rows at, in one call
-            cand = x[at][:, None, :] + alphas[None, :, None] * step[at][:, None, :]
-            cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-            value = fgh(cand.reshape(-1, n), values_only=True)
-            return value.reshape(at.size, alphas.size), cand
-
         f, slope = values[rows], np.sum(z * g, axis=1)
-        alpha, f_new, ends = _backtrack(trial, f, slope)
+        alpha, f_new, ends = _backtrack(lambda cand: fgh(cand, values_only=True),
+                                        x, step, f, slope)
         moved = ~np.isnan(alpha)
         # where the model's decrease and the full step's change of value are
         # both below the resolution of f, values cannot judge the step: the
@@ -251,3 +130,98 @@ def tangent_newton(fgh, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values[rows] = f_new[moved]
         _, grads, hessians = fgh(xs[rows])
     return values, xs
+
+
+# |x . x_i| and |d . x_i| at or below which a great circle cos t x + sin t d
+# passes through, or lies in, the hyperplane x . x_i = 0
+_ON = 1e-12
+_MAX_PIVOTS = 100
+
+
+def _first_crossing(normals, xs, frame, through):
+    """For unit rows xs (B, n) and each direction d = +-frame[:, :, j] (the
+    unit tangent columns of frame, (B, n, D / 2)), the first angle t in
+    [0, pi) at which cos t x + sin t d meets a hyperplane x_i . y = 0, the
+    i met there (the most transverse of ties) and that point.  A
+    hyperplane through x is met at t = through, one holding the whole
+    circle never; t is inf where none is met, and the point is x."""
+    dirs = np.swapaxes(np.concatenate([frame, -frame], axis=2), 1, 2)
+    a = (xs @ normals.T)[:, None, :]
+    b = dirs @ normals.T
+    on = np.abs(a) <= _ON
+    theta = np.where(on, through, np.mod(np.arctan2(a, -b), np.pi))
+    theta[on & (np.abs(b) <= _ON)] = np.inf
+    first = np.min(theta, axis=2)
+    ties = theta <= first[:, :, None] + _ON
+    t = np.where(np.isfinite(first), first, 0.0)[:, :, None]
+    return (first, np.argmax(np.where(ties, a * a + b * b, -1.0), axis=2),
+            np.cos(t) * xs[:, None, :] + np.sin(t) * dirs)
+
+
+def _vertices(normals, basis, near):
+    """The unit vectors orthogonal to the normals indexed by basis (..., n - 1),
+    on the side of near (..., n), to roundoff by Householder QR."""
+    q = np.linalg.qr(np.swapaxes(normals[basis], -1, -2), mode="complete")[0][..., -1]
+    return q * np.where(np.sum(q * near, axis=-1) < 0.0, -1.0, 1.0)[..., None]
+
+
+def _lowest(values, ends, theta):
+    """The index of each row's lowest end (B, D, n) where theta is finite,
+    and its value (inf if there is none)."""
+    f = values(ends.reshape(-1, ends.shape[2])).reshape(theta.shape)
+    f[~np.isfinite(theta)] = np.inf
+    pick = np.argmin(f, axis=1)
+    return pick, f[np.arange(pick.size), pick]
+
+
+def vertex_descent(values, normals: np.ndarray, x0: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Batched descent to a vertex of the arrangement x . x_i = 0 on the
+    unit sphere, x_i the rows of normals (N, n), one search per row of x0
+    (B, n), for an objective concave on every cell; values maps unit rows
+    (B', n) to their objective values (B',).  A row first collects n - 1
+    independent normals it is orthogonal to: along each of +-d, for d in
+    an orthonormal basis of the directions orthogonal to x and to the
+    normals collected, it goes to the first hyperplane met (at once, for
+    one through x), and takes the lowest end, by concavity no higher than
+    x.  At a vertex with normals A the edges leave along +-c_j, the
+    columns of [A; x]^-1 but the last (as in codes._vertex_ascent); the row
+    pivots to the lowest of the 2(n - 1) vertices at their ends while that
+    strictly lowers its value, at most _MAX_PIVOTS times.  A row whose
+    normals run out before n - 1 (a code of rank below n - 1) is
+    orthogonal to all of them and stays.  Returns (values (B,), points
+    (B, n)) with the points on the sphere."""
+    xs = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
+    count, n = xs.shape
+    f = values(xs)
+    basis = np.zeros((count, n - 1), dtype=int)
+    rows = np.arange(count)
+    for k in range(n - 1):
+        held = np.concatenate([normals[basis[rows, :k]], xs[rows, None, :]], axis=1)
+        frame = np.linalg.qr(np.swapaxes(held, 1, 2), mode="complete")[0][:, :, k + 1:]
+        theta, stopper, ends = _first_crossing(normals, xs[rows], frame, 0.0)
+        pick, low = _lowest(values, ends, theta)
+        at = np.flatnonzero(np.isfinite(low))
+        rows, pick = rows[at], pick[at]
+        xs[rows], f[rows] = ends[at, pick], low[at]
+        basis[rows, k] = stopper[at, pick]
+    xs[rows] = _vertices(normals, basis[rows], xs[rows])
+    f[rows] = values(xs[rows])
+
+    slot = np.tile(np.arange(n - 1), 2)
+    for _ in range(_MAX_PIVOTS):
+        if rows.size == 0:
+            break
+        x = xs[rows]
+        edges = np.linalg.inv(np.concatenate([normals[basis[rows]], x[:, None, :]], axis=1))
+        edges = edges[:, :, :-1] / np.linalg.norm(edges[:, :, :-1], axis=1, keepdims=True)
+        theta, stopper, ends = _first_crossing(normals, x, edges, np.inf)
+        swapped = np.repeat(basis[rows, None, :], slot.size, axis=1)
+        swapped[:, np.arange(slot.size), slot] = stopper
+        ends = _vertices(normals, swapped, ends)
+        pick, low = _lowest(values, ends, theta)
+        at = np.flatnonzero(low < f[rows])
+        rows, pick = rows[at], pick[at]
+        xs[rows], f[rows] = ends[at, pick], low[at]
+        basis[rows] = swapped[at, pick]
+    return f, xs

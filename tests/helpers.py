@@ -1,11 +1,12 @@
 """Test-only helpers that the package itself does not need."""
 
+import itertools
 import math
 
 import numpy as np
 from scipy import optimize
 
-from kkpolar import interpolants, polarization, sphere_opt
+from kkpolar import interpolants, polarization
 from kkpolar.codes import SphericalCode, _fibonacci_sphere, _structured_seeds
 from kkpolar.errors import PreconditionError
 from kkpolar.interpolants import Side
@@ -323,8 +324,9 @@ def stationarity_norm(f, x: np.ndarray, step: float = 1e-6) -> float:
 def reference_extremize(code: SphericalCode, pot: Potential,
                         direction: Direction, seed: int = 0) -> ExtremizationResult:
     """extremize with the same seed screen and survivors, each refined by
-    the derivative-free chain instead of tangent BFGS; the reference the
-    gradient path is compared against (finite extrema only)."""
+    the derivative-free chain instead of Riemannian Newton or vertex
+    descent; the reference the gradient path is compared against (finite
+    extrema only)."""
     sgn = polarization._SIGN[Direction(direction)]
     points = code.points
     mat, u = polarization._screen(code, pot, seed, None)
@@ -383,98 +385,35 @@ def reference_extremize_circle(points: np.ndarray, pot: Potential,
 
 
 # ---------------------------------------------------------------------------
-# sequential line-search reference: one fg call per Armijo halving
+# vertex reference: the arrangement's edges at a vertex, one at a time
 
 
-def reference_bfgs_round(fg, xs: np.ndarray) -> np.ndarray:
-    """sphere_opt._bfgs_round with its Armijo backtracking run one halving
-    at a time, one fg call per trial step (up to _HALVINGS + 1 calls per
-    line search): the reference the one-call ladder is compared against."""
-    count, n = xs.shape
-    m = n - 1
-    bases = sphere_opt._householder_bases(xs)
-
-    def points(rows, z):
-        cand = xs[rows] + np.einsum("bij,bj->bi", bases[rows], z)
-        radius = np.linalg.norm(cand, axis=1)
-        return cand / radius[:, None], radius
-
-    def local(rows, z):
-        point, radius = points(rows, z)
-        value, grad = fg(point)
-        tangent = grad - np.sum(grad * point, axis=1)[:, None] * point
-        return value, np.einsum("bij,bi->bj", bases[rows], tangent) / radius[:, None]
-
-    everyone = np.arange(count)
-    z = np.zeros((count, m))
-    f, g = local(everyone, z)
-    eye = np.eye(m)
-    inv_hess = np.empty((count, m, m))
-    fresh = np.empty(count, dtype=bool)
-
-    def restart(rows):
-        # the identity, scaled so that the first step has length at most 1
-        norms = np.maximum(1.0, np.linalg.norm(g[rows], axis=1))
-        inv_hess[rows] = eye / norms[:, None, None]
-        fresh[rows] = True
-
-    restart(everyone)
-    live = np.isfinite(f) & np.all(np.isfinite(g), axis=1)
-    live &= np.max(np.abs(g), axis=1) > sphere_opt._GTOL
-    for _ in range(200 * m):
-        rows = np.flatnonzero(live)
-        if rows.size == 0:
-            break
-        step = -np.einsum("bij,bj->bi", inv_hess[rows], g[rows])
-        slope = np.sum(step * g[rows], axis=1)
-        uphill = ~(slope < 0.0)
-        if np.any(uphill):
-            # roundoff broke positive definiteness
-            restart(rows[uphill])
-            step[uphill] = -np.einsum("bij,bj->bi", inv_hess[rows[uphill]],
-                                      g[rows[uphill]])
-            slope[uphill] = np.sum(step[uphill] * g[rows[uphill]], axis=1)
-
-        alpha = np.ones(rows.size)
-        f_new = np.full(rows.size, np.nan)
-        g_new = np.empty((rows.size, m))
-        pending = np.arange(rows.size)
-        for _ in range(sphere_opt._HALVINGS + 1):
-            at = rows[pending]
-            value, grad = local(at, z[at] + alpha[pending, None] * step[pending])
-            # Armijo, and a strict decrease where c1 alpha slope is below
-            # the spacing of floats at f
-            ok = ((value <= f[at] + sphere_opt._ARMIJO_C1 * alpha[pending] * slope[pending])
-                  & (value < f[at]))
-            f_new[pending[ok]] = value[ok]
-            g_new[pending[ok]] = grad[ok]
-            pending = pending[~ok]
-            if pending.size == 0:
-                break
-            alpha[pending] *= 0.5
-
-        moved = ~np.isnan(f_new)
-        live[rows[~moved]] = False
-        rows = rows[moved]
-        s = alpha[moved, None] * step[moved]
-        y = g_new[moved] - g[rows]
-        z[rows] += s
-        f[rows] = f_new[moved]
-        g[rows] = g_new[moved]
-        live[rows] &= np.all(np.isfinite(g[rows]), axis=1)
-        live[rows] &= np.max(np.abs(g[rows]), axis=1) > sphere_opt._GTOL
-
-        ys = np.sum(y * s, axis=1)
-        curved = ys > 0.0
-        rows, s, y, ys = rows[curved], s[curved], y[curved], ys[curved]
-        first = fresh[rows]
-        # Nocedal & Wright (6.20): rescale the identity before the first update
-        inv_hess[rows[first]] = eye * (ys[first] / np.sum(y[first] ** 2, axis=1))[:, None, None]
-        fresh[rows] = False
-        rho = 1.0 / ys
-        hy = np.einsum("bij,bj->bi", inv_hess[rows], y)
-        yhy = np.sum(y * hy, axis=1)
-        inv_hess[rows] += ((rho * rho * yhy + rho)[:, None, None] * s[:, :, None] * s[:, None, :]
-                           - rho[:, None, None] * (s[:, :, None] * hy[:, None, :]
-                                                   + hy[:, :, None] * s[:, None, :]))
-    return points(everyone, z)[0]
+def adjacent_vertices(points: np.ndarray, x: np.ndarray, tol: float = 1e-12) -> list:
+    """The vertices of the arrangement x . x_i = 0 next to the vertex x
+    (n >= 3), by SVD null spaces, one edge at a time: every n - 2
+    independent code points orthogonal to x (within tol) are orthogonal to
+    an edge's great circle through x, and each way along it the first
+    hyperplane of a code point not orthogonal to x ends the edge.  The
+    reference for sphere_opt.vertex_descent, which pivots along the
+    columns of an inverse instead."""
+    n = points.shape[1]
+    active = np.flatnonzero(np.abs(points @ x) <= tol)
+    ends = []
+    for held in map(list, itertools.combinations(active, n - 2)):
+        if np.linalg.matrix_rank(points[held]) < n - 2:
+            continue
+        # the circle's plane is the null space of the held points, and
+        # holds x; e is its unit direction orthogonal to x
+        plane = np.linalg.svd(points[held])[2][n - 2:]
+        c = plane @ x
+        e = plane.T @ np.array([-c[1], c[0]])
+        for d in (e, -e):
+            best, stop = math.inf, None
+            for j in range(len(points)):
+                a, b = float(x @ points[j]), float(d @ points[j])
+                theta = math.atan2(a, -b) % math.pi
+                if abs(a) > tol and theta < best:
+                    best, stop = theta, j
+            v = np.linalg.svd(points[held + [stop]])[2][-1]
+            ends.append(v if v @ (math.cos(best) * x + math.sin(best) * d) >= 0.0 else -v)
+    return ends

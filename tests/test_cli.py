@@ -298,6 +298,17 @@ class TestCertify:
         assert first == second
 
 
+@pytest.mark.parametrize("argv", [
+    ["polarize", "--code", "catalog:cube_half", "--pot", "cosh"],
+    ["certify", "--code", "catalog:cube_half", "--k", "1", "--pot", "cosh"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_precondition(capsys, argv):
+    status, data = run_json(capsys, argv + ["--seed", "-1"])
+    assert status == 2
+    assert data["error"] == "seed must be >= 0, got -1"
+    assert "minimum" not in data and "report" not in data
+
+
 class TestCatalog:
     def test_listing(self, capsys):
         status, data = run_json(capsys, ["catalog"])

@@ -20,10 +20,11 @@ from kkpolar.potentials import (arcsine, eval_h, gaussian_sym, monomial_2k,
                                 user_potential)
 from kkpolar.quadrature import largest_gauss_node, rule_alpha, rule_beta
 from kkpolar.signed_measure import ADMISSIBILITY_MARGIN
+from kkpolar.sphere_opt import vertex_descent
 
-from helpers import (average_check, expand_t, integrate_mu, negate,
-                     reference_extremize, reference_extremize_circle,
-                     reference_screen_seeds)
+from helpers import (adjacent_vertices, average_check, expand_t,
+                     integrate_mu, negate, reference_extremize,
+                     reference_extremize_circle, reference_screen_seeds)
 
 
 def perturbed_onb3() -> SphericalCode:
@@ -150,14 +151,15 @@ SPHERE_CATALOG = sorted(name for name in CATALOG_DESIGNS if catalog(name).n >= 3
 
 
 class TestGradientPath:
-    """Tangent BFGS against the derivative-free reference chain (descent
-    along central differences, then Nelder-Mead) from the same survivors."""
+    """Riemannian Newton (vertex descent for p <= 1 minima) against the
+    derivative-free reference chain (descent along central differences,
+    then Nelder-Mead) from the same survivors."""
 
     @pytest.mark.parametrize("name,k", sorted(CATALOG_DESIGNS.items()))
     def test_catalog_extrema_match_derivative_free_chain(self, name, k):
         code = catalog(name)
         for text in ("riesz:m=2", "pframe:p=4", "cosh", f"monomial:k={k}",
-                     "pframe:p=1.5"):
+                     "pframe:p=1.5", "pframe:p=3", "arcsine"):
             pot = parse_potential(text)
             for direction in Direction:
                 fast = extremize(code, pot, direction)
@@ -169,7 +171,7 @@ class TestGradientPath:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_codes_never_worse_and_stationary(self, seed):
         code, own = seeded_code(seed)
-        for pot in (own, p_frame(1.5)):
+        for pot in (own, p_frame(1.5), p_frame(3), arcsine()):
             for direction in Direction:
                 fast = extremize(code, pot, direction, seed=seed)
                 if math.isinf(fast.value):
@@ -205,46 +207,42 @@ class TestGradientPath:
 
     @pytest.mark.parametrize("pot", [
         riesz_sym(2), p_frame(4), p_frame(1.5), cosh_numeric(), cosh_scalar(),
+        p_frame(0.5), p_frame(1),
     ], ids=lambda v: v.name)
-    def test_every_potential_runs_tangent_bfgs(self, pot, monkeypatch):
-        # the refinement path: tangent_newton where the potential carries
-        # h'', tangent_bfgs for p < 2 and user potentials
+    def test_every_potential_runs_tangent_newton(self, pot, monkeypatch):
+        # the refinement path: tangent_newton for every potential and
+        # direction, but vertex_descent for the minimum of p <= 1
         calls = []
-        for name in ("tangent_bfgs", "tangent_newton"):
-            def counting(fg, x0, name=name, original=getattr(polarization, name)):
+        for name in ("tangent_newton", "vertex_descent"):
+            def counting(fg, *args, name=name, original=getattr(polarization, name)):
                 calls.append(name)
-                return original(fg, x0)
+                return original(fg, *args)
 
             monkeypatch.setattr(polarization, name, counting)
-        res = extremize(catalog("cube_half"), pot, Direction.MIN)
-        want = "tangent_newton" if pot.name in ("riesz:m=2", "pframe:p=4") else "tangent_bfgs"
-        assert calls == [want]
-        assert res.value == pytest.approx(
-            potential_U(np.array(res.argpoint), catalog("cube_half"), pot), rel=1e-15)
+        low, high = extrema(catalog("cube_half"), pot)
+        vertex = pot.name in ("pframe:p=0.5", "pframe:p=1")
+        searched = [low] if math.isinf(high.value) else [low, high]
+        assert calls == (["vertex_descent" if vertex else "tangent_newton"]
+                         + ["tangent_newton"] * (len(searched) - 1))
+        for res in searched:
+            assert res.value == pytest.approx(
+                potential_U(np.array(res.argpoint), catalog("cube_half"), pot), rel=1e-15)
 
 
 class TestNewtonPath:
-    """Riemannian Newton against tangent BFGS from the same survivors."""
+    """Riemannian Newton where the extrema are known in closed form, and
+    the Hessian it reads."""
 
-    @pytest.mark.parametrize("code,k", [
-        pytest.param(catalog(name), k, id=name)
-        for name, k in sorted(CATALOG_DESIGNS.items())
-    ] + [
-        pytest.param(seeded_code(seed)[0], 2, id=f"seeded{seed}") for seed in range(8)
-    ])
-    def test_never_worse_than_bfgs(self, code, k):
-        for text in ("riesz:m=2", "pframe:p=3", "pframe:p=4", "cosh", "arcsine",
-                     f"monomial:k={k}"):
-            pot = parse_potential(text)
-            mat, u = polarization._screen(code, pot, 0, None)
-            for sgn in (1.0, -1.0) if pot.h_at_1 < math.inf else (1.0,):
-                starts = mat[np.argsort(sgn * u)[:polarization._SURVIVORS]]
-                newton, _ = polarization.tangent_newton(
-                    polarization._fg(code.points, pot, sgn, hessian=True), starts)
-                bfgs, _ = polarization.tangent_bfgs(
-                    polarization._fg(code.points, pot, sgn), starts)
-                best = np.min(bfgs)
-                assert np.min(newton) - best <= 1e-12 * abs(best)
+    @pytest.mark.parametrize("pot", [
+        p_frame(0.5), p_frame(1), p_frame(1.5), gaussian_sym(),
+    ], ids=lambda v: v.name)
+    def test_hessian_terms_at_orthogonality(self, pot):
+        # e_1 is orthogonal to e_2 and e_3 of onb:3: their terms take
+        # h''(0) where it is finite (cosh: 1) and 0 where it is not
+        _, _, hess = polarization._fg(catalog("onb:3").points, pot, 1.0)(np.eye(3)[:1])
+        at_zero = 1.0 if pot.name == "cosh" else 0.0
+        np.testing.assert_array_equal(
+            hess[0], np.diag([pot.eval_h2(np.ones(1))[0], at_zero, at_zero]))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_quadratic_extrema_are_eigenvalues(self, seed):
@@ -256,6 +254,48 @@ class TestNewtonPath:
         assert low.value == pytest.approx(eigen[0], rel=1e-12, abs=0.0)
         assert high.value == pytest.approx(eigen[-1], rel=1e-12, abs=0.0)
         assert max(low.stationarity_norm, high.stationarity_norm) <= 1e-10
+
+
+class TestVertexPath:
+    """The minimum of a p-frame with p <= 1: U is concave on every cell of
+    the arrangement x . x_i = 0, so vertex descent ends at a vertex, a
+    point orthogonal to n - 1 code points."""
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_minimum_is_a_local_minimum_vertex(self, seed, p):
+        code, _ = seeded_code(seed)
+        pot = p_frame(p)
+        low = extremize(code, pot, Direction.MIN, seed=seed)
+        x = np.array(low.argpoint)
+        assert np.count_nonzero(np.abs(code.points @ x) <= 1e-12) >= code.n - 1
+        # the best survivor is the lowest screened seed
+        _, u = polarization._screen(code, pot, seed, None)
+        assert low.value <= np.min(u) * (1.0 + 1e-12)
+        ends = adjacent_vertices(code.points, x)
+        assert len(ends) == 2 * (code.n - 1)
+        assert min(potential_U(v, code, pot) for v in ends) >= low.value * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_cell24_half_from_every_seed(self, p):
+        # the structured seeds lie on up to six hyperplanes at once, so the
+        # descent meets degenerate vertices
+        code, pot = catalog("cell24_half"), p_frame(p)
+        mat, u = polarization._screen(code, pot, 0, None)
+        fg = polarization._fg(code.points, pot, 1.0)
+        values, ends = vertex_descent(lambda xs: fg(xs, values_only=True),
+                                      code.points, mat)
+        assert np.all(np.count_nonzero(np.abs(ends @ code.points.T) <= 1e-12, axis=1) >= 3)
+        assert np.all(values <= u * (1.0 + 1e-12))
+        assert np.min(values) == pytest.approx(
+            extremize(code, pot, Direction.MIN).value, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_two_points_in_r5_have_minimum_zero(self, p):
+        # no vertex exists below rank n - 1; a point orthogonal to both is
+        # the minimum
+        low = extremize(random_code(5, 2, 0), p_frame(p), Direction.MIN)
+        assert low.value == 0.0
 
 
 def assert_same_result(shared, alone):
@@ -404,7 +444,7 @@ class TestCircle:
         assert low.value == pytest.approx(1.0 / math.tan(math.pi / 10), rel=1e-12)
         assert high.value == pytest.approx(1.0 + math.sqrt(5.0), rel=1e-12)
 
-    def test_runs_tangent_bfgs(self, monkeypatch):
+    def test_runs_tangent_newton(self, monkeypatch):
         # cosh carries h'', so the circle is refined by tangent_newton
         calls = []
         original = polarization.tangent_newton

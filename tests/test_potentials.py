@@ -132,7 +132,7 @@ class TestArrayDerivatives:
 
 class TestSecondDerivative:
     """eval_h2 is h'' at u = t*t, checked against a central difference of
-    h'(t) = 2 t g'(t*t)."""
+    h'(t) = 2 t g'(t*t); it may be non-finite only at u = 0."""
 
     @pytest.mark.parametrize("pot", ALL_BUILTINS + [
         monomial_2k(5), p_frame(6.0), riesz_sym(3.5),
@@ -146,15 +146,49 @@ class TestSecondDerivative:
 
         fd = (h_prime(t + step) - h_prime(t - step)) / (2 * step)
         np.testing.assert_allclose(pot.eval_h2(t * t), fd, rtol=1e-6)
+
+    @pytest.mark.parametrize("pot", ALL_BUILTINS, ids=lambda p: p.name)
+    def test_finite_at_zero_for_smooth_builtins(self, pot):
         assert np.all(np.isfinite(pot.eval_h2(np.zeros(3))))
 
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
+    def test_pframe_below_two_unbounded_only_at_zero(self, p):
+        # h'' = p (p - 1) |t|^(p - 2); for p = 1 the central difference of
+        # h' = sign(t) is roundoff, hence the absolute tolerance
+        pot = p_frame(p)
+        t = np.linspace(-0.99, 0.99, 200)
+        step = 1e-6
+
+        def h_prime(t):
+            return 2.0 * t * pot.eval_g_prime(t * t)
+
+        fd = (h_prime(t + step) - h_prime(t - step)) / (2 * step)
+        np.testing.assert_allclose(pot.eval_h2(t * t), fd, rtol=1e-6, atol=1e-9)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert not np.isfinite(pot.eval_h2(np.zeros(1))[0])
+
     @pytest.mark.parametrize("pot", [
-        p_frame(0.5), p_frame(1.0), p_frame(1.5),
         user_potential("exp", math.exp),
         user_potential("exp_analytic", math.exp, math.exp),
+        Potential("exp_positional", np.exp, np.exp, math.e),
+        negate(gaussian_sym()),
     ], ids=lambda p: p.name)
-    def test_absent_where_unbounded_or_unknown(self, pot):
-        assert pot.eval_h2 is None
+    def test_default_is_a_second_difference(self, pot):
+        # h(t) = +-exp(t^2) or -cosh(t): h'' = (2 + 4 t^2) exp(t^2) or -cosh(t)
+        t = np.linspace(0.0, 0.999, 50)
+        if pot.name == "neg(cosh)":
+            exact = -np.cosh(t)
+        else:
+            exact = (2.0 + 4.0 * t * t) * np.exp(t * t)
+        np.testing.assert_allclose(pot.eval_h2(t * t), exact, rtol=1e-6)
+
+    def test_default_calls_g_only(self):
+        # g' raises at u = 0, which the second difference never needs
+        pot = user_potential("cosh_scalar", lambda u: math.cosh(math.sqrt(u)),
+                             lambda u: math.sinh(math.sqrt(u)) / (2 * math.sqrt(u)))
+        assert pot.eval_h2(np.zeros(2)) == pytest.approx(1.0, rel=1e-6)
+        with pytest.raises(ZeroDivisionError):
+            pot.eval_g_prime(np.zeros(1))
 
 
 class TestCertifySign:

@@ -8,9 +8,7 @@ import pytest
 from kkpolar import polarization, sphere_opt
 from kkpolar.codes import SphericalCode
 from kkpolar.potentials import parse_potential, user_potential
-from kkpolar.sphere_opt import tangent_bfgs, tangent_component, tangent_newton
-
-from helpers import reference_bfgs_round
+from kkpolar.sphere_opt import tangent_component, tangent_newton
 
 
 def test_tangent_component_is_orthogonal():
@@ -35,50 +33,28 @@ def rayleigh(n, seed):
     return q, fg
 
 
-@pytest.mark.parametrize("n", [3, 5, 8])
-def test_bfgs_finds_smallest_rayleigh_quotient(n):
-    q, fg = rayleigh(n, n)
-    x0 = q[:, 0] + 0.3 * q[:, 1] + 0.2 * q[:, -1]
-    values, xs = tangent_bfgs(fg, x0[None, :])
-    assert values.shape == (1,) and xs.shape == (1, n)
-    assert np.linalg.norm(xs[0]) == pytest.approx(1.0, abs=1e-15)
-    assert values[0] == pytest.approx(1.0, abs=1e-13)
-    assert abs(xs[0] @ q[:, 0]) == pytest.approx(1.0, abs=1e-7)
-
-
-@pytest.mark.parametrize("n", [3, 5, 8])
-def test_batched_rows_converge_independently(n):
-    q, fg = rayleigh(n, 10 + n)
-    rng = np.random.default_rng(n)
-    # one row at the optimum, one next to the top eigenvector (the
-    # maximum), the rest random
-    starts = np.vstack([q[:, 0], q[:, -1] + 1e-3 * q[:, 0],
-                        rng.standard_normal((6, n))])
-    values, xs = tangent_bfgs(fg, starts)
-    assert values == pytest.approx(np.ones(len(starts)), abs=1e-13)
-    assert np.abs(xs @ q[:, 0]) == pytest.approx(np.ones(len(starts)), abs=1e-7)
-    for row, x0 in enumerate(starts):
-        # rows see fg on different batches, so only roundoff separates a
-        # row from its solo run; near a minimum the point is fixed to about
-        # sqrt(eps), the value to eps
-        solo_values, solo_xs = tangent_bfgs(fg, x0[None, :])
-        assert abs(solo_values[0] - values[row]) <= 1e-13
-        assert np.max(np.abs(solo_xs[0] - xs[row])) <= 1e-7
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_newton_finds_smallest_rayleigh_quotient(n):
-    q, fg = rayleigh(n, n)
+def with_hessian(fg, n, calls=None):
+    """The Rayleigh objective fg as the fgh of tangent_newton, with its
+    constant Hessian 2 A; calls, when given, records the batch size of
+    each full call."""
     a = fg(np.eye(n))[1] / 2.0
-    calls = []
 
     def fgh(xs, values_only=False):
         values, grads = fg(xs)
         if values_only:
             return values
-        calls.append(xs.shape[0])
+        if calls is not None:
+            calls.append(xs.shape[0])
         return values, grads, np.broadcast_to(2.0 * a, (xs.shape[0], n, n))
 
+    return fgh
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_newton_finds_smallest_rayleigh_quotient(n):
+    q, fg = rayleigh(n, n)
+    calls = []
+    fgh = with_hessian(fg, n, calls)
     # eight rows around the minimizer, at distances up to about 1
     starts = q[:, 0] + 0.3 * np.random.default_rng(n).standard_normal((8, n))
     values, xs = tangent_newton(fgh, starts)
@@ -90,46 +66,63 @@ def test_newton_finds_smallest_rayleigh_quotient(n):
     assert len(calls) <= 8
 
 
-def counted(fg):
-    """fg, and a list that records the batch size of each call to it."""
-    calls = []
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_batched_rows_converge_independently(n):
+    q, fg = rayleigh(n, 10 + n)
+    fgh = with_hessian(fg, n)
+    rng = np.random.default_rng(n)
+    # one row at the optimum, one next to the top eigenvector (the
+    # maximum), the rest random
+    starts = np.vstack([q[:, 0], q[:, -1] + 1e-3 * q[:, 0],
+                        rng.standard_normal((6, n))])
+    values, xs = tangent_newton(fgh, starts)
+    np.testing.assert_allclose(values, 1.0, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(np.abs(xs @ q[:, 0]), 1.0, rtol=0.0, atol=1e-7)
+    for row, x0 in enumerate(starts):
+        # rows see fgh on different batches, so only roundoff separates a
+        # row from its solo run; near a minimum the point is fixed to about
+        # sqrt(eps), the value to eps
+        solo_values, solo_xs = tangent_newton(fgh, x0[None, :])
+        assert abs(solo_values[0] - values[row]) <= 1e-14
+        assert np.max(np.abs(solo_xs[0] - xs[row])) <= 1e-7
 
-    def wrapped(xs):
-        calls.append(xs.shape[0])
-        return fg(xs)
 
-    return wrapped, calls
+def flat_objective(calls):
+    """Constant value with a nonzero tangent gradient, so that no step
+    passes Armijo, as an fgh that records ("full" | "values", batch size)
+    for each call."""
 
+    def fgh(xs, values_only=False):
+        calls.append(("values" if values_only else "full", xs.shape[0]))
+        if values_only:
+            return np.zeros(xs.shape[0])
+        grads = np.zeros_like(xs)
+        grads[:, 0] = 1.0
+        return np.zeros(xs.shape[0]), grads, np.zeros(xs.shape + xs.shape[1:])
 
-def flat_objective(xs):
-    # constant value, nonzero tangent gradient: no step passes Armijo
-    grads = np.zeros_like(xs)
-    grads[:, 0] = 1.0
-    return np.zeros(xs.shape[0]), grads
+    return fgh
 
 
 def test_failed_line_search_costs_two_calls():
     x0 = np.full((1, 4), 0.5)
-    fg, calls = counted(flat_objective)
-    end = sphere_opt._bfgs_round(fg, x0)
+    calls = []
+    values, ends = tangent_newton(flat_objective(calls), x0)
     # the start, alpha = 1, and every halving 2^-1 .. 2^-20 at once
-    assert calls == [1, 1, sphere_opt._HALVINGS]
-    assert np.array_equal(end, x0)
-    fg, calls = counted(flat_objective)
-    assert np.array_equal(reference_bfgs_round(fg, x0), x0)
-    assert len(calls) == sphere_opt._HALVINGS + 2
+    assert calls == [("full", 1), ("values", 1), ("values", sphere_opt._HALVINGS)]
+    assert np.array_equal(ends, x0) and np.array_equal(values, [0.0])
 
 
 def scalar_only_exp():
-    # math.exp rejects arrays, so g and its finite-difference g' run
-    # elementwise through user_potential's np.vectorize
+    # math.exp rejects arrays, so g, its finite-difference g' and the
+    # second-difference h'' run elementwise through user_potential's
+    # np.vectorize
     return user_potential("exp", lambda u: math.exp(u))
 
 
 def survivor_problems(n, size, pot):
-    """(fg, starts) of each direction that polarization refines on a seeded
-    random (n, size) code (not MAX where h(1) = +inf): its objective and
-    its screened survivors."""
+    """(fgh, starts) of each direction that polarization refines on a
+    seeded random (n, size) code (not MAX where h(1) = +inf): its objective
+    and its screened survivors."""
     rng = np.random.default_rng(100 * n + size)
     pts = rng.standard_normal((size, n))
     code = SphericalCode.from_points(pts / np.linalg.norm(pts, axis=1, keepdims=True))
@@ -140,24 +133,15 @@ def survivor_problems(n, size, pot):
         yield polarization._fg(code.points, pot, sgn), starts
 
 
-def both_ways(monkeypatch, fg, starts):
-    """tangent_bfgs from the same starts with the one-call ladder and with
-    the sequential reference round."""
-    batched = tangent_bfgs(fg, starts.copy())
-    with monkeypatch.context() as patched:
-        patched.setattr(sphere_opt, "_bfgs_round", reference_bfgs_round)
-        sequential = tangent_bfgs(fg, starts.copy())
-    return batched, sequential
+def row_by_row(fgh):
+    """fgh one row at a time, so that no row's value, gradient or Hessian
+    depends on the batch it is evaluated in."""
 
-
-def row_by_row(fg):
-    """fg one row at a time, so that no row's value or gradient depends on
-    the batch it is evaluated in."""
-
-    def wrapped(xs):
-        parts = [fg(x[None]) for x in xs]
-        return (np.concatenate([value for value, _ in parts]),
-                np.concatenate([grad for _, grad in parts]))
+    def wrapped(xs, values_only=False):
+        parts = [fgh(x[None], values_only) for x in xs]
+        if values_only:
+            return np.concatenate(parts)
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     return wrapped
 
@@ -165,29 +149,33 @@ def row_by_row(fg):
 CASES = [
     (3, 200, "cosh"), (5, 40, "riesz:m=1"), (8, 120, "monomial:k=1"),
     (6, 12, "pframe:p=4"), (4, 60, "pframe:p=1"), (5, 16, scalar_only_exp),
+    (7, 30, "pframe:p=1.5"),
 ]
 P_HALF_CASES = [(7, 30, "pframe:p=0.5"), (3, 12, "pframe:p=0.5")]
 
 
 @pytest.mark.parametrize("n, size, pot", CASES + P_HALF_CASES)
-def test_batched_backtracking_takes_the_sequential_steps(monkeypatch, n, size, pot):
-    """With an fg that does not depend on batch shape, the one-call ladder
-    tries the same steps in the same order as the sequential halvings, so
-    every row ends at the same point."""
-    for fg, starts in survivor_problems(n, size, pot):
-        (values, ends), (ref_values, ref_ends) = both_ways(
-            monkeypatch, row_by_row(fg), starts)
-        np.testing.assert_array_equal(values, ref_values)
-        np.testing.assert_array_equal(ends, ref_ends)
+def test_batched_rows_take_their_solo_steps(n, size, pot):
+    """With an fgh that does not depend on batch shape, each row of a
+    batched run takes the steps of its solo run, through the batched line
+    search of _backtrack, and ends at the same point."""
+    for fgh, starts in survivor_problems(n, size, pot):
+        fgh = row_by_row(fgh)
+        values, ends = tangent_newton(fgh, starts)
+        for row, x0 in enumerate(starts):
+            solo_values, solo_ends = tangent_newton(fgh, x0[None])
+            assert solo_values[0] == values[row]
+            np.testing.assert_array_equal(solo_ends[0], ends[row])
 
 
 @pytest.mark.parametrize("n, size, pot", CASES)
-def test_batched_backtracking_matches_sequential(monkeypatch, n, size, pot):
-    """With the batched fg, rows are evaluated in other batch shapes, which
+def test_batched_rows_match_solo_runs(n, size, pot):
+    """With the batched fgh, rows are evaluated in other batch shapes, which
     moves values by roundoff; the best value agrees to 1e-12.  The p = 0.5
     cases are left to the row-by-row test: at their cusps a roundoff change
-    in fg sends a row to another cusp, in the sequential round as well."""
-    for fg, starts in survivor_problems(n, size, pot):
-        (values, _), (ref_values, _) = both_ways(monkeypatch, fg, starts)
-        best, reference = np.min(values), np.min(ref_values)
+    in fgh can send a row elsewhere."""
+    for fgh, starts in survivor_problems(n, size, pot):
+        values, _ = tangent_newton(fgh, starts)
+        solo = [tangent_newton(fgh, x0[None])[0][0] for x0 in starts]
+        best, reference = np.min(values), np.min(solo)
         assert abs(best - reference) <= 1e-12 * abs(reference)
