@@ -4,8 +4,9 @@ Every subcommand prints a single JSON document to stdout whose header
 echoes the resolved configuration, so runs are self-describing and, with
 --seed fixed, byte-identical.  Exit codes: 0 success, 2 precondition
 violation (inadmissible anchor, missing sign certificate, bad parameter),
-1 I/O, parse, or internal numerical failure.  `report --csv` swaps the
-JSON body for CSV rows, keeping the config echo as a leading comment.
+1 I/O, parse, or internal numerical failure, or exhausted memory.
+`report --csv` swaps the JSON body for CSV rows, keeping the config echo
+as a leading comment.
 """
 
 from __future__ import annotations
@@ -211,8 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
                           default="both")
     polarize.add_argument("--seed", type=int, default=0)
     polarize.add_argument("--restarts", type=int, default=None,
-                          help="random seed directions (>= 1); at least 128 "
-                               "are screened")
+                          help="random seed directions (>= 1); at least 128, "
+                               "and min(1024, 2^15 / N) for a potential "
+                               "smooth at orthogonality, are screened")
     polarize.set_defaults(func=_cmd_polarize)
 
     certify = sub.add_parser(
@@ -264,6 +266,9 @@ def main(argv=None) -> int:
         status = 2
     except (KkpolarError, OSError) as exc:
         payload["error"] = str(exc)
+        status = 1
+    except MemoryError as exc:
+        payload["error"] = f"out of memory: {exc}"
         status = 1
     if status == 0 and args.subcommand == "report" and args.csv:
         print("\n".join(_csv_lines(payload)))

@@ -13,10 +13,13 @@ uses Nelder-Mead.
 
 Both sphere searches, polarization's seed screen and the covering search,
 take their seed directions from _sphere_seeds and evaluate them against
-the code by _row_reduce, in the row blocks of _row_blocks: each temporary
-holds at most BLOCK_ENTRIES entries, so it stays in L2 cache and a GEMM
-on it runs on one OpenBLAS thread (n <= 16).  The per-row arithmetic does
-not depend on the block, so the results are bitwise those of one pass.
+the code by _row_reduce.  The covering search screens every seed; the
+extremization screen leaves out the O(N^2) pair rows x_i +- x_j unless
+the potential may have a cusp at orthogonality (polarization._screen).
+Both run in the row blocks of _row_blocks: each temporary holds at most
+BLOCK_ENTRIES entries, so it stays in L2 cache and a GEMM on it runs on
+one OpenBLAS thread (n <= 16).  The per-row arithmetic does not depend on
+the block, so the results are bitwise those of one pass.
 SphericalCode.from_points finds repeated points with a k-d tree.
 """
 
@@ -234,15 +237,18 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows[keep] / norms[keep, None]
 
 
-def _structured_seeds(points: np.ndarray) -> np.ndarray:
+def _structured_seeds(points: np.ndarray, pairs: bool = True) -> np.ndarray:
     """Candidate deep points with exact closed forms on symmetric codes, as
-    rows: the code points, coordinate axes, normalized pairwise sums and
-    differences (pairs i < j in order, sum before difference), and (for
-    small codes) all sign combinations of the full point sum."""
+    rows: the code points, coordinate axes, with pairs the normalized
+    pairwise sums and differences (pairs i < j in order, sum before
+    difference), and (for small codes) all sign combinations of the full
+    point sum."""
     m, n = points.shape
-    i, j = np.triu_indices(m, 1)
-    pairs = np.stack([points[i] + points[j], points[i] - points[j]], axis=1)
-    parts = [points, np.eye(n), _unit_rows(pairs.reshape(-1, n))]
+    parts = [points, np.eye(n)]
+    if pairs:
+        i, j = np.triu_indices(m, 1)
+        rows = np.stack([points[i] + points[j], points[i] - points[j]], axis=1)
+        parts.append(_unit_rows(rows.reshape(-1, n)))
     if m <= 10:
         signs = np.array(list(itertools.product((1.0, -1.0), repeat=m - 1)),
                          dtype=float).reshape(2 ** (m - 1), m - 1)
@@ -252,15 +258,16 @@ def _structured_seeds(points: np.ndarray) -> np.ndarray:
 
 
 def _sphere_seeds(points: np.ndarray, grid: int, randoms: int,
-                  seed: int) -> np.ndarray:
-    """Seed directions of a sphere search, as rows: the structured seeds,
-    on the circle the directions orthogonal to the points, in R^3 a
-    Fibonacci sphere of grid points, then randoms seeded random directions.
-    A negative seed is a PreconditionError."""
+                  seed: int, pairs: bool = True) -> np.ndarray:
+    """Seed directions of a sphere search, as rows: the structured seeds
+    (with the O(N^2) pair rows only when pairs is set), on the circle the
+    directions orthogonal to the points, in R^3 a Fibonacci sphere of grid
+    points, then randoms seeded random directions.  A negative seed is a
+    PreconditionError."""
     if seed < 0:
         raise PreconditionError(f"seed must be >= 0, got {seed}")
     n = points.shape[1]
-    parts = [_structured_seeds(points)]
+    parts = [_structured_seeds(points, pairs)]
     if n == 2:
         # the cusps of |t|^p; for p <= 1 U is concave on every arc between
         # them, so its minimum lies at one of these seeds

@@ -28,7 +28,10 @@ nondecreasing and concave in |t| (p-frames with p <= 1), which lies at a
 vertex of the arrangement x . x_i = 0 and is sought by vertex descent;
 extrema screens the seeds once for both directions.  The
 seeds and the blocked kernel that screens them are those of the covering
-search (codes._sphere_seeds, codes._row_reduce).
+search (codes._sphere_seeds, codes._row_reduce), except where h is known
+smooth at orthogonality: the O(N^2) pair rows x_i +- x_j, which find the
+cusps of |t|^p with p < 2, give way there to a row block of at most 1024
+random directions, and the screen costs O(N) rows.
 A search can miss the global optimum, so its results are estimates: an
 upper estimate of the minimum and a lower estimate of the maximum.
 Sandwich checks remain sound with estimates on those sides.
@@ -43,8 +46,9 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import (DesignCertificate, SphericalCode, _row_reduce,
-                    _sphere_seeds, covering_radius_r, is_kk_design)
+from .codes import (BLOCK_ENTRIES, DesignCertificate, SphericalCode,
+                    _row_reduce, _sphere_seeds, covering_radius_r,
+                    is_kk_design)
 from .errors import NumericalDegeneracyError, PreconditionError
 from .interpolants import Side, _interpolate, verify_one_sided
 from .polynomials import NewtonForm, monomial_moment
@@ -73,6 +77,9 @@ _SURVIVORS = 10
 _ORTHOGONAL = 2.0 ** -100
 # where g' >= 0 and h'' <= 0 are read to choose vertex descent for a minimum
 _SHAPE_GRID = np.arange(1, 100) / 100.0
+# a screen without pair rows takes at least a row block (BLOCK_ENTRIES
+# values of h) of random directions, but at most this many rows
+_SMOOTH_RANDOMS = 1024
 
 
 @dataclass(frozen=True)
@@ -330,8 +337,21 @@ def _fg(points: np.ndarray, pot: Potential, sgn: float):
 def _screen(code: SphericalCode, pot: Potential, seed: int,
             restarts: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
     """Seed directions as rows, and U at each: codes._sphere_seeds with a
-    600-point grid in R^3 and max(128, restarts) random directions."""
-    mat = _sphere_seeds(code.points, 600, max(128, restarts or 0), seed)
+    600-point grid in R^3 and max(128, restarts) random directions.  The
+    O(N^2) pair rows x_i +- x_j, normalized, find the cusps of h at
+    x . x_i = 0 and are screened unless h is known smooth there: a
+    sign-certified potential (the built-ins) with h''(0) = 2 g'(0) finite.
+    g' is read, not eval_h2, which for a potential built without it is a
+    second difference of g, finite across a cusp.  A smooth h screens at
+    least min(1024, BLOCK_ENTRIES // N) random directions in their place:
+    on random (6, 12) codes, 128 of them, with the pair rows or without,
+    missed the deepest basin of |t|^4 on about 1 in 2,000."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        smooth = (pot.sign_certificate is not None
+                  and bool(np.isfinite(pot.eval_g_prime(np.zeros(1))[0])))
+    block = min(_SMOOTH_RANDOMS, BLOCK_ENTRIES // code.size)
+    randoms = max(128, restarts or 0, block if smooth else 0)
+    mat = _sphere_seeds(code.points, 600, randoms, seed, pairs=not smooth)
     return mat, _u_batch(code.points, pot, mat)
 
 
@@ -393,9 +413,10 @@ def extremize(code: SphericalCode, pot: Potential, direction: Direction,
 
     A potential infinite at the endpoints attains an infinite maximum at
     any code point; that case is reported without search.  In every
-    dimension the seeds of _screen (structured seeds, the cusps on the
-    circle, a grid in R^3, random directions) are screened, and the ten
-    best are refined together: by Riemannian Newton
+    dimension the seeds of _screen (structured seeds, with the pair sums
+    and differences only where h may have a cusp at orthogonality, the
+    cusps on the circle, a grid in R^3, random directions) are screened,
+    and the ten best are refined together: by Riemannian Newton
     (sphere_opt.tangent_newton) on the gradient and Hessian of _fg, or,
     for the minimum of a potential nondecreasing and concave in |t|
     (p-frames with p <= 1), by vertex descent (sphere_opt.vertex_descent)
@@ -406,8 +427,10 @@ def extremize(code: SphericalCode, pot: Potential, direction: Direction,
     finite-difference gradient.  MIN results are upper estimates of the
     true minimum, MAX results lower estimates of the true maximum.
     extrema returns both directions from one screen.  restarts sets the
-    number of random seed directions, of which at least 128 are screened;
-    below 1 it is a PreconditionError.
+    number of random seed directions, of which at least 128 are screened
+    (at least min(1024, BLOCK_ENTRIES // N) where h is smooth at
+    orthogonality); below
+    1 it is a PreconditionError.
     """
     return _extremize(code, pot, (Direction(direction),), seed, restarts)[0]
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from kkpolar import cli
+from kkpolar import cli, polarization
 from kkpolar.cli import main
 from kkpolar.codes import SphericalCode, catalog, save_code
 from kkpolar.errors import NumericalDegeneracyError
@@ -307,6 +307,21 @@ def test_negative_seed_is_precondition(capsys, argv):
     assert status == 2
     assert data["error"] == "seed must be >= 0, got -1"
     assert "minimum" not in data and "report" not in data
+
+
+def test_exhausted_memory_is_a_json_error(capsys, monkeypatch):
+    # what numpy raises for a seed matrix of --restarts 1000000000000 rows
+    def sphere_seeds(*args, **kwargs):
+        raise MemoryError("Unable to allocate 22.4 TiB for an array with "
+                          "shape (1000000000000, 3) and data type float64")
+
+    monkeypatch.setattr(polarization, "_sphere_seeds", sphere_seeds)
+    status, data = run_json(capsys, ["polarize", "--code", "catalog:cube_half",
+                                     "--pot", "cosh", "--restarts",
+                                     "1000000000000"])
+    assert status == 1
+    assert data["error"].startswith("out of memory: Unable to allocate")
+    assert "minimum" not in data
 
 
 class TestCatalog:

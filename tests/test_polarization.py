@@ -371,18 +371,78 @@ class TestScreenBlocks:
         assert (len(blocks) > 1) is (entries < 2 ** 62)
 
 
+# the (n, N) shapes of the random_codes benchmark workload
+RANDOM_CODE_SHAPES = [(3, 200), (8, 120), (5, 40), (6, 12)]
+# potentials smooth at orthogonality, whose screen drops the pair rows
+SMOOTH_POTENTIALS = ["cosh", "monomial:k=1", "monomial:k=3", "riesz:m=1",
+                     "riesz:m=3", "arcsine", "pframe:p=3", "pframe:p=4",
+                     "pframe:p=6"]
+
+
 class TestScreenSeeds:
     @pytest.mark.parametrize("restarts", [None, 300])
     @pytest.mark.parametrize("n,size", [(n, n + 4) for n in range(2, 9)]
-                             + [(3, 200), (8, 120), (5, 40), (6, 12)])
-    def test_screen_rows_pinned(self, n, size, restarts):
-        # the rows _screen built itself before it shared codes._sphere_seeds:
-        # argsort orders tied U values by row
+                             + RANDOM_CODE_SHAPES)
+    def test_screen_rows_pinned(self, monkeypatch, n, size, restarts):
+        # the rows _screen built itself before it shared codes._sphere_seeds;
+        # where h is smooth at orthogonality, less the m (m - 1) pair rows
+        # from row m + n on (no pair of a random code sums or differs to 0)
+        # and with random rows to fill a row block, at most 1024: argsort
+        # orders tied U values by row.  -|t| has a sign certificate and a second-difference
+        # h'', finite at 0 across its cusp
+        monkeypatch.setattr(polarization, "_u_batch",
+                            lambda points, pot, mat: np.zeros(len(mat)))
         code = random_code(n, size, size)
-        for seed in (0, 3):
-            mat, _ = polarization._screen(code, parse_potential("cosh"), seed,
-                                          restarts)
-            assert np.array_equal(mat, reference_screen_seeds(code, seed, restarts))
+        pair_rows = np.s_[size + n:size + n + size * (size - 1)]
+        for pot in [parse_potential(text) for text in
+                    ("cosh", "riesz:m=1", "pframe:p=1", "pframe:p=1.5")] + [
+                        cosh_scalar(), negate(p_frame(1))]:
+            smooth = pot.name in ("cosh", "riesz:m=1")
+            for seed in (0, 3):
+                mat, _ = polarization._screen(code, pot, seed, restarts)
+                if smooth:
+                    randoms = max(restarts or 0, min(
+                        1024, codes.BLOCK_ENTRIES // size))
+                    expected = np.delete(
+                        reference_screen_seeds(code, seed, randoms), pair_rows,
+                        axis=0)
+                else:
+                    expected = reference_screen_seeds(code, seed, restarts)
+                assert np.array_equal(mat, expected)
+
+    @pytest.mark.parametrize("text", SMOOTH_POTENTIALS)
+    @pytest.mark.parametrize("n,size", RANDOM_CODE_SHAPES + [(4, 30), (3, 20)])
+    def test_never_worse_than_the_full_screen(self, n, size, text):
+        # the survivors of the screen with the pair rows, refined alike
+        pot = parse_potential(text)
+        for seed in (1, 2):
+            code = random_code(n, size, 1000 * seed + size)
+            mat = codes._sphere_seeds(code.points, 600, 128, seed, pairs=True)
+            u = polarization._u_batch(code.points, pot, mat)
+            for direction, found in zip(Direction, extrema(code, pot, seed)):
+                if math.isinf(found.value):
+                    continue
+                sgn = polarization._SIGN[direction]
+                full = polarization._refine(
+                    code.points, pot, sgn,
+                    mat[np.argsort(sgn * u)[:polarization._SURVIVORS]])
+                assert_not_worse(found, full, direction)
+
+    def test_small_code_reaches_the_deepest_basin(self):
+        # the (6, 12) code of a random_codes block (the last of its four
+        # draws): from 128 random rows, with the pair rows or without, every
+        # survivor of |t|^4 ended at a minimum of 0.0881, above the lowest
+        # of 10,000 random directions; 10,000 refined starts reach 0.075273
+        rng = np.random.default_rng([108, 91])
+        for n, size in RANDOM_CODE_SHAPES:
+            raw = rng.standard_normal((size, n))
+        code = SphericalCode.from_points(
+            raw / np.linalg.norm(raw, axis=1, keepdims=True))
+        low = extremize(code, p_frame(4), Direction.MIN, seed=108)
+        dirs = np.random.default_rng(0).standard_normal((10_000, 6))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        assert low.value < np.min(np.sum((dirs @ code.points.T) ** 4, axis=1))
+        assert low.value == pytest.approx(0.075273, abs=1e-6)
 
 
 class TestRestarts:
