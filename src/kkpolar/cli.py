@@ -2,9 +2,12 @@
 
 Every subcommand prints a single JSON document to stdout whose header
 echoes the resolved configuration, so runs are self-describing and, with
---seed fixed, byte-identical.  Exit codes: 0 success, 2 precondition
-violation (inadmissible anchor, missing sign certificate, bad parameter),
-1 I/O, parse, or internal numerical failure, or exhausted memory.
+--seed fixed, byte-identical.  The report objects go into the document as
+they are: a dataclass is written as its fields in declaration order, those
+whose value is None left out, so each report's fields are its schema.
+Exit codes: 0 success, 2 precondition violation (inadmissible anchor,
+missing sign certificate, bad parameter), 1 I/O, parse, or internal
+numerical failure, or exhausted memory.
 `report --csv` swaps the JSON body for CSV rows, keeping the config echo
 as a leading comment.
 """
@@ -12,6 +15,7 @@ as a leading comment.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -30,8 +34,10 @@ from .signed_measure import rule_lambda
 
 
 def _jsonable(value):
-    """Plain-JSON view of nested results: numpy scalars/arrays unwrapped,
-    non-finite floats rendered as strings (strict JSON has no Infinity)."""
+    """Plain-JSON view of nested results: dataclasses as their fields in
+    declaration order without those that are None, numpy scalars/arrays
+    unwrapped, non-finite floats rendered as strings (strict JSON has no
+    Infinity)."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -47,6 +53,10 @@ def _jsonable(value):
         if math.isfinite(value):
             return value
         return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
+    if dataclasses.is_dataclass(value):
+        fields = ((f.name, getattr(value, f.name))
+                  for f in dataclasses.fields(value))
+        return {name: _jsonable(v) for name, v in fields if v is not None}
     return value
 
 
@@ -71,7 +81,7 @@ def _cmd_quad(args) -> dict:
             raise PreconditionError("--s only applies to kind=lambda")
         maker = rule_alpha if args.kind == "alpha" else rule_beta
         rule = maker(args.n, args.k)
-    return {"rule": rule.to_dict(),
+    return {"rule": rule,
             "max_monomial_residual": verify_exactness(rule, args.n,
                                                       rule.exact_degree)}
 
@@ -80,7 +90,7 @@ def _cmd_verify(args) -> dict:
     code = _resolve_code(args.code)
     cert = is_kk_design(code, args.k)
     return {"n": code.n, "N": code.size, "is_design": cert.is_design,
-            "certificate": cert.to_dict()}
+            "certificate": cert}
 
 
 def _cmd_bounds(args) -> dict:
@@ -90,8 +100,7 @@ def _cmd_bounds(args) -> dict:
         upper = upper_bound_s(args.n, args.k, args.N, args.s, pot)
     else:
         upper = upper_bound_finite(args.n, args.k, args.N, pot)
-    return {"potential": pot.name, "lower": lower.to_dict(),
-            "upper": upper.to_dict()}
+    return {"potential": pot.name, "lower": lower, "upper": upper}
 
 
 def _cmd_polarize(args) -> dict:
@@ -100,21 +109,20 @@ def _cmd_polarize(args) -> dict:
     out: dict = {"n": code.n, "N": code.size, "potential": pot.name}
     if args.direction == "both":
         low, high = extrema(code, pot, seed=args.seed, restarts=args.restarts)
-        out["minimum"], out["maximum"] = low.to_dict(), high.to_dict()
+        out["minimum"], out["maximum"] = low, high
     elif args.direction == "min":
         out["minimum"] = extremize(code, pot, Direction.MIN, seed=args.seed,
-                                   restarts=args.restarts).to_dict()
+                                   restarts=args.restarts)
     else:
         out["maximum"] = extremize(code, pot, Direction.MAX, seed=args.seed,
-                                   restarts=args.restarts).to_dict()
+                                   restarts=args.restarts)
     return out
 
 
 def _cmd_certify(args) -> dict:
     code = _resolve_code(args.code)
     pot = parse_potential(args.pot)
-    report = certify_design(code, args.k, pot, seed=args.seed)
-    return {"report": report.to_dict()}
+    return {"report": certify_design(code, args.k, pot, seed=args.seed)}
 
 
 def _cmd_catalog(args) -> dict:

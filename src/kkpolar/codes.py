@@ -156,15 +156,6 @@ class DesignCertificate:
     tol: float
     is_design: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "moments": {str(ell): v for ell, v in self.moments.items()},
-            "max_even_moment_residual": self.max_even_moment_residual,
-            "tol": self.tol,
-            "is_design": self.is_design,
-        }
-
 
 def _moments(code: SphericalCode, top: int) -> list[float]:
     """The moments of orders 1..top in one pass of the GegenbauerFamily

@@ -40,7 +40,7 @@ Sandwich checks remain sound with estimates on those sides.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -96,14 +96,6 @@ class ExtremizationResult:
     restarts: int
     stationarity_norm: float
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "argpoint": list(self.argpoint),
-            "restarts": self.restarts,
-            "stationarity_norm": self.stationarity_norm,
-        }
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -112,7 +104,8 @@ class BoundReport:
     Newton form its margin is computed on, the sign certificate that
     authorized the branch, whether g' was analytic or a central difference,
     and the numerical checks (one-sided margin, quadrature exactness
-    residual) backing it.  to_dict writes the interpolant as its Newton
+    residual) backing it.  Its fields in order, s left out when None, are
+    the keys of its JSON document; the interpolant is written as its Newton
     data, u_nodes and divided_differences: Horner in u = t*t over them
     rebuilds exactly the H that was checked."""
 
@@ -120,7 +113,6 @@ class BoundReport:
     n: int
     k: int
     N: int
-    s: Optional[float]
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
     bound_value: float
@@ -132,28 +124,7 @@ class BoundReport:
     one_sided_margin: float
     exactness_residual: float
     notes: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "n": self.n,
-            "k": self.k,
-            "N": self.N,
-            "nodes": list(self.nodes),
-            "weights": list(self.weights),
-            "bound_value": self.bound_value,
-            "per_point_value": self.per_point_value,
-            "interpolant": asdict(self.interpolant),
-            "sign_state": self.sign_state,
-            "certificate_kind": self.certificate_kind,
-            "derivative_kind": self.derivative_kind,
-            "one_sided_margin": self.one_sided_margin,
-            "exactness_residual": self.exactness_residual,
-            "notes": list(self.notes),
-        }
-        if self.s is not None:
-            out["s"] = self.s
-        return out
+    s: Optional[float] = None
 
 
 def _check_problem(n: int, k: int, N: int) -> None:
@@ -280,11 +251,6 @@ def _squares(dots: np.ndarray) -> np.ndarray:
     return u
 
 
-def _u_sum(points: np.ndarray, pot: Potential, x: np.ndarray) -> float:
-    u = _squares(points @ x)
-    return float(np.sum(pot.eval_g(u)))
-
-
 def _u_batch(points: np.ndarray, pot: Potential, mat: np.ndarray) -> np.ndarray:
     """U at each row of mat, by the blocked kernel codes._row_reduce."""
     return _row_reduce(points, mat,
@@ -301,12 +267,13 @@ def potential_U(x, code: SphericalCode, pot: Potential) -> float:
     nrm = float(np.linalg.norm(x))
     if not abs(nrm - 1.0) <= 1e-9:
         raise PreconditionError(f"direction must be a unit vector, |x|={nrm}")
-    return _u_sum(code.points, pot, x / nrm)
+    return float(_u_batch(code.points, pot, (x / nrm)[None])[0])
 
 
 def _fg(points: np.ndarray, pot: Potential, sgn: float):
     """fg(xs) -> (sgn U, its Euclidean gradient, its Euclidean Hessian) at
-    each unit row x of xs, and fg(xs, values_only=True) -> sgn U.  With
+    each unit row x of xs, and fg(xs, values_only=True) -> sgn U by
+    _u_batch, the one evaluator of U, which the full path matches.  With
     t = x . x_i the gradient is 2 sgn sum_i g'(t^2) t x_i and the Hessian
     sgn sum_i h''(t) x_i x_i^t.  g' is never called at u = 0, outside the
     (0, 1) that Potential promises: those gradient terms are 0, the limit
@@ -314,13 +281,13 @@ def _fg(points: np.ndarray, pot: Potential, sgn: float):
     p <= 1, and so are the Hessian terms where h''(0) is not finite."""
 
     def fg(xs: np.ndarray, values_only: bool = False):
-        d = xs @ points.T
-        u = _squares(d.copy())
-        zero = u == 0.0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values = sgn * np.sum(pot.eval_g(u), axis=1)
             if values_only:
-                return values
+                return sgn * _u_batch(points, pot, xs)
+            d = xs @ points.T
+            u = _squares(d.copy())
+            zero = u == 0.0
+            values = sgn * np.sum(pot.eval_g(u), axis=1)
             curvature = pot.eval_h2(u)
             if np.count_nonzero(zero):
                 slopes = pot.eval_g_prime(np.where(zero, 0.5, u))
@@ -375,8 +342,8 @@ def _refine(points: np.ndarray, pot: Potential, sgn: float,
     slope = float(np.linalg.norm(
         tangent_component(best_x, fg(best_x[None])[1][0])))
     return ExtremizationResult(
-        value=_u_sum(points, pot, best_x), argpoint=tuple(best_x),
-        restarts=len(survivors),
+        value=float(_u_batch(points, pot, best_x[None])[0]),
+        argpoint=tuple(best_x), restarts=len(survivors),
         stationarity_norm=slope if math.isfinite(slope) else math.inf)
 
 
@@ -457,9 +424,6 @@ class CheckResult:
     passed: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class CertificationReport:
@@ -467,7 +431,7 @@ class CertificationReport:
     universal bounds, both extremization estimates, the covering radius
     with how it was obtained ("exact" or "upper_estimate", see
     codes.covering_radius_r), and the list of sandwich and exactness checks
-    with their outcomes."""
+    with their outcomes; all_passed says whether every check passed."""
 
     n: int
     k: int
@@ -480,26 +444,11 @@ class CertificationReport:
     covering_radius: float
     covering_radius_kind: str
     checks: tuple[CheckResult, ...]
+    all_passed: bool = field(init=False)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "N": self.N,
-            "potential": self.potential,
-            "design": self.design.to_dict(),
-            "bounds": [b.to_dict() for b in self.bounds],
-            "minimum": self.minimum.to_dict(),
-            "maximum": self.maximum.to_dict(),
-            "covering_radius": self.covering_radius,
-            "covering_radius_kind": self.covering_radius_kind,
-            "checks": [c.to_dict() for c in self.checks],
-            "all_passed": self.all_passed,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "all_passed",
+                           all(c.passed for c in self.checks))
 
 
 def certify_design(code: SphericalCode, k: int, pot: Potential,

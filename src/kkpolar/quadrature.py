@@ -28,29 +28,20 @@ from .polynomials import monomial_moment
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes, positive weights, and the degree through which exactness is
-    guaranteed.  Nodes are strictly increasing, symmetric about 0; weights
-    sum to 1 (exactness on constants against a probability measure)."""
+    """Nodes and positive weights, exact through degree exact_degree =
+    2k+1.  Nodes are strictly increasing, symmetric about 0; weights sum to
+    1 (exactness on constants against a probability measure)."""
 
     kind: str
     n: int
     k: int
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
-    exact_degree: int
     s: float | None = None
 
-    def to_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "n": self.n,
-            "k": self.k,
-            "nodes": list(self.nodes),
-            "weights": list(self.weights),
-        }
-        if self.s is not None:
-            d["s"] = self.s
-        return d
+    @property
+    def exact_degree(self) -> int:
+        return 2 * self.k + 1
 
 
 def _recurrence(n: int, k: int, size: int) -> np.ndarray:
@@ -106,7 +97,7 @@ def _jacobi_rule(kind: str, n: int, k: int, anchor: float | None = None) -> Quad
     if abs(weights.sum() - 1.0) > 1e-11:
         raise NumericalDegeneracyError(f"weights of {kind} rule do not sum to 1")
     return QuadratureRule(kind, n, k, tuple(nodes.tolist()), tuple(weights.tolist()),
-                          2 * k + 1, s=anchor if kind == "lambda" else None)
+                          s=anchor if kind == "lambda" else None)
 
 
 def rule_alpha(n: int, k: int) -> QuadratureRule:

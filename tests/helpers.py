@@ -321,6 +321,11 @@ def stationarity_norm(f, x: np.ndarray, step: float = 1e-6) -> float:
     return value
 
 
+def _u_at(points: np.ndarray, pot: Potential, x: np.ndarray) -> float:
+    """U at the unit vector x, by the program's one evaluator of U."""
+    return float(polarization._u_batch(points, pot, x[None])[0])
+
+
 def reference_extremize(code: SphericalCode, pot: Potential,
                         direction: Direction, seed: int = 0) -> ExtremizationResult:
     """extremize with the same seed screen and survivors, each refined by
@@ -333,7 +338,7 @@ def reference_extremize(code: SphericalCode, pot: Potential,
     survivors = mat[np.argsort(sgn * u)[:polarization._SURVIVORS]]
 
     def f(x: np.ndarray) -> float:
-        return sgn * polarization._u_sum(points, pot, x)
+        return sgn * _u_at(points, pot, x)
 
     best_val, best_x = math.inf, survivors[0]
     for x0 in survivors:
@@ -344,7 +349,7 @@ def reference_extremize(code: SphericalCode, pot: Potential,
         if val < best_val:
             best_val, best_x = val, x
     return ExtremizationResult(
-        value=polarization._u_sum(points, pot, best_x), argpoint=tuple(best_x),
+        value=_u_at(points, pot, best_x), argpoint=tuple(best_x),
         restarts=len(survivors), stationarity_norm=stationarity_norm(f, best_x))
 
 
@@ -379,7 +384,7 @@ def reference_extremize_circle(points: np.ndarray, pot: Potential,
     step = 1e-7
     slope = (objective(phi + step) - objective(phi - step)) / (2.0 * step)
     return ExtremizationResult(
-        value=polarization._u_sum(points, pot, x), argpoint=tuple(x),
+        value=_u_at(points, pot, x), argpoint=tuple(x),
         restarts=1,
         stationarity_norm=abs(slope) if math.isfinite(slope) else math.inf)
 

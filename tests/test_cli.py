@@ -324,6 +324,106 @@ def test_exhausted_memory_is_a_json_error(capsys, monkeypatch):
     assert "minimum" not in data
 
 
+def key_paths(doc, prefix=""):
+    """The key paths of a JSON document in document order, the config echo
+    (the sorted option names) left unexpanded; the objects of a list add
+    their paths under "[]", each path once, where it first appears."""
+    paths = []
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            paths.append(prefix + key)
+            if prefix or key != "config":
+                paths += key_paths(value, f"{prefix}{key}.")
+    elif isinstance(doc, list):
+        for value in doc:
+            paths += [path for path in key_paths(value, f"{prefix[:-1]}[].")
+                      if path not in paths]
+    return paths
+
+
+def nulls(doc, path=""):
+    """The paths, outside the config echo, whose value is null."""
+    if isinstance(doc, dict):
+        return [hit for key, value in doc.items() if path or key != "config"
+                for hit in nulls(value, f"{path}{key}.")]
+    if isinstance(doc, list):
+        return [hit for value in doc for hit in nulls(value, path)]
+    return [path] if doc is None else []
+
+
+def under(prefix, keys, sep="."):
+    """prefix and its children; sep="[]." for the objects of a list."""
+    return [prefix] + [f"{prefix}{sep}{key}" for key in keys]
+
+
+RULE = ["kind", "n", "k", "nodes", "weights"]
+DESIGN = ["k", "moments", "moments.2", "max_even_moment_residual", "tol",
+          "is_design"]
+BOUND = ["kind", "n", "k", "N", "nodes", "weights", "bound_value",
+         "per_point_value", "interpolant", "interpolant.u_nodes",
+         "interpolant.divided_differences", "sign_state", "certificate_kind",
+         "derivative_kind", "one_sided_margin", "exactness_residual", "notes"]
+EXTREMUM = ["value", "argpoint", "restarts", "stationarity_norm"]
+CHECK = ["name", "passed", "detail"]
+
+
+def certify_paths(design, bounds):
+    return (["command", "config"] + under("report", (
+        ["n", "k", "N", "potential"] + under("design", design)
+        + under("bounds", bounds, "[].")
+        + under("minimum", EXTREMUM) + under("maximum", EXTREMUM)
+        + ["covering_radius", "covering_radius_kind"]
+        + under("checks", CHECK, "[].")
+        + ["all_passed"])))
+
+
+SCHEMA_CASES = [
+    ("quad --n 3 --k 1 --kind alpha",
+     ["command", "config"] + under("rule", RULE)
+     + ["max_monomial_residual"]),
+    ("quad --n 3 --k 1 --kind lambda --s 0.8",
+     ["command", "config"] + under("rule", RULE + ["s"])
+     + ["max_monomial_residual"]),
+    ("verify --code catalog:cube_half --k 1",
+     ["command", "config", "n", "N", "is_design"]
+     + under("certificate", DESIGN)),
+    ("bounds --n 3 --k 1 --N 4 --pot cosh",
+     ["command", "config", "potential"] + under("lower", BOUND)
+     + under("upper", BOUND)),
+    ("bounds --n 3 --k 1 --N 4 --pot riesz:m=2 --s 0.7",
+     ["command", "config", "potential"] + under("lower", BOUND)
+     + under("upper", BOUND + ["s"])),
+    ("polarize --code catalog:cube_half --pot cosh --direction both",
+     ["command", "config", "n", "N", "potential"]
+     + under("minimum", EXTREMUM) + under("maximum", EXTREMUM)),
+    # the anchored bound alone carries s
+    ("certify --code catalog:cube_half --k 1 --pot cosh",
+     certify_paths(DESIGN, BOUND + ["s"])),
+    # not a 2-design: no bounds
+    ("certify --code catalog:cube_half --k 2 --pot monomial:k=2",
+     certify_paths(DESIGN[:3] + ["moments.4"] + DESIGN[3:], [])),
+    ("report --n 3 --k 1 --N 4 --pot cosh --points 2",
+     ["command", "config", "potential", "anchor_threshold"]
+     + under("rows", ["s", "bound_value", "one_sided_margin",
+                      "exactness_residual"], "[].")
+     + ["lower_bound", "upper_bound_finite"]),
+]
+
+
+class TestDocumentSchema:
+    """Each document's keys are its report dataclasses' fields in
+    declaration order, with None values left out: a reordered or renamed
+    field, or a null outside the config echo, fails here."""
+
+    @pytest.mark.parametrize("argv,paths", SCHEMA_CASES,
+                             ids=[argv for argv, _ in SCHEMA_CASES])
+    def test_key_paths_pinned(self, capsys, argv, paths):
+        status, data = run_json(capsys, argv.split())
+        assert status == 0
+        assert key_paths(data) == paths
+        assert nulls(data) == []
+
+
 class TestCatalog:
     def test_listing(self, capsys):
         status, data = run_json(capsys, ["catalog"])

@@ -10,6 +10,7 @@ import pytest
 from kkpolar.codes import CATALOG_DESIGNS, SphericalCode, catalog
 from kkpolar.errors import NumericalDegeneracyError, PreconditionError
 from kkpolar import codes, polarization, quadrature, signed_measure
+from kkpolar.cli import _dumps, _jsonable
 from kkpolar.polarization import (BoundReport, Direction, certify_design,
                                   extrema, extremize, lower_bound,
                                   potential_U, upper_bound_finite,
@@ -63,6 +64,21 @@ class TestPotentialU:
         code = catalog("onb:3")
         with pytest.raises(PreconditionError):
             potential_U([math.nan, 0.0, 0.0], code, monomial_2k(1))
+
+    @pytest.mark.parametrize("n,size", [(2, 5), (3, 200), (8, 120), (5, 40),
+                                        (6, 12)])
+    def test_one_evaluator_of_u(self, n, size):
+        # the value-only objective reads U by _u_batch, the full objective
+        # by its own product: bitwise the same, for a batch and for one row
+        # (the reported value); 1-row and 50-row products may differ by an ulp
+        code = random_code(n, size, size)
+        xs = random_code(n, 50, 1).points
+        for pot in (gaussian_sym(), p_frame(0.5), p_frame(1.5), riesz_sym(1)):
+            fg = polarization._fg(code.points, pot, -1.0)
+            assert fg(xs)[0].tobytes() == fg(xs, values_only=True).tobytes()
+            for x in xs[:5]:
+                assert fg(x[None])[0][0] == -polarization._u_batch(
+                    code.points, pot, x[None])[0]
 
 
 class TestExtremize:
@@ -357,18 +373,19 @@ class TestScreenBlocks:
         pot = parse_potential("cosh")
         blocked = extrema(code, pot, seed=3)
         monkeypatch.setattr(codes, "BLOCK_ENTRIES", entries)
-        blocks = []
+        calls = []
         row_blocks = codes._row_blocks
 
         def recording(size, width):
             new = list(row_blocks(size, width))
-            blocks.extend(new)
+            calls.append(new)
             return iter(new)
 
         monkeypatch.setattr(codes, "_row_blocks", recording)
         assert extrema(code, pot, seed=3) == blocked
-        # 2 and 40 entries give blocks of 2 rows, 2^62 one block
-        assert (len(blocks) > 1) is (entries < 2 ** 62)
+        # 2 and 40 entries split the screen into blocks of 2 rows; 2^62
+        # leaves every call, the screen and each read of U, one block
+        assert (max(map(len, calls)) > 1) is (entries < 2 ** 62)
 
 
 # the (n, N) shapes of the random_codes benchmark workload
@@ -714,14 +731,14 @@ class TestReportInvariants:
         assert rep.exactness_residual <= 1e-9
         assert rep.per_point_value == pytest.approx(rep.bound_value / rep.N)
 
-    def test_to_dict_round_trip_fields(self):
+    def test_document_round_trip_fields(self):
         rep = upper_bound_s(3, 1, 4, 0.7, riesz_sym(2))
-        data = rep.to_dict()
+        data = _jsonable(rep)
         assert data["kind"] == "UUB_LAMBDA"
         assert data["s"] == 0.7
         assert data["nodes"] == list(rep.nodes)
         assert data["certificate_kind"] == "analytic"
-        data = lower_bound(3, 1, 4, p_frame(2)).to_dict()
+        data = _jsonable(lower_bound(3, 1, 4, p_frame(2)))
         assert "s" not in data
 
     @pytest.mark.parametrize("pot,kind", [
@@ -732,7 +749,7 @@ class TestReportInvariants:
         (user_potential("exp", math.exp, math.exp), "analytic"),
     ], ids=lambda v: getattr(v, "name", v))
     def test_derivative_kind_written_after_certificate_kind(self, pot, kind):
-        keys = list(lower_bound(3, 2, 6, pot).to_dict().items())
+        keys = list(_jsonable(lower_bound(3, 2, 6, pot)).items())
         names = [name for name, _ in keys]
         at = names.index("certificate_kind") + 1
         assert keys[at] == ("derivative_kind", kind)
@@ -766,7 +783,7 @@ class TestReportedInterpolant:
                 # parity of their derivative certificate
                 refusals.append(str(exc))
                 continue
-            data = json.loads(json.dumps(rep.to_dict()))
+            data = json.loads(_dumps(rep))
             assert "interpolant_t_coeffs" not in data
             keys = list(data)
             assert keys[keys.index("per_point_value") + 1] == "interpolant"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from kkpolar.cli import _jsonable
 from kkpolar.errors import PreconditionError
 from kkpolar.polynomials import Polynomial
 from kkpolar.potentials import gaussian_sym
@@ -218,9 +219,9 @@ class TestRuleLambda:
         assert np.all(w > 0)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_to_dict_carries_anchor(self):
+    def test_document_carries_anchor(self):
         s = mid_anchor(3, 2)
-        d = lambda_rule(3, 2, s).to_dict()
+        d = _jsonable(lambda_rule(3, 2, s))
         assert d["kind"] == "lambda"
         assert d["s"] == pytest.approx(s)
 
