@@ -458,9 +458,9 @@ def certify_design(code: SphericalCode, k: int, pot: Potential,
     checks, never raised: a failed sandwich marks the report, and a bound
     whose preconditions fail is recorded as skipped.
 
-    For the pure even monomial of matching degree the extremes of a design
-    must equal the average value; non-designs must straddle it by more
-    than the sandwich slack on each side.
+    For h(t) = t^(2k), named monomial:k=<k> or pframe:p=<2k>, the extremes
+    of a design must equal the average value; non-designs must straddle
+    it by more than the sandwich slack on each side.
     """
     cert = is_kk_design(code, k)
     n, size = code.n, code.size
@@ -509,7 +509,7 @@ def certify_design(code: SphericalCode, k: int, pot: Potential,
                 "anchored_skipped", True,
                 f"covering radius {radius:.6g} admits no anchor below 1"))
 
-    if pot.name == f"monomial:k={k}":
+    if pot.name in (f"monomial:k={k}", f"pframe:p={2 * k:g}"):
         target = monomial_moment(n, 2 * k) * size
         slack = SANDWICH_SLACK * max(1.0, size)
         if cert.is_design:

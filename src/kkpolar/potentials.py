@@ -12,7 +12,7 @@ needed extended-real convention (x + inf = inf).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -54,25 +54,35 @@ class Potential:
     finite at u = 0 wherever g' has a finite limit there.
     sign_certificate is the analytic certificate (k, u_max) -> SignState,
     or None for user potentials, which are then certified by sampling.
-    derivative_kind is "analytic", or "numeric" for a central difference.
     eval_h2 maps u in [0,1) to h''(t) at u = t*t, elementwise on float
-    arrays, and may be non-finite only at u = 0 (p-frames with p < 2); the
-    built-ins carry it in closed form, others get a second difference of g.
+    arrays, and may be non-finite only at u = 0 (p-frames with p < 2).
+    Only name and eval_g are required; what is not given comes from g:
+    g' as a central difference (step 1e-6, stencil clipped to [0, 1],
+    derivative_kind "numeric"), h(1) as g(1), and h'' as the central
+    second difference of h (step 1e-4 in t, stencil kept inside [-1, 1]).
     """
 
     name: str
     eval_g: Callable[[np.ndarray], np.ndarray]
-    eval_g_prime: Callable[[np.ndarray], np.ndarray]
-    h_at_1: float
+    eval_g_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    h_at_1: Optional[float] = None
     sign_certificate: Optional[Callable[[int, float], SignState]] = None
     derivative_kind: str = field(default="analytic")
     eval_h2: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
+        g = self.eval_g
+        if self.eval_g_prime is None:
+            def g_prime(u):
+                hi, lo = np.minimum(u + 1e-6, 1.0), np.maximum(u - 1e-6, 0.0)
+                return (g(hi) - g(lo)) / (hi - lo)
+
+            object.__setattr__(self, "eval_g_prime", g_prime)
+            object.__setattr__(self, "derivative_kind", "numeric")
+        if self.h_at_1 is None:
+            object.__setattr__(self, "h_at_1", float(g(np.array(1.0))))
         if self.eval_h2 is None:
-            # the central second difference of h(t) = g(t*t), step 1e-4 in
-            # t, its stencil kept inside [-1, 1]; g' is never called
-            g, step = self.eval_g, 1e-4
+            step = 1e-4
 
             def h2(u):
                 t = np.minimum(np.sqrt(u), 1.0 - step)[..., None]
@@ -100,24 +110,11 @@ def eval_h(pot: Potential, t):
 
 
 def monomial_2k(k0: int) -> Potential:
-    """h(t) = t^(2*k0), g(u) = u^k0."""
+    """h(t) = t^(2*k0), g(u) = u^k0: the even p-frame p_frame(2*k0) under
+    its own name."""
     if k0 < 1:
         raise PreconditionError(f"monomial exponent parameter must be >= 1, got {k0}")
-
-    def cert(k: int, u_max: float) -> SignState:
-        # g^(k+1) of u^k0 is identically zero once k+1 exceeds k0
-        if k + 1 > k0:
-            return SignState.ZERO
-        return SignState.NONNEGATIVE
-
-    return Potential(
-        name=f"monomial:k={k0}",
-        eval_g=lambda u: u**k0,
-        eval_g_prime=lambda u: k0 * u ** (k0 - 1),
-        h_at_1=1.0,
-        sign_certificate=cert,
-        eval_h2=lambda u: (2 * k0) * (2 * k0 - 1) * u ** (k0 - 1),
-    )
+    return replace(p_frame(2 * k0), name=f"monomial:k={k0}")
 
 
 def p_frame(p: float) -> Potential:
@@ -127,6 +124,9 @@ def p_frame(p: float) -> Potential:
         raise PreconditionError(
             f"p-frame exponent p must be positive and finite, got {p}")
     half = p / 2.0
+    # the short form unless it rounds p: certify_design reads t^(2k) from
+    # the name, which must not match a p-frame within 6 digits of 2k
+    short = f"{p:g}"
 
     def cert(k: int, u_max: float) -> SignState:
         sign = 1.0
@@ -138,10 +138,9 @@ def p_frame(p: float) -> Potential:
         return SignState.NONNEGATIVE if sign > 0.0 else SignState.NONPOSITIVE
 
     return Potential(
-        name=f"pframe:p={p:g}",
+        name=f"pframe:p={short if float(short) == p else repr(p)}",
         eval_g=lambda u: u**half,
         eval_g_prime=lambda u: half * u ** (half - 1.0),
-        h_at_1=1.0,
         sign_certificate=cert,
         eval_h2=lambda u: p * (p - 1.0) * u ** (half - 1.0),
     )
@@ -184,7 +183,6 @@ def riesz_sym(m: float) -> Potential:
         name=f"riesz:m={m:g}",
         eval_g=g,
         eval_g_prime=gp,
-        h_at_1=math.inf,
         sign_certificate=lambda k, u_max: SignState.NONNEGATIVE,
         eval_h2=h2,
     )
@@ -203,7 +201,6 @@ def gaussian_sym() -> Potential:
         name="cosh",
         eval_g=lambda u: np.cosh(np.sqrt(u)),
         eval_g_prime=gp,
-        h_at_1=math.cosh(1.0),
         sign_certificate=lambda k, u_max: SignState.NONNEGATIVE,
         eval_h2=lambda u: np.cosh(np.sqrt(u)),
     )
@@ -224,7 +221,6 @@ def arcsine() -> Potential:
         name="arcsine",
         eval_g=g,
         eval_g_prime=lambda u: 0.5 * (1.0 - u) ** -1.5,
-        h_at_1=math.inf,
         sign_certificate=lambda k, u_max: SignState.NONNEGATIVE,
         eval_h2=h2,
     )
@@ -233,27 +229,15 @@ def arcsine() -> Potential:
 def user_potential(name: str, g: Callable[[float], float],
                    g_prime: Optional[Callable[[float], float]] = None,
                    h_at_1: Optional[float] = None) -> Potential:
-    """Wrap a black-box g, a callable on one float.  g and g_prime are
-    made elementwise on arrays by np.vectorize, once, here.  Without an
-    analytic derivative a central difference (step 1e-6) stands in, and
+    """Wrap a black-box g, a callable on one float: g and g_prime are made
+    elementwise on arrays by np.vectorize, once, here.  Potential derives
+    what is not given (a central difference for g', g(1) for h(1)), and
     the sign certificate is left to the sampling heuristic; both facts are
     visible to reports."""
-    if g_prime is None:
-        step = 1e-6
-        g_prime = lambda u: (g(min(u + step, 1.0)) - g(max(u - step, 0.0))) / (
-            min(u + step, 1.0) - max(u - step, 0.0))
-        derivative_kind = "numeric"
-    else:
-        derivative_kind = "analytic"
-    return Potential(
-        name=name,
-        # otypes spares vectorize a first call made to guess the output type
-        eval_g=np.vectorize(g, otypes=[float]),
-        eval_g_prime=np.vectorize(g_prime, otypes=[float]),
-        h_at_1=g(1.0) if h_at_1 is None else h_at_1,
-        sign_certificate=None,
-        derivative_kind=derivative_kind,
-    )
+    # otypes spares vectorize a first call made to guess the output type
+    if g_prime is not None:
+        g_prime = np.vectorize(g_prime, otypes=[float])
+    return Potential(name, np.vectorize(g, otypes=[float]), g_prime, h_at_1)
 
 
 # stencils of the sampled certificate, and the bar its estimates must clear

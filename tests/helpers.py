@@ -39,6 +39,15 @@ def negate(pot: Potential) -> Potential:
     )
 
 
+def reference_central_difference(g):
+    """g' of a scalar g by the central difference (step 1e-6, stencil
+    clipped to [0, 1]) that user_potential built one float at a time
+    before Potential derived it on arrays, kept as its reference."""
+    step = 1e-6
+    return lambda u: (g(min(u + step, 1.0)) - g(max(u - step, 0.0))) / (
+        min(u + step, 1.0) - max(u - step, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # monomial-basis toolkit: the package works in no monomial basis, so
 # expansion, differentiation, Gegenbauer polynomials in coefficients and

@@ -16,9 +16,9 @@ from kkpolar.polarization import (BoundReport, Direction, certify_design,
                                   potential_U, upper_bound_finite,
                                   upper_bound_s)
 from kkpolar.polynomials import NewtonForm, monomial_moment
-from kkpolar.potentials import (arcsine, eval_h, gaussian_sym, monomial_2k,
-                                p_frame, parse_potential, riesz_sym,
-                                user_potential)
+from kkpolar.potentials import (Potential, arcsine, eval_h, gaussian_sym,
+                                monomial_2k, p_frame, parse_potential,
+                                riesz_sym, user_potential)
 from kkpolar.quadrature import largest_gauss_node, rule_alpha, rule_beta
 from kkpolar.signed_measure import ADMISSIBILITY_MARGIN
 from kkpolar.sphere_opt import vertex_descent
@@ -243,6 +243,18 @@ class TestGradientPath:
         for res in searched:
             assert res.value == pytest.approx(
                 potential_U(np.array(res.argpoint), catalog("cube_half"), pot), rel=1e-15)
+
+
+class TestPotentialFromGAlone:
+    def test_array_g_matches_user_potential(self):
+        # Potential("exp", np.exp) needs no np.vectorize, and finds the
+        # extrema that the vectorized scalar g finds
+        code = random_code(5, 40, [1, 5, 40])
+        direct = extrema(code, Potential("exp", np.exp), seed=1)
+        wrapped = extrema(code, user_potential("exp", lambda u: np.exp(u)), seed=1)
+        for a, b in zip(direct, wrapped):
+            assert a.value == pytest.approx(b.value, rel=1e-12)
+            np.testing.assert_allclose(a.argpoint, b.argpoint, atol=1e-7)
 
 
 class TestNewtonPath:
@@ -912,6 +924,31 @@ class TestCertifyDesign:
         rep = certify_design(catalog("icosahedron_half"), 2, p_frame(4))
         assert rep.covering_radius_kind == "exact"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["icosahedron_half", "cell24_half"])
+    def test_pframe_spelling_checks_design_extremes(self, name):
+        # |t|^4 named as a p-frame gets the same theorem checks as monomial:k=2
+        rep = certify_design(catalog(name), 2, p_frame(4))
+        names = [c.name for c in rep.checks]
+        assert "monomial_min_is_average" in names
+        assert "monomial_max_is_average" in names
+        assert rep.all_passed
+
+    def test_pframe_spelling_checks_non_design_straddle(self):
+        rep = certify_design(random_code(3, 9, 0), 1, p_frame(2))
+        assert not rep.design.is_design
+        assert [c.name for c in rep.checks] == [
+            "order", "monomial_min_below_average", "monomial_max_above_average"]
+        assert rep.all_passed
+
+    @pytest.mark.parametrize("p,name", [(2.0, "pframe:p=2"),
+                                        (4.000001, "pframe:p=4.000001")])
+    def test_other_pframes_get_no_theorem_check(self, p, name):
+        # 4.000001 is "4" to six digits; its name keeps every digit
+        rep = certify_design(catalog("icosahedron_half"), 2, p_frame(p))
+        assert rep.potential == name
+        assert not any(c.name.startswith("monomial_") for c in rep.checks)
+        assert rep.all_passed
 
     @pytest.mark.parametrize("name,k", sorted(CATALOG_DESIGNS.items()))
     def test_catalog_sandwich(self, name, k):

@@ -18,7 +18,7 @@ from kkpolar.potentials import (
     user_potential,
 )
 
-from helpers import negate
+from helpers import negate, reference_central_difference
 
 ALL_BUILTINS = [
     monomial_2k(1), monomial_2k(3),
@@ -50,9 +50,9 @@ class TestEvalH:
     def test_infinite_endpoints(self):
         assert eval_h(riesz_sym(1), 1.0) == math.inf
         assert eval_h(arcsine(), -1.0) == math.inf
-        assert riesz_sym(3).h_at_1 == math.inf
+        assert riesz_sym(3).h_at_1 == arcsine().h_at_1 == math.inf
         assert gaussian_sym().h_at_1 == pytest.approx(math.cosh(1.0))
-        assert p_frame(7).h_at_1 == 1.0
+        assert p_frame(7).h_at_1 == monomial_2k(4).h_at_1 == 1.0
 
     def test_pframe2_matches_monomial(self):
         a, b = p_frame(2.0), monomial_2k(1)
@@ -191,6 +191,84 @@ class TestSecondDerivative:
             pot.eval_g_prime(np.zeros(1))
 
 
+def assert_bitwise(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# u in [0, 1] with both ends, the orthogonality threshold 2^-100 and the
+# points where the central-difference stencil is clipped
+U_GRID = np.concatenate([np.linspace(0.0, 1.0, 100_001),
+                         [2.0 ** -100, 5e-7, 1.0 - 5e-7, 1.0 - 2.0 ** -53]])
+
+
+class TestMonomialIsEvenPFrame:
+    """monomial_2k(k0) is p_frame(2 k0) under its own name, and both carry
+    bitwise the closed forms monomial_2k had of its own."""
+
+    @pytest.mark.parametrize("k0", range(1, 21))
+    def test_g_g_prime_h2_bitwise(self, k0):
+        mono, frame = monomial_2k(k0), p_frame(2 * k0)
+        assert mono.name == f"monomial:k={k0}"
+        assert frame.name == f"pframe:p={2 * k0}"
+        u = U_GRID
+        for field in ("eval_g", "eval_g_prime", "eval_h2"):
+            assert_bitwise(getattr(mono, field)(u), getattr(frame, field)(u))
+        assert_bitwise(mono.eval_g(u), u ** k0)
+        assert_bitwise(mono.eval_g_prime(u), k0 * u ** (k0 - 1))
+        assert_bitwise(mono.eval_h2(u), (2 * k0) * (2 * k0 - 1) * u ** (k0 - 1))
+
+    @pytest.mark.parametrize("k0", range(1, 21))
+    def test_certificates_and_h_at_1(self, k0):
+        mono, frame = monomial_2k(k0), p_frame(2 * k0)
+        assert mono.h_at_1 == frame.h_at_1 == 1.0
+        for k in range(1, 41):
+            want = SignState.ZERO if k + 1 > k0 else SignState.NONNEGATIVE
+            assert certify_sign(mono, k, 1.0) is want
+            assert certify_sign(frame, k, 1.0) is want
+
+
+USER_GS = {
+    "exp": math.exp,
+    "cosh_sqrt": lambda u: math.cosh(math.sqrt(u)),
+    "pole_at_2": lambda u: 1.0 / (2.0 - u),
+    "u_to_1.5": lambda u: u ** 1.5,
+    "sqrt_1_minus_u": lambda u: math.sqrt(1.0 - u),
+    "neg_log1p": lambda u: -math.log1p(u),
+}
+
+
+class TestDerivedFromG:
+    """A Potential derives g' (a central difference on arrays) and h(1)
+    (g(1)) from g; user_potential only vectorizes what it is given."""
+
+    @pytest.mark.parametrize("name", sorted(USER_GS))
+    def test_user_g_prime_matches_scalar_reference(self, name):
+        g = USER_GS[name]
+        reference = reference_central_difference(g)
+        want = [reference(u) for u in U_GRID.tolist()]
+        for pot in (user_potential(name, g), user_potential(name, g, h_at_1=7.5)):
+            assert pot.derivative_kind == "numeric"
+            assert_bitwise(pot.eval_g_prime(U_GRID), want)
+        assert user_potential(name, g).h_at_1 == g(1.0)
+        assert user_potential(name, g, h_at_1=7.5).h_at_1 == 7.5
+
+    def test_given_g_prime_is_analytic(self):
+        pot = user_potential("exp", math.exp, math.exp)
+        assert pot.derivative_kind == "analytic"
+        assert_bitwise(pot.eval_g_prime(U_GRID),
+                       [math.exp(u) for u in U_GRID.tolist()])
+
+    def test_potential_from_an_array_g_alone(self):
+        pot = Potential("exp", np.exp)
+        assert pot.derivative_kind == "numeric"
+        assert pot.certificate_kind == "sampled"
+        assert pot.h_at_1 == math.e
+        hi, lo = np.minimum(U_GRID + 1e-6, 1.0), np.maximum(U_GRID - 1e-6, 0.0)
+        assert_bitwise(pot.eval_g_prime(U_GRID), (np.exp(hi) - np.exp(lo)) / (hi - lo))
+
+
 class TestCertifySign:
     def test_pframe4_k1(self):
         assert certify_sign(p_frame(4), 1, 1.0) is SignState.NONNEGATIVE
@@ -269,6 +347,7 @@ class TestParse:
     @pytest.mark.parametrize("text,name", [
         ("monomial:k=3", "monomial:k=3"),
         ("pframe:p=2.5", "pframe:p=2.5"),
+        ("pframe:p=4.000001", "pframe:p=4.000001"),
         ("riesz:m=1", "riesz:m=1"),
         ("cosh", "cosh"),
         ("arcsine", "arcsine"),
