@@ -16,7 +16,8 @@ take their seed directions from _sphere_seeds and evaluate them against
 the code by _row_reduce.  The covering search screens every seed; the
 extremization screen leaves out the O(N^2) pair rows x_i +- x_j unless
 the potential may have a cusp at orthogonality (polarization._screen).
-Both run in the row blocks of _row_blocks: each temporary holds at most
+Both run in the row blocks of _row_blocks, as does the ratio test of
+the covering search's vertex ascent: each temporary holds at most
 BLOCK_ENTRIES entries, so it stays in L2 cache and a GEMM on it runs on
 one OpenBLAS thread (n <= 16).  The per-row arithmetic does not depend on
 the block, so the results are bitwise those of one pass.
@@ -40,7 +41,9 @@ from .polynomials import monomial_moment
 _NORM_TOL = 1e-12
 _DUP_TOL = 1e-12
 # entries of the float64 temporary of a block of _row_blocks, the one block
-# rule of both sphere searches: 2^15 (256 KB) stay in L2, and OpenBLAS runs
+# rule of the directions x code kernels: the seed screens of both sphere
+# searches (_row_reduce) and the ratio test of the covering search's vertex
+# ascent (_ratio_test).  2^15 (256 KB) stay in L2, and OpenBLAS runs
 # a GEMM of that size on one thread for n <= 16.  Measured on 2 cores
 # (OpenBLAS 0.3.31, Haswell) on the 42,375 x 200 cosh screen of a random
 # code in R^3: 4096-row blocks take 63 ms wall and 125 ms CPU, 2^15-entry
@@ -292,15 +295,20 @@ def _ratio_test(rows: np.ndarray, ys: np.ndarray, dirs: np.ndarray,
     """For each start b and direction dirs[b, e], the largest t >= 0 with
     rows . (ys[b] + t dirs[b, e]) <= 1, and the row that stops it; t is inf
     where no row does.  Rows in basis[b] are held at equality by the
-    directions and skipped; products below roundoff do not stop a step."""
-    slack = np.maximum(1.0 - ys @ rows.T, 0.0)[:, None, :]
-    rate = dirs @ rows.T
-    floor = 8.0 * np.finfo(float).eps * np.linalg.norm(dirs, axis=2)
-    stops = rate > floor[:, :, None]
-    stops[np.arange(len(ys))[:, None], :, basis] = False
-    ratio = np.where(stops, slack / np.where(stops, rate, 1.0), np.inf)
-    stopper = np.argmin(ratio, axis=2)
-    return np.take_along_axis(ratio, stopper[:, :, None], axis=2)[:, :, 0], stopper
+    directions and skipped; products below roundoff do not stop a step.
+    The starts run in the row blocks of _row_blocks."""
+    step = np.empty(dirs.shape[:2])
+    stopper = np.empty(dirs.shape[:2], dtype=int)
+    for at in _row_blocks(len(ys), dirs.shape[1] * len(rows)):
+        slack = np.maximum(1.0 - ys[at] @ rows.T, 0.0)[:, None, :]
+        rate = dirs[at] @ rows.T
+        floor = 8.0 * np.finfo(float).eps * np.linalg.norm(dirs[at], axis=2)
+        stops = rate > floor[:, :, None]
+        stops[np.arange(len(rate))[:, None], :, basis[at]] = False
+        ratio = np.where(stops, slack / np.where(stops, rate, 1.0), np.inf)
+        stopper[at] = np.argmin(ratio, axis=2)
+        step[at] = np.take_along_axis(ratio, stopper[at, :, None], axis=2)[:, :, 0]
+    return step, stopper
 
 
 def _vertex_ascent(points: np.ndarray, starts: np.ndarray) -> tuple[float, np.ndarray]:

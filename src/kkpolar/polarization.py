@@ -26,13 +26,13 @@ among them), refined together by batched Riemannian Newton on the
 Hessian of the potential sum, except the minimum of a potential
 nondecreasing and concave in |t| (p-frames with p <= 1), which lies at a
 vertex of the arrangement x . x_i = 0 and is sought by vertex descent;
-extrema screens the seeds once for both directions.  The
-seeds and the blocked kernel that screens them are those of the covering
-search (codes._sphere_seeds, codes._row_reduce), except where h is known
-smooth at orthogonality: the O(N^2) pair rows x_i +- x_j, which find the
-cusps of |t|^p with p < 2, give way there to a row block of at most 1024
-random directions, and the screen costs O(N) rows.
-A search can miss the global optimum, so its results are estimates: an
+extrema screens the seeds once and runs one Newton batch for both
+directions.  The seeds and the blocked kernel that screens them are those
+of the covering search (codes._sphere_seeds, codes._row_reduce), except
+where h is known smooth at orthogonality: the O(N^2) pair rows
+x_i +- x_j, which find the cusps of |t|^p with p < 2, give way there to
+a row block of at most 1024 random directions, and the screen costs O(N)
+rows.  A search can miss the global optimum, so its results are estimates: an
 upper estimate of the minimum and a lower estimate of the maximum.
 Sandwich checks remain sound with estimates on those sides.
 """
@@ -270,17 +270,19 @@ def potential_U(x, code: SphericalCode, pot: Potential) -> float:
     return float(_u_batch(code.points, pot, (x / nrm)[None])[0])
 
 
-def _fg(points: np.ndarray, pot: Potential, sgn: float):
-    """fg(xs) -> (sgn U, its Euclidean gradient, its Euclidean Hessian) at
-    each unit row x of xs, and fg(xs, values_only=True) -> sgn U by
+def _fg(points: np.ndarray, pot: Potential, signs: np.ndarray):
+    """fg(xs, rows) -> (s U, its Euclidean gradient, its Euclidean Hessian)
+    at each unit row x of xs, with s = signs[rows], the sign of the start
+    each row comes from, and fg(xs, rows, values_only=True) -> s U by
     _u_batch, the one evaluator of U, which the full path matches.  With
-    t = x . x_i the gradient is 2 sgn sum_i g'(t^2) t x_i and the Hessian
-    sgn sum_i h''(t) x_i x_i^t.  g' is never called at u = 0, outside the
+    t = x . x_i the gradient is 2 s sum_i g'(t^2) t x_i and the Hessian
+    s sum_i h''(t) x_i x_i^t.  g' is never called at u = 0, outside the
     (0, 1) that Potential promises: those gradient terms are 0, the limit
     of h' for |t|^p with 1 < p < 2 and a subgradient at the cusps of
     p <= 1, and so are the Hessian terms where h''(0) is not finite."""
 
-    def fg(xs: np.ndarray, values_only: bool = False):
+    def fg(xs: np.ndarray, rows, values_only: bool = False):
+        sgn = signs[rows]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if values_only:
                 return sgn * _u_batch(points, pot, xs)
@@ -295,8 +297,8 @@ def _fg(points: np.ndarray, pot: Potential, sgn: float):
                 curvature = np.where(zero & ~np.isfinite(curvature), 0.0, curvature)
             else:
                 terms = pot.eval_g_prime(u) * d
-            grads = (2.0 * sgn) * (terms @ points)
-            return values, grads, ((sgn * curvature)[:, None, :] * points.T) @ points
+            grads = (2.0 * sgn)[:, None] * (terms @ points)
+            return values, grads, ((sgn[:, None] * curvature)[:, None, :] * points.T) @ points
 
     return fg
 
@@ -322,36 +324,46 @@ def _screen(code: SphericalCode, pot: Potential, seed: int,
     return mat, _u_batch(code.points, pot, mat)
 
 
-def _refine(points: np.ndarray, pot: Potential, sgn: float,
-             survivors: np.ndarray) -> ExtremizationResult:
-    """Local searches from the survivors for the minimum of sgn U, all at
-    once; the best endpoint wins.  Where g' >= 0 and h'' <= 0 on
-    _SHAPE_GRID, h is nondecreasing and concave in |t| (p-frames with
-    p <= 1), so U is concave on every cell of x . x_i = 0 and its minimum
-    is a vertex: vertex descent finds it.  Everything else runs Riemannian
-    Newton.  A wrong reading for a user potential only picks the weaker
-    of two sound searches."""
-    fg = _fg(points, pot, sgn)
-    if sgn > 0.0 and (np.all(pot.eval_g_prime(_SHAPE_GRID) >= 0.0)
-                      and np.all(pot.eval_h2(_SHAPE_GRID) <= 0.0)):
-        values, ends = vertex_descent(lambda xs: fg(xs, values_only=True),
-                                      points, survivors)
-    else:
-        values, ends = tangent_newton(fg, survivors)
-    best_x = ends[int(np.argmin(np.where(np.isnan(values), np.inf, values)))]
-    slope = float(np.linalg.norm(
-        tangent_component(best_x, fg(best_x[None])[1][0])))
-    return ExtremizationResult(
-        value=float(_u_batch(points, pot, best_x[None])[0]),
-        argpoint=tuple(best_x), restarts=len(survivors),
-        stationarity_norm=slope if math.isfinite(slope) else math.inf)
+def _refine(points: np.ndarray, pot: Potential,
+            starts: dict[Direction, np.ndarray]) -> dict[Direction, ExtremizationResult]:
+    """Local searches from the survivors of each direction for the minimum
+    of sgn U; the best endpoint of each direction wins.  Where g' >= 0 and
+    h'' <= 0 on _SHAPE_GRID, h is nondecreasing and concave in |t|
+    (p-frames with p <= 1), so U is concave on every cell of x . x_i = 0
+    and its minimum is a vertex: vertex descent finds it, in a run of its
+    own.  The other directions run Riemannian Newton in one batch whose
+    rows carry the sign of their direction, as an iteration costs about
+    the same at 20 rows as at 10.  A wrong reading for a user potential
+    only picks the weaker of two sound searches."""
+    ends: dict[Direction, tuple[np.ndarray, np.ndarray]] = {}
+    if Direction.MIN in starts and (np.all(pot.eval_g_prime(_SHAPE_GRID) >= 0.0)
+                                    and np.all(pot.eval_h2(_SHAPE_GRID) <= 0.0)):
+        ends[Direction.MIN] = vertex_descent(lambda xs: _u_batch(points, pot, xs),
+                                             points, starts[Direction.MIN])
+    newton = [d for d in starts if d not in ends]
+    if newton:
+        signs = np.concatenate([np.full(len(starts[d]), _SIGN[d]) for d in newton])
+        values, xs = tangent_newton(_fg(points, pot, signs),
+                                    np.concatenate([starts[d] for d in newton]))
+        cuts = np.cumsum([len(starts[d]) for d in newton])[:-1]
+        ends.update(zip(newton, zip(np.split(values, cuts), np.split(xs, cuts))))
+    found = {}
+    for direction, (values, xs) in ends.items():
+        best_x = xs[int(np.argmin(np.where(np.isnan(values), np.inf, values)))]
+        grad = _fg(points, pot, np.ones(1))(best_x[None], [0])[1][0]
+        slope = float(np.linalg.norm(tangent_component(best_x, grad)))
+        found[direction] = ExtremizationResult(
+            value=float(_u_batch(points, pot, best_x[None])[0]),
+            argpoint=tuple(best_x), restarts=len(xs),
+            stationarity_norm=slope if math.isfinite(slope) else math.inf)
+    return found
 
 
 def _extremize(code: SphericalCode, pot: Potential,
                directions: tuple[Direction, ...], seed: int,
                restarts: Optional[int]) -> list[ExtremizationResult]:
     """One result per direction; the directions that need a search share
-    one seed screen."""
+    one seed screen and one refinement (_refine)."""
     if restarts is not None and restarts < 1:
         raise PreconditionError(f"restarts must be >= 1, got {restarts}")
     pts = code.points
@@ -366,10 +378,9 @@ def _extremize(code: SphericalCode, pot: Potential,
             searched.append(direction)
     if searched:
         mat, u = _screen(code, pot, seed, restarts)
-        for direction in searched:
-            sgn = _SIGN[direction]
-            survivors = mat[np.argsort(sgn * u)[:_SURVIVORS]]
-            found[direction] = _refine(pts, pot, sgn, survivors)
+        found.update(_refine(pts, pot, {
+            direction: mat[np.argsort(_SIGN[direction] * u)[:_SURVIVORS]]
+            for direction in searched}))
     return [found[direction] for direction in directions]
 
 
@@ -383,21 +394,21 @@ def extremize(code: SphericalCode, pot: Potential, direction: Direction,
     dimension the seeds of _screen (structured seeds, with the pair sums
     and differences only where h may have a cusp at orthogonality, the
     cusps on the circle, a grid in R^3, random directions) are screened,
-    and the ten best are refined together: by Riemannian Newton
-    (sphere_opt.tangent_newton) on the gradient and Hessian of _fg, or,
-    for the minimum of a potential nondecreasing and concave in |t|
-    (p-frames with p <= 1), by vertex descent (sphere_opt.vertex_descent)
-    to a vertex of the arrangement x . x_i = 0, orthogonal to n - 1 code
-    points, that no adjacent vertex lies below.  On the circle the
-    vertices are the cusps, which are seeds, so the p <= 1 minimum there
-    is exact; elsewhere the search is a heuristic.  A numeric g' gives a
-    finite-difference gradient.  MIN results are upper estimates of the
+    and the ten best are refined together, in one run of ten rows: by
+    Riemannian Newton (sphere_opt.tangent_newton) on the gradient and
+    Hessian of _fg, or, for the minimum of a potential nondecreasing and
+    concave in |t| (p-frames with p <= 1), by vertex descent
+    (sphere_opt.vertex_descent) to a vertex of the arrangement
+    x . x_i = 0, orthogonal to n - 1 code points, that no adjacent vertex
+    lies below.  On the circle the vertices are the cusps, which are
+    seeds, so the p <= 1 minimum there is exact; elsewhere the search is
+    a heuristic.  A numeric g' gives a finite-difference gradient.  MIN results are upper estimates of the
     true minimum, MAX results lower estimates of the true maximum.
-    extrema returns both directions from one screen.  restarts sets the
-    number of random seed directions, of which at least 128 are screened
-    (at least min(1024, BLOCK_ENTRIES // N) where h is smooth at
-    orthogonality); below
-    1 it is a PreconditionError.
+    extrema returns both directions from one screen and one Newton run,
+    the same to roundoff.  restarts sets the number of random seed
+    directions, of which at least 128 are screened (at least
+    min(1024, BLOCK_ENTRIES // N) where h is smooth at orthogonality);
+    below 1 it is a PreconditionError.
     """
     return _extremize(code, pot, (Direction(direction),), seed, restarts)[0]
 
@@ -406,9 +417,10 @@ def extrema(code: SphericalCode, pot: Potential, seed: int = 0,
             restarts: Optional[int] = None
             ) -> tuple[ExtremizationResult, ExtremizationResult]:
     """(minimum, maximum) of the potential sum over the sphere: the same
-    results as extremize in each direction, with the seeds screened once;
-    the ten lowest-U seeds are the MIN survivors and the ten highest the
-    MAX survivors."""
+    results as extremize in each direction to roundoff, with the seeds
+    screened once; the ten lowest-U seeds are the MIN survivors and the
+    ten highest the MAX survivors, refined in one Newton run (a
+    vertex-descent minimum runs on its own)."""
     low, high = _extremize(code, pot, (Direction.MIN, Direction.MAX),
                            seed, restarts)
     return low, high

@@ -117,6 +117,13 @@ def monomial_2k(k0: int) -> Potential:
     return replace(p_frame(2 * k0), name=f"monomial:k={k0}")
 
 
+def _exponent(x: float) -> str:
+    """x in a name, short unless that rounds it: no two exponents share a
+    name, and certify_design reads t^(2k) from the name of a p-frame."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def p_frame(p: float) -> Potential:
     """h(t) = |t|^p, g(u) = u^(p/2); requires 0 < p < inf."""
     p = float(p)
@@ -124,9 +131,6 @@ def p_frame(p: float) -> Potential:
         raise PreconditionError(
             f"p-frame exponent p must be positive and finite, got {p}")
     half = p / 2.0
-    # the short form unless it rounds p: certify_design reads t^(2k) from
-    # the name, which must not match a p-frame within 6 digits of 2k
-    short = f"{p:g}"
 
     def cert(k: int, u_max: float) -> SignState:
         sign = 1.0
@@ -138,7 +142,7 @@ def p_frame(p: float) -> Potential:
         return SignState.NONNEGATIVE if sign > 0.0 else SignState.NONPOSITIVE
 
     return Potential(
-        name=f"pframe:p={short if float(short) == p else repr(p)}",
+        name=f"pframe:p={_exponent(p)}",
         eval_g=lambda u: u**half,
         eval_g_prime=lambda u: half * u ** (half - 1.0),
         sign_certificate=cert,
@@ -180,7 +184,7 @@ def riesz_sym(m: float) -> Potential:
                                             + (2.0 + 2.0 * r) ** (-a - 2.0))
 
     return Potential(
-        name=f"riesz:m={m:g}",
+        name=f"riesz:m={_exponent(m)}",
         eval_g=g,
         eval_g_prime=gp,
         sign_certificate=lambda k, u_max: SignState.NONNEGATIVE,

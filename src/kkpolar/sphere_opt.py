@@ -1,10 +1,11 @@
 """Local searches for the minimum of a scalar objective over the unit
 sphere, for potential extremization, all starts at once: Riemannian
-Newton on the exact Hessian (tangent_newton), and, for objectives concave
-on every cell of the arrangement of hyperplanes x . x_i = 0, such as sums
-of |x . x_i|^p with p <= 1, descent from vertex to vertex of that
-arrangement on values alone (vertex_descent), as their minimum lies at a
-vertex, a point orthogonal to n - 1 independent normals.
+Newton on the exact Hessian (tangent_newton), whose objective may differ
+per start, and, for objectives concave on every cell of the arrangement
+of hyperplanes x . x_i = 0, such as sums of |x . x_i|^p with p <= 1,
+descent from vertex to vertex of that arrangement on values alone
+(vertex_descent), as their minimum lies at a vertex, a point orthogonal
+to n - 1 independent normals.
 """
 
 from __future__ import annotations
@@ -38,15 +39,16 @@ _NEWTON_ITERATIONS = 100
 _RESOLUTION = 16 * np.finfo(float).eps
 
 
-def _backtrack(values, x: np.ndarray, step: np.ndarray, f: np.ndarray,
-               slope: np.ndarray):
+def _backtrack(fgh, rows: np.ndarray, x: np.ndarray, step: np.ndarray,
+               f: np.ndarray, slope: np.ndarray):
     """The line search of tangent_newton along the retractions
     (x + alpha step)/|x + alpha step| of the rows: each takes the largest
     of alpha = 1, 1/2, ..., 2^-_HALVINGS that passes Armijo (_ARMIJO_C1)
     with a strict decrease, which matters where c1 alpha slope is below
-    the spacing of floats at f.  One values call tries alpha = 1, a second
-    all the halvings at once for the rows that failed: the steps of
-    sequential halving in 2 calls instead of up to _HALVINGS + 1.  Returns
+    the spacing of floats at f; rows holds the index in x0 of each row.
+    One values-only call of fgh tries alpha = 1, a second all the halvings
+    at once for the rows that failed: the steps of sequential halving in 2
+    calls instead of up to _HALVINGS + 1.  Returns
     alpha, the value and the point per row; where no step passed, alpha
     is NaN and the rest is that of alpha = 1."""
     alpha = np.full(f.size, np.nan)
@@ -54,7 +56,8 @@ def _backtrack(values, x: np.ndarray, step: np.ndarray, f: np.ndarray,
     for alphas in (_LADDER[:1], _LADDER[1:]):
         cand = x[pending][:, None, :] + alphas[None, :, None] * step[pending][:, None, :]
         cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-        value = values(cand.reshape(-1, x.shape[1])).reshape(pending.size, alphas.size)
+        value = fgh(cand.reshape(-1, x.shape[1]), np.repeat(rows[pending], alphas.size),
+                    values_only=True).reshape(pending.size, alphas.size)
         if alphas.size == 1:
             f_new, ends = value[:, 0].copy(), cand[:, 0].copy()
         ok = ((value <= f[pending, None] + _ARMIJO_C1 * alphas * slope[pending, None])
@@ -74,10 +77,12 @@ def _backtrack(values, x: np.ndarray, step: np.ndarray, f: np.ndarray,
 def tangent_newton(fgh, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched Riemannian Newton (Absil, Mahony & Sepulchre, Optimization
     Algorithms on Matrix Manifolds, 2008, ch. 5-6), one independent search
-    per row of x0 (B, n).  fgh maps unit rows (B', n) to their objective
-    values (B',), Euclidean gradients (B', n) and Euclidean Hessians
-    (B', n, n), and fgh(xs, values_only=True) to the values alone, which
-    is all the line search reads.  Each iteration works in the Householder
+    per row of x0 (B, n).  fgh(xs, rows) maps unit rows xs (B', n), each
+    a point of the search from x0[rows[j]], to their objective values
+    (B',), Euclidean gradients (B', n) and Euclidean Hessians (B', n, n),
+    and fgh(xs, rows, values_only=True) to the values alone, which is all
+    the line search reads; the rows let one run minimize a different
+    objective per start.  Each iteration works in the Householder
     chart at the row's current point x, with tangent basis T: the chart
     gradient is T^t grad and the Riemannian Hessian T^t Hess T - (x . grad) I.
     Its eigenvalues are replaced by max(|lambda|, 1e-8 max |lambda|), so
@@ -91,8 +96,8 @@ def tangent_newton(fgh, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with the points on the sphere."""
     xs = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
     n = xs.shape[1]
-    values, grads, hessians = fgh(xs)
     rows = np.arange(xs.shape[0])
+    values, grads, hessians = fgh(xs, rows)
     for _ in range(_NEWTON_ITERATIONS):
         x = xs[rows]
         bases = _householder_bases(x)
@@ -111,8 +116,7 @@ def tangent_newton(fgh, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z /= np.maximum(1.0, np.linalg.norm(z, axis=1))[:, None]
         step = np.einsum("bij,bj->bi", bases, z)
         f, slope = values[rows], np.sum(z * g, axis=1)
-        alpha, f_new, ends = _backtrack(lambda cand: fgh(cand, values_only=True),
-                                        x, step, f, slope)
+        alpha, f_new, ends = _backtrack(fgh, rows, x, step, f, slope)
         moved = ~np.isnan(alpha)
         # where the model's decrease and the full step's change of value are
         # both below the resolution of f, values cannot judge the step: the
@@ -128,7 +132,7 @@ def tangent_newton(fgh, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the line search's values, so that each row's values fall strictly
         # even where a call on another batch shape rounds them differently
         values[rows] = f_new[moved]
-        _, grads, hessians = fgh(xs[rows])
+        _, grads, hessians = fgh(xs[rows], rows)
     return values, xs
 
 

@@ -181,6 +181,17 @@ class TestSeedScores:
         assert blocked[0] == whole[0]
         assert np.array_equal(blocked[1], whole[1])
 
+    @pytest.mark.parametrize("n,size", [(3, 200), (8, 120), (5, 40), (6, 12)])
+    def test_ratio_test_in_blocks_of_two_starts(self, monkeypatch, n, size):
+        # the vertex ascent's ratio test runs in the row blocks of the seed
+        # scores; 2 entries give blocks of 2 starts and fold a lone last one
+        points = unit_rows(np.random.default_rng(size), size, n)
+        blocked = _covering_radius_search(points, 3)
+        monkeypatch.setattr(codes, "BLOCK_ENTRIES", 2)
+        small = _covering_radius_search(points, 3)
+        assert blocked[0] == small[0]
+        assert np.array_equal(blocked[1], small[1])
+
 
 class TestMoment:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])

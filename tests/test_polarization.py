@@ -73,11 +73,12 @@ class TestPotentialU:
         # (the reported value); 1-row and 50-row products may differ by an ulp
         code = random_code(n, size, size)
         xs = random_code(n, 50, 1).points
+        rows = np.arange(len(xs))
         for pot in (gaussian_sym(), p_frame(0.5), p_frame(1.5), riesz_sym(1)):
-            fg = polarization._fg(code.points, pot, -1.0)
-            assert fg(xs)[0].tobytes() == fg(xs, values_only=True).tobytes()
-            for x in xs[:5]:
-                assert fg(x[None])[0][0] == -polarization._u_batch(
+            fg = polarization._fg(code.points, pot, np.full(len(xs), -1.0))
+            assert fg(xs, rows)[0].tobytes() == fg(xs, rows, values_only=True).tobytes()
+            for row, x in enumerate(xs[:5]):
+                assert fg(x[None], rows[row:row + 1])[0][0] == -polarization._u_batch(
                     code.points, pot, x[None])[0]
 
 
@@ -226,20 +227,22 @@ class TestGradientPath:
         p_frame(0.5), p_frame(1),
     ], ids=lambda v: v.name)
     def test_every_potential_runs_tangent_newton(self, pot, monkeypatch):
-        # the refinement path: tangent_newton for every potential and
-        # direction, but vertex_descent for the minimum of p <= 1
+        # the refinement path: one tangent_newton run for every direction
+        # searched, 10 rows each, but vertex_descent, in a run of its own,
+        # for the minimum of p <= 1
         calls = []
         for name in ("tangent_newton", "vertex_descent"):
             def counting(fg, *args, name=name, original=getattr(polarization, name)):
-                calls.append(name)
+                calls.append((name, len(args[-1])))
                 return original(fg, *args)
 
             monkeypatch.setattr(polarization, name, counting)
         low, high = extrema(catalog("cube_half"), pot)
         vertex = pot.name in ("pframe:p=0.5", "pframe:p=1")
         searched = [low] if math.isinf(high.value) else [low, high]
-        assert calls == (["vertex_descent" if vertex else "tangent_newton"]
-                         + ["tangent_newton"] * (len(searched) - 1))
+        rows = polarization._SURVIVORS
+        assert calls == ([("vertex_descent", rows), ("tangent_newton", rows)]
+                         if vertex else [("tangent_newton", rows * len(searched))])
         for res in searched:
             assert res.value == pytest.approx(
                 potential_U(np.array(res.argpoint), catalog("cube_half"), pot), rel=1e-15)
@@ -267,7 +270,8 @@ class TestNewtonPath:
     def test_hessian_terms_at_orthogonality(self, pot):
         # e_1 is orthogonal to e_2 and e_3 of onb:3: their terms take
         # h''(0) where it is finite (cosh: 1) and 0 where it is not
-        _, _, hess = polarization._fg(catalog("onb:3").points, pot, 1.0)(np.eye(3)[:1])
+        _, _, hess = polarization._fg(catalog("onb:3").points, pot, np.ones(1))(
+            np.eye(3)[:1], np.zeros(1, dtype=int))
         at_zero = 1.0 if pot.name == "cosh" else 0.0
         np.testing.assert_array_equal(
             hess[0], np.diag([pot.eval_h2(np.ones(1))[0], at_zero, at_zero]))
@@ -310,9 +314,8 @@ class TestVertexPath:
         # descent meets degenerate vertices
         code, pot = catalog("cell24_half"), p_frame(p)
         mat, u = polarization._screen(code, pot, 0, None)
-        fg = polarization._fg(code.points, pot, 1.0)
-        values, ends = vertex_descent(lambda xs: fg(xs, values_only=True),
-                                      code.points, mat)
+        values, ends = vertex_descent(
+            lambda xs: polarization._u_batch(code.points, pot, xs), code.points, mat)
         assert np.all(np.count_nonzero(np.abs(ends @ code.points.T) <= 1e-12, axis=1) >= 3)
         assert np.all(values <= u * (1.0 + 1e-12))
         assert np.min(values) == pytest.approx(
@@ -452,10 +455,9 @@ class TestScreenSeeds:
                 if math.isinf(found.value):
                     continue
                 sgn = polarization._SIGN[direction]
-                full = polarization._refine(
-                    code.points, pot, sgn,
-                    mat[np.argsort(sgn * u)[:polarization._SURVIVORS]])
-                assert_not_worse(found, full, direction)
+                full = polarization._refine(code.points, pot, {
+                    direction: mat[np.argsort(sgn * u)[:polarization._SURVIVORS]]})
+                assert_not_worse(found, full[direction], direction)
 
     def test_small_code_reaches_the_deepest_basin(self):
         # the (6, 12) code of a random_codes block (the last of its four
@@ -472,6 +474,53 @@ class TestScreenSeeds:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         assert low.value < np.min(np.sum((dirs @ code.points.T) ** 4, axis=1))
         assert low.value == pytest.approx(0.075273, abs=1e-6)
+
+
+# the potential each random_codes shape runs with in the benchmark workload
+WORKLOAD_POTENTIALS = ["cosh", "monomial:k=1", "riesz:m=1", "pframe:p=4"]
+
+
+class TestMergedRefinement:
+    """_refine runs the Newton searches of both directions as one batch;
+    each direction's result is that of its own run to roundoff."""
+
+    @pytest.mark.parametrize("text", WORKLOAD_POTENTIALS + [
+        # vertex descent for the minimum, Newton for the maximum
+        "pframe:p=0.5", "pframe:p=1",
+        # h(1) = +inf: the minimum alone is searched
+        "riesz:m=2"])
+    @pytest.mark.parametrize("n,size", RANDOM_CODE_SHAPES)
+    def test_merged_run_matches_per_direction_runs(self, n, size, text):
+        pot = parse_potential(text)
+        searched = [d for d in Direction
+                    if not (d is Direction.MAX and math.isinf(pot.h_at_1))]
+        vertex = text in ("pframe:p=0.5", "pframe:p=1")
+        for seed in (1, 2):
+            code = random_code(n, size, [seed, n, size])
+            mat, u = polarization._screen(code, pot, seed, None)
+            starts = {d: mat[np.argsort(polarization._SIGN[d] * u)[:polarization._SURVIVORS]]
+                      for d in searched}
+            merged = polarization._refine(code.points, pot, starts)
+            assert set(merged) == set(searched)
+            for d in searched:
+                alone = polarization._refine(code.points, pot, {d: starts[d]})[d]
+                assert merged[d].value == pytest.approx(alone.value, rel=1e-12, abs=0.0)
+                assert merged[d].restarts == alone.restarts == polarization._SURVIVORS
+                if len(searched) == 1 or (vertex and d is Direction.MIN):
+                    # a run of its own either way
+                    assert merged[d] == alone
+
+    @pytest.mark.parametrize("n,size", RANDOM_CODE_SHAPES)
+    def test_extremize_matches_its_half_of_extrema(self, n, size):
+        for text in WORKLOAD_POTENTIALS + ["pframe:p=0.5", "pframe:p=1.5", "arcsine"]:
+            pot = parse_potential(text)
+            for seed in range(3):
+                code = random_code(n, size, [seed, size, n])
+                both = extrema(code, pot, seed=seed)
+                for d, shared in zip(Direction, both):
+                    alone = extremize(code, pot, d, seed=seed)
+                    assert shared.value == pytest.approx(alone.value, rel=1e-12, abs=0.0)
+                    assert shared.restarts == alone.restarts
 
 
 class TestRestarts:
@@ -534,7 +583,8 @@ class TestCircle:
         assert high.value == pytest.approx(1.0 + math.sqrt(5.0), rel=1e-12)
 
     def test_runs_tangent_newton(self, monkeypatch):
-        # cosh carries h'', so the circle is refined by tangent_newton
+        # cosh carries h'', so the circle is refined by tangent_newton, both
+        # directions in one run
         calls = []
         original = polarization.tangent_newton
 
@@ -544,7 +594,7 @@ class TestCircle:
 
         monkeypatch.setattr(polarization, "tangent_newton", counting)
         low, high = extrema(catalog("polygon_half:7"), gaussian_sym())
-        assert calls == [(polarization._SURVIVORS, 2)] * 2
+        assert calls == [(2 * polarization._SURVIVORS, 2)]
         assert low.restarts == high.restarts == polarization._SURVIVORS
         # the exact Riemannian gradient norm at a smooth extremum
         assert low.stationarity_norm <= 1e-12 and high.stationarity_norm <= 1e-12

@@ -349,6 +349,10 @@ class TestParse:
         ("pframe:p=2.5", "pframe:p=2.5"),
         ("pframe:p=4.000001", "pframe:p=4.000001"),
         ("riesz:m=1", "riesz:m=1"),
+        # a workload's Riesz name, 3 decimals, keeps its short form; an m
+        # that the short form rounds is named by repr, apart from m = 2
+        ("riesz:m=1.234", "riesz:m=1.234"),
+        ("riesz:m=2.0000001", "riesz:m=2.0000001"),
         ("cosh", "cosh"),
         ("arcsine", "arcsine"),
     ])

@@ -36,10 +36,11 @@ def rayleigh(n, seed):
 def with_hessian(fg, n, calls=None):
     """The Rayleigh objective fg as the fgh of tangent_newton, with its
     constant Hessian 2 A; calls, when given, records the batch size of
-    each full call."""
+    each full call.  The row indices are not read: every start has the
+    same objective."""
     a = fg(np.eye(n))[1] / 2.0
 
-    def fgh(xs, values_only=False):
+    def fgh(xs, rows, values_only=False):
         values, grads = fg(xs)
         if values_only:
             return values
@@ -87,12 +88,38 @@ def test_batched_rows_converge_independently(n):
         assert np.max(np.abs(solo_xs[0] - xs[row])) <= 1e-7
 
 
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_rows_carry_their_own_objective(n):
+    # one run minimizes x . A x from some starts and -x . A x from the
+    # others: fgh reads each row's sign from the index of its start, in
+    # the full calls and in the line search's values-only calls alike
+    q, fg = rayleigh(n, 20 + n)
+    fgh = with_hessian(fg, n)
+    signs = np.tile([1.0, -1.0], 5)
+    seen = set()
+
+    def signed(xs, rows, values_only=False):
+        seen.update(rows.tolist())
+        out = fgh(xs, rows, values_only)
+        if values_only:
+            return signs[rows] * out
+        return tuple(signs[rows].reshape((-1,) + (1,) * (part.ndim - 1)) * part
+                     for part in out)
+
+    starts = np.random.default_rng(n).standard_normal((signs.size, n))
+    values, xs = tangent_newton(signed, starts)
+    np.testing.assert_allclose(values, np.where(signs > 0, 1.0, -3.0), rtol=0.0, atol=1e-14)
+    top = np.where(signs > 0, q[:, 0][:, None], q[:, -1][:, None]).T
+    np.testing.assert_allclose(np.abs(np.sum(xs * top, axis=1)), 1.0, rtol=0.0, atol=1e-7)
+    assert seen == set(range(signs.size))
+
+
 def flat_objective(calls):
     """Constant value with a nonzero tangent gradient, so that no step
     passes Armijo, as an fgh that records ("full" | "values", batch size)
     for each call."""
 
-    def fgh(xs, values_only=False):
+    def fgh(xs, rows, values_only=False):
         calls.append(("values" if values_only else "full", xs.shape[0]))
         if values_only:
             return np.zeros(xs.shape[0])
@@ -130,15 +157,15 @@ def survivor_problems(n, size, pot):
     mat, u = polarization._screen(code, pot, 0, None)
     for sgn in (1.0, -1.0) if pot.h_at_1 < math.inf else (1.0,):
         starts = mat[np.argsort(sgn * u)[:polarization._SURVIVORS]]
-        yield polarization._fg(code.points, pot, sgn), starts
+        yield polarization._fg(code.points, pot, np.full(len(starts), sgn)), starts
 
 
 def row_by_row(fgh):
     """fgh one row at a time, so that no row's value, gradient or Hessian
     depends on the batch it is evaluated in."""
 
-    def wrapped(xs, values_only=False):
-        parts = [fgh(x[None], values_only) for x in xs]
+    def wrapped(xs, rows, values_only=False):
+        parts = [fgh(x[None], rows[j:j + 1], values_only) for j, x in enumerate(xs)]
         if values_only:
             return np.concatenate(parts)
         return tuple(np.concatenate(column) for column in zip(*parts))
