@@ -7,7 +7,8 @@ import numpy as np
 from scipy import optimize
 
 from kkpolar import interpolants, polarization
-from kkpolar.codes import SphericalCode, _fibonacci_sphere, _structured_seeds
+from kkpolar.codes import (SphericalCode, _fibonacci_sphere, _row_blocks,
+                           _structured_seeds)
 from kkpolar.errors import PreconditionError
 from kkpolar.interpolants import Side
 from kkpolar.polarization import Direction, ExtremizationResult
@@ -210,6 +211,24 @@ def nearly_flat_code() -> SphericalCode:
     pts[:, 3] *= 1e-14
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return SphericalCode.from_points(pts)
+
+
+def reference_ratio_test(rows: np.ndarray, ys: np.ndarray, dirs: np.ndarray,
+                         basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """codes._ratio_test with the np.where select it had before its select
+    became branch-free, in the same row blocks, kept as its reference."""
+    step = np.empty(dirs.shape[:2])
+    stopper = np.empty(dirs.shape[:2], dtype=int)
+    for at in _row_blocks(len(ys), dirs.shape[1] * len(rows)):
+        slack = np.maximum(1.0 - ys[at] @ rows.T, 0.0)[:, None, :]
+        rate = dirs[at] @ rows.T
+        floor = 8.0 * np.finfo(float).eps * np.linalg.norm(dirs[at], axis=2)
+        stops = rate > floor[:, :, None]
+        stops[np.arange(len(rate))[:, None], :, basis[at]] = False
+        ratio = np.where(stops, slack / np.where(stops, rate, 1.0), np.inf)
+        stopper[at] = np.argmin(ratio, axis=2)
+        step[at] = np.take_along_axis(ratio, stopper[at, :, None], axis=2)[:, :, 0]
+    return step, stopper
 
 
 def reference_margin(p, pot: Potential, side: Side,

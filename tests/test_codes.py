@@ -17,6 +17,7 @@ from kkpolar.codes import (
     HULL_FACET_CAP,
     SphericalCode,
     _covering_radius_search,
+    _ratio_test,
     _seed_scores,
     _structured_seeds,
     catalog,
@@ -32,7 +33,7 @@ from kkpolar.errors import CodeFormatError, PreconditionError
 from kkpolar.quadrature import largest_gauss_node
 
 from helpers import (gegenbauer, nearly_flat_code, reference_covering_seeds,
-                     reference_duplicate)
+                     reference_duplicate, reference_ratio_test)
 
 
 def random_code(n, size, seed):
@@ -515,12 +516,19 @@ def structured_seeds_loop(points):
     return np.vstack(seeds)
 
 
+def antipodal_code():
+    """A random code in R^4 with an antipodal pair: x_0 + x_7 = 0, so
+    _unit_rows drops that pair row and copies the rows it keeps."""
+    points = random_code(4, 7, 5).points
+    return SphericalCode.from_points(np.vstack([points, -points[:1]]))
+
+
 class TestStructuredSeeds:
     @pytest.mark.parametrize("code", [
         catalog("cube_half"), catalog("onb:4"), catalog("cell24_half"),
         catalog("icosahedron_half"), catalog("polygon_half:5"),
         random_code(3, 1, 0), random_code(5, 10, 1), random_code(8, 11, 2),
-        random_code(3, 40, 3),
+        random_code(3, 40, 3), antipodal_code(),
     ], ids=lambda c: f"{c.n}x{c.size}")
     def test_same_rows_as_loop(self, code):
         assert np.array_equal(_structured_seeds(code.points),
@@ -558,6 +566,96 @@ class TestSphereSeeds:
             expected = np.vstack([expected[:cut], circle, expected[cut:]])
         assert len(built) == 1
         assert np.array_equal(built[0], expected)
+
+
+def ratio_case(rows, direction, basis, ys=(0.0, 0.0)):
+    """One start, as three copies (so blocks of two starts fold a lone
+    last one), in R^2 with one direction."""
+    return (np.array(rows, dtype=float), np.tile(ys, (3, 1)),
+            np.tile(direction, (3, 1, 1)), np.tile(basis, (3, 1)))
+
+
+# a unit direction's floor, below which a rate does not stop a step
+FLOOR = 8.0 * np.finfo(float).eps
+ABOVE_FLOOR = np.nextafter(FLOOR, 1.0)
+
+# (rows, direction, basis, ys) -> (step, stopper); at ys = 0 every finite
+# row has slack 1, so a stopping row's ratio is 1 / rate
+RATIO_CASES = {
+    "rate_at_floor": (ratio_case([[0, 1], [FLOOR, 0]], [1, 0], [0]), (math.inf, 0)),
+    "rate_above_floor": (ratio_case([[0, 1], [ABOVE_FLOOR, 0]], [1, 0], [0]),
+                         (1.0 / ABOVE_FLOOR, 1)),
+    "rate_zero_or_negative": (ratio_case([[0, 1], [0, 1], [-1, 0], [0.5, 0]], [1, 0], [0]),
+                              (2.0, 3)),
+    "nan_rate": (ratio_case([[0, 1], [math.nan, 0], [0.25, 0]], [1, 0], [0]), (4.0, 2)),
+    "nan_direction": (ratio_case([[0, 1], [0.5, 0]], [math.nan, 0], [0]), (math.inf, 0)),
+    "basis_row_with_positive_rate": (ratio_case([[0.5, 0], [0.25, 0]], [1, 0], [0]), (4.0, 1)),
+    "no_row_stops": (ratio_case([[0, 1], [FLOOR, 0], [0, -1], [-1, 0], [math.nan, 0]],
+                                [1, 0], [0]), (math.inf, 0)),
+    "tie": (ratio_case([[0, 1], [0.25, 0], [0.5, 0], [0.5, 0]], [1, 0], [0]), (2.0, 2)),
+    "tie_at_zero_slack": (ratio_case([[0, 1], [0.5, 0.5], [1, 0], [1, 0]], [1, 0], [0],
+                                     ys=(1.0, 0.0)), (0.0, 2)),
+}
+
+
+def random_ratio_block(rng, n, size, starts, edges):
+    """A ratio test on +-C of a random code: starts on the boundary of
+    {y : |x_i . y| <= 1}, random directions, edges distinct basis rows."""
+    points = unit_rows(rng, size, n)
+    rows = np.vstack([points, -points])
+    ys = unit_rows(rng, starts, n)
+    ys /= np.max(np.abs(ys @ points.T), axis=1)[:, None]
+    dirs = rng.standard_normal((starts, edges, n))
+    basis = np.array([rng.choice(2 * size, edges, replace=False) for _ in range(starts)])
+    return rows, ys, dirs, basis
+
+
+class TestRatioTest:
+    """The branch-free ratio test against the np.where select it replaced:
+    step and stopper bitwise the same, in any row blocks."""
+
+    @pytest.fixture(params=[BLOCK_ENTRIES, 2], ids=["default_blocks", "blocks_of_2"])
+    def blocks(self, request, monkeypatch):
+        monkeypatch.setattr(codes, "BLOCK_ENTRIES", request.param)
+
+    @staticmethod
+    def assert_bitwise(args):
+        step, stopper = _ratio_test(*args)
+        ref_step, ref_stopper = reference_ratio_test(*args)
+        assert step.tobytes() == ref_step.tobytes()
+        assert np.array_equal(stopper, ref_stopper)
+        return step, stopper
+
+    @pytest.mark.parametrize("n,size,starts,edges", [
+        (8, 120, 17, 8), (8, 120, 48, 1), (3, 200, 5, 3), (5, 40, 33, 5), (6, 12, 1, 6)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_blocks(self, blocks, n, size, starts, edges, seed):
+        rng = np.random.default_rng(1000 * seed + 10 * n + edges)
+        args = random_ratio_block(rng, n, size, starts, edges)
+        step, _ = self.assert_bitwise(args)
+        # +-C surrounds the origin, so some row stops nearly every step
+        assert np.mean(np.isfinite(step)) > 0.5
+
+    @pytest.mark.parametrize("case", sorted(RATIO_CASES))
+    def test_hand_built_rows(self, blocks, case):
+        args, (expected_step, expected_stopper) = RATIO_CASES[case]
+        step, stopper = self.assert_bitwise(args)
+        assert np.all(step == expected_step)
+        assert np.all(stopper == expected_stopper)
+
+    @pytest.mark.parametrize("code", [
+        pytest.param(random_code(n, size, size), id=f"{n}x{size}")
+        for n, size in RANDOM_CODE_SHAPES
+    ] + [pytest.param(random_code(8, 120, 100 + seed), id=f"8x120_seed{100 + seed}")
+         for seed in range(20)] + [pytest.param(nearly_flat_code(), id="nearly_flat")] + [
+        pytest.param(catalog(name), id=name)
+        for name in sorted(CATALOG_DESIGNS) if catalog(name).n >= 3])
+    def test_search_same_as_reference(self, monkeypatch, code):
+        radius, witness = _covering_radius_search(code.points, 3)
+        monkeypatch.setattr(codes, "_ratio_test", reference_ratio_test)
+        ref_radius, ref_witness = _covering_radius_search(code.points, 3)
+        assert radius == ref_radius
+        assert witness.tobytes() == ref_witness.tobytes()
 
 
 class TestWelch:
