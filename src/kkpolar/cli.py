@@ -35,24 +35,18 @@ from .signed_measure import rule_lambda
 
 def _jsonable(value):
     """Plain-JSON view of nested results: dataclasses as their fields in
-    declaration order without those that are None, numpy scalars/arrays
-    unwrapped, non-finite floats rendered as strings (strict JSON has no
-    Infinity)."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
+    declaration order without those that are None, non-finite floats
+    rendered as strings (strict JSON has no Infinity).  Any other leaf
+    passes through as it is; numpy's float64 is a float, which json writes
+    by float.__repr__."""
+    if isinstance(value, float):
         if math.isfinite(value):
             return value
         return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
     if dataclasses.is_dataclass(value):
         fields = ((f.name, getattr(value, f.name))
                   for f in dataclasses.fields(value))

@@ -165,9 +165,9 @@ class DesignCertificate:
 
 
 def _moments(code: SphericalCode, top: int) -> list[float]:
-    """The moments of orders 1..top in one pass of the GegenbauerFamily
-    recurrence on the Gram matrix clipped to [-1, 1], where it is stable;
-    P_ell's monomial coefficients lose digits from degree 20 on."""
+    """The moments of orders 1..top in one pass of the Gegenbauer
+    three-term recurrence on the Gram matrix clipped to [-1, 1], where it is
+    stable; P_ell's monomial coefficients lose digits from degree 20 on."""
     t = np.clip(code.gram(), -1.0, 1.0)
     prev, cur = 1.0, t
     sums = [float(np.sum(t))]

@@ -5,9 +5,8 @@ distribution of the sphere.
 The monomial basis grows ill-conditioned with the degree, so nothing works
 in it: the quadrature rules and design moments come from the three-term
 recurrence, and the interpolants are NewtonForm objects, the divided
-differences of _newton_coefficients evaluated by Horner in u = t*t.
-Polynomial and GegenbauerFamily have no caller in the package; they stay
-only because perfbench/tracer.py patches both classes by name.
+differences of _newton_coefficients evaluated by Horner in u = t*t.  The
+tests expand in monomials with numpy.polynomial.Polynomial.
 """
 
 from __future__ import annotations
@@ -17,66 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-
-# Absolute threshold below which trailing coefficients are treated as zero.
-TRIM_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial stored as monomial coefficients.
-
-    ``coeffs[j]`` multiplies ``t**j``.  Trailing coefficients below
-    ``TRIM_TOL`` in absolute value are dropped at construction, so the zero
-    polynomial has an empty coefficient tuple.
-    """
-
-    coeffs: tuple[float, ...]
-
-    def __init__(self, coeffs=()):
-        c = [float(x) for x in coeffs]
-        while c and abs(c[-1]) <= TRIM_TOL:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1.0,))
-
-    @classmethod
-    def identity(cls) -> "Polynomial":
-        """The polynomial t."""
-        return cls((0.0, 1.0))
-
-    def __call__(self, t):
-        """Horner evaluation; accepts scalars or numpy arrays."""
-        result = np.zeros_like(np.asarray(t, dtype=float))
-        for c in reversed(self.coeffs):
-            result = result * t + c
-        if np.ndim(t) == 0:
-            return float(result)
-        return result
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] += c
-        return Polynomial(out)
-
-    def scale(self, factor: float) -> "Polynomial":
-        return Polynomial([factor * c for c in self.coeffs])
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coeffs or not other.coeffs:
-            return Polynomial.zero()
-        return Polynomial(np.convolve(self.coeffs, other.coeffs))
 
 
 def monomial_moment(n: int, ell: int) -> float:
@@ -138,30 +77,10 @@ class NewtonForm:
         return self.at_u(np.square(t, dtype=float))
 
 
+# empty placeholders, kept only because perfbench/tracer.py patches them by name
+class Polynomial:
+    pass
+
+
 class GegenbauerFamily:
-    """Cached Gegenbauer polynomials for a fixed dimension.
-
-    Built by the three-term recurrence
-        P_ell = ((2*ell + n - 4) * t * P_{ell-1} - (ell - 1) * P_{ell-2})
-                / (ell + n - 3),
-    whose coefficients are chosen so that P_ell(1) = 1 for all ell.
-    """
-
-    def __init__(self, n: int, max_degree: int = 0):
-        if n < 2:
-            raise PreconditionError(f"dimension must be >= 2, got {n}")
-        self.n = n
-        self._cache = [Polynomial.one(), Polynomial.identity()]
-        self.poly(max_degree)
-
-    def poly(self, ell: int) -> Polynomial:
-        if ell < 0:
-            raise PreconditionError(f"degree must be >= 0, got {ell}")
-        t = Polynomial.identity()
-        while len(self._cache) <= ell:
-            m = len(self._cache)
-            denom = m + self.n - 3
-            p = (t * self._cache[m - 1]).scale((2 * m + self.n - 4) / denom) + \
-                self._cache[m - 2].scale(-(m - 1) / denom)
-            self._cache.append(p)
-        return self._cache[ell]
+    pass

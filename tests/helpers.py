@@ -4,6 +4,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy import optimize
 
 from kkpolar import interpolants, polarization
@@ -12,8 +13,7 @@ from kkpolar.codes import (SphericalCode, _fibonacci_sphere, _row_blocks,
 from kkpolar.errors import PreconditionError
 from kkpolar.interpolants import Side
 from kkpolar.polarization import Direction, ExtremizationResult
-from kkpolar.polynomials import (GegenbauerFamily, NewtonForm, Polynomial,
-                                 monomial_moment)
+from kkpolar.polynomials import NewtonForm, monomial_moment
 from kkpolar.potentials import Potential, SignState, certify_sign, eval_h
 from kkpolar.quadrature import QuadratureRule, rule_alpha, rule_beta
 from kkpolar.signed_measure import rule_lambda
@@ -50,32 +50,29 @@ def reference_central_difference(g):
 
 
 # ---------------------------------------------------------------------------
-# monomial-basis toolkit: the package works in no monomial basis, so
-# expansion, differentiation, Gegenbauer polynomials in coefficients and
-# exact integration against the measure live here
+# monomial-basis toolkit on numpy's Polynomial: the package works in no
+# monomial basis, so expansion, differentiation, Gegenbauer polynomials in
+# coefficients and exact integration against the measure live here
+
+# trailing coefficients at most this large in absolute value are dropped
+# where a test compares coefficient lists
+TRIM_TOL = 1e-14
 
 
 def monomial(j: int, coeff: float = 1.0) -> Polynomial:
     """coeff * t**j."""
-    return Polynomial((0.0,) * j + (float(coeff),))
+    return Polynomial([0.0] * j + [float(coeff)])
 
 
 def derivative(p: Polynomial, order: int = 1) -> Polynomial:
-    c = list(p.coeffs)
-    for _ in range(order):
-        c = [j * c[j] for j in range(1, len(c))]
-    return Polynomial(c)
-
-
-def eval_derivative(p: Polynomial, t, order: int = 1):
-    return derivative(p, order)(t)
+    return p.deriv(order)
 
 
 def even_in_t(p_u: Polynomial) -> Polynomial:
     """p(t^2) as a polynomial in t (index doubling)."""
-    coeffs = [0.0] * (2 * len(p_u.coeffs))
-    coeffs[::2] = p_u.coeffs
-    return Polynomial(coeffs)
+    coeffs = np.zeros(2 * len(p_u.coef))
+    coeffs[::2] = p_u.coef
+    return Polynomial(coeffs).trim(TRIM_TOL)
 
 
 def expand_t(form: NewtonForm) -> Polynomial:
@@ -83,9 +80,9 @@ def expand_t(form: NewtonForm) -> Polynomial:
     Polynomial arithmetic, then index doubling from u to t.  It loses
     digits as the degree grows, so it serves exact integration at low k."""
     c, z = form.divided_differences, form.u_nodes
-    p = Polynomial((c[-1],))
+    p = Polynomial([c[-1]])
     for j in range(len(c) - 2, -1, -1):
-        p = p * Polynomial((-z[j], 1.0)) + Polynomial((c[j],))
+        p = p * Polynomial([-z[j], 1.0]) + c[j]
     return even_in_t(p)
 
 
@@ -97,19 +94,21 @@ def integrate_mu(n: int, p: Polynomial) -> float:
     this equals the zeroth Gegenbauer coefficient.
     """
     return math.fsum(
-        c * monomial_moment(n, j) for j, c in enumerate(p.coeffs) if j % 2 == 0
+        c * monomial_moment(n, j) for j, c in enumerate(p.coef) if j % 2 == 0
     )
 
 
 def gegenbauer(n: int, ell: int) -> Polynomial:
     """Degree-ell Gegenbauer polynomial for dimension n, normalized to 1
-    at t = 1, in monomial coefficients."""
-    return GegenbauerFamily(n, ell).poly(ell)
-
-
-def gegenbauer_eval(family: GegenbauerFamily, ell: int, t):
-    """P_ell of the family at t."""
-    return family.poly(ell)(t)
+    at t = 1, in monomial coefficients, by the three-term recurrence
+        P_m = ((2m + n - 4) t P_m-1 - (m - 1) P_m-2) / (m + n - 3)."""
+    t = Polynomial([0.0, 1.0])
+    prev, cur = Polynomial([1.0]), t
+    for m in range(2, ell + 1):
+        denom = m + n - 3
+        prev, cur = cur, (t * cur) * ((2 * m + n - 4) / denom) + \
+            prev * (-(m - 1) / denom)
+    return cur if ell else prev
 
 
 def reference_divided_difference(values: list, xs: list) -> float:

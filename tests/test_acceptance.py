@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from kkpolar.codes import (CATALOG_DESIGNS, SphericalCode, catalog,
                            covering_radius_r, is_kk_design, waring_residual)
 from kkpolar.interpolants import Side, verify_one_sided
 from kkpolar.polarization import (Direction, extremize, upper_bound_finite,
                                   upper_bound_s)
-from kkpolar.polynomials import Polynomial, monomial_moment
+from kkpolar.polynomials import monomial_moment
 from kkpolar.potentials import (arcsine, eval_h, gaussian_sym, monomial_2k,
                                 p_frame, riesz_sym)
 from kkpolar.quadrature import (largest_gauss_node, rule_alpha, rule_beta,

@@ -2,20 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from scipy import integrate
 from scipy.special import eval_gegenbauer
 
 from kkpolar.errors import PreconditionError
-from kkpolar.polynomials import (
-    GegenbauerFamily,
-    NewtonForm,
-    Polynomial,
-    _newton_coefficients,
-    monomial_moment,
-)
+from kkpolar.polynomials import NewtonForm, _newton_coefficients, monomial_moment
 
-from helpers import (eval_derivative, expand_t, gegenbauer, gegenbauer_eval,
-                     integrate_mu, monomial, reference_divided_difference)
+from helpers import (derivative, expand_t, gegenbauer, integrate_mu, monomial,
+                     reference_divided_difference)
 
 
 def mu_integral_numeric(n, f):
@@ -30,38 +25,10 @@ def mu_integral_numeric(n, f):
     return num / den
 
 
-def eval_naive(p, t):
-    """Sum of monomials, an independent check on Horner evaluation."""
-    return math.fsum(c * t**j for j, c in enumerate(p.coeffs))
-
-
-class TestPolynomial:
-    def test_trim(self):
-        assert Polynomial([1.0, 2.0, 0.0, 1e-16]).coeffs == (1.0, 2.0)
-        assert Polynomial([0.0, 0.0]).coeffs == ()
-        assert Polynomial.zero().coeffs == ()
-
-    def test_multiply(self):
-        p = Polynomial([-1.0, 1.0]) * Polynomial([1.0, 1.0])
-        assert p.coeffs == pytest.approx((-1.0, 0.0, 1.0))
-
-    def test_eval_derivative(self):
-        assert eval_derivative(monomial(3), 2.0) == pytest.approx(12.0)
-        assert eval_derivative(monomial(3), 1.0, order=2) == pytest.approx(6.0)
-
-    def test_horner_matches_naive(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            p = Polynomial(rng.standard_normal(13))
-            t = rng.uniform(-1.0, 1.0)
-            a, b = p(t), eval_naive(p, t)
-            assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
-
-    def test_vectorized_eval(self):
-        p = Polynomial([1.0, 0.0, -2.0])
-        t = np.array([0.0, 0.5, 1.0])
-        assert p(t) == pytest.approx([1.0, 0.5, -1.0])
-
+class TestMonomialHelpers:
+    def test_derivative(self):
+        assert derivative(monomial(3))(2.0) == pytest.approx(12.0)
+        assert derivative(monomial(3), order=2)(1.0) == pytest.approx(6.0)
 
 
 class TestMoments:
@@ -83,7 +50,7 @@ class TestMoments:
 
     def test_integrate_mu_examples(self):
         assert integrate_mu(3, monomial(2)) == pytest.approx(1.0 / 3.0)
-        assert integrate_mu(5, Polynomial.one()) == 1.0
+        assert integrate_mu(5, Polynomial([1.0])) == 1.0
         assert integrate_mu(4, Polynomial([0.0, 7.0, 0.0, 1.0])) == 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -100,32 +67,30 @@ class TestMoments:
 class TestGegenbauer:
     def test_degree_one_is_t(self):
         for n in (2, 3, 7):
-            assert gegenbauer(n, 1).coeffs == pytest.approx((0.0, 1.0))
+            assert list(gegenbauer(n, 1).coef) == pytest.approx([0.0, 1.0])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
     def test_degree_two_closed_form(self, n):
         p = gegenbauer(n, 2)
-        assert p.coeffs == pytest.approx((-1.0 / (n - 1), 0.0, n / (n - 1.0)))
+        assert list(p.coef) == pytest.approx([-1.0 / (n - 1), 0.0, n / (n - 1.0)])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_value_one_at_one(self, n):
-        fam = GegenbauerFamily(n, 12)
         for ell in range(13):
-            assert gegenbauer_eval(fam, ell, 1.0) == pytest.approx(1.0, abs=1e-12)
+            assert gegenbauer(n, ell)(1.0) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_orthogonality(self, n):
-        fam = GegenbauerFamily(n, 10)
         for i in range(11):
             for j in range(i + 1, 11):
-                ip = integrate_mu(n, fam.poly(i) * fam.poly(j))
+                ip = integrate_mu(n, gegenbauer(n, i) * gegenbauer(n, j))
                 assert abs(ip) <= 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_parity(self, n):
         for ell in range(11):
             p = gegenbauer(n, ell)
-            for j, c in enumerate(p.coeffs):
+            for j, c in enumerate(p.coef):
                 if (j - ell) % 2 == 1:
                     assert abs(c) <= 1e-12
 
@@ -150,8 +115,8 @@ class TestGegenbauer:
         # integrate_mu picks out the constant coefficient of a Gegenbauer
         # expansion: check on 2*P_0 + 0.3*P_2 + 1.7*P_4.
         n = 4
-        fam = GegenbauerFamily(n, 4)
-        p = fam.poly(0).scale(2.0) + fam.poly(2).scale(0.3) + fam.poly(4).scale(1.7)
+        p = (2.0 * gegenbauer(n, 0) + 0.3 * gegenbauer(n, 2)
+             + 1.7 * gegenbauer(n, 4))
         assert integrate_mu(n, p) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -191,7 +156,7 @@ class TestNewtonForm:
         # u -> 2u^2 + 3, in Newton form at the nodes 0, 0, 1:
         # 3 + 0 (u - 0) + 2 (u - 0)(u - 0), becomes 2t^4 + 3
         form = NewtonForm((0.0, 0.0, 1.0), (3.0, 0.0, 2.0))
-        assert expand_t(form).coeffs == pytest.approx((3.0, 0.0, 0.0, 0.0, 2.0))
+        assert list(expand_t(form).coef) == pytest.approx([3.0, 0.0, 0.0, 0.0, 2.0])
 
     def test_horner_matches_expansion(self):
         rng = np.random.default_rng(5)

@@ -34,12 +34,12 @@ class TestRootFinding:
 
     def test_against_companion_matrix(self):
         p = gegenbauer(3, 3)
-        oracle = sorted(np.roots(list(reversed(p.coeffs))).real)
+        oracle = sorted(np.roots(list(reversed(p.coef))).real)
         assert rule_alpha(3, 2).nodes == pytest.approx(oracle, abs=1e-12)
 
     def test_residual_small(self):
         p = gegenbauer(4, 7)
-        scale = max(abs(c) for c in p.coeffs)
+        scale = max(abs(c) for c in p.coef)
         for r in rule_alpha(4, 6).nodes:
             assert abs(p(r)) <= 1e-13 * scale
 
