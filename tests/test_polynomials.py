@@ -9,8 +9,8 @@ from scipy.special import eval_gegenbauer
 from kkpolar.errors import PreconditionError
 from kkpolar.polynomials import NewtonForm, _newton_coefficients, monomial_moment
 
-from helpers import (derivative, expand_t, gegenbauer, integrate_mu, monomial,
-                     reference_divided_difference)
+from helpers import (derivative, even_in_t, expand_t, gegenbauer, integrate_mu,
+                     monomial, reference_divided_difference)
 
 
 def mu_integral_numeric(n, f):
@@ -29,6 +29,23 @@ class TestMonomialHelpers:
     def test_derivative(self):
         assert derivative(monomial(3))(2.0) == pytest.approx(12.0)
         assert derivative(monomial(3), order=2)(1.0) == pytest.approx(6.0)
+
+    def test_even_in_t_trims(self):
+        # trailing coefficients of at most TRIM_TOL drop, as the
+        # coefficient-list comparisons of the tests expect
+        assert list(even_in_t(Polynomial([1.0, 2.0, 1e-16])).coef) == [1.0, 0.0, 2.0]
+        assert list(even_in_t(Polynomial([0.0, 0.0])).coef) == [0.0]
+
+    def test_expand_t_of_the_newton_basis(self):
+        # the last Newton basis function (u - z_0)...(u - z_m-2) expands
+        # to the monic polynomial with those roots, in u = t*t
+        rng = np.random.default_rng(11)
+        for m in range(2, 7):
+            z = tuple(np.sort(rng.uniform(0.0, 1.0, m)))
+            form = NewtonForm(z, (0.0,) * (m - 1) + (1.0,))
+            expected = even_in_t(Polynomial.fromroots(z[:-1]))
+            assert expand_t(form).coef == pytest.approx(expected.coef,
+                                                        rel=1e-12, abs=1e-14)
 
 
 class TestMoments:
@@ -168,6 +185,28 @@ class TestNewtonForm:
             assert form(ts) == pytest.approx(expand_t(form)(ts),
                                              rel=1e-12, abs=1e-12)
             assert form.at_u(ts * ts) == pytest.approx(form(ts), rel=0, abs=0)
+
+    def test_horner_matches_naive_newton_sum(self):
+        # the sum of c_j (u - z_0)...(u - z_j-1) term by term, an
+        # independent check on Horner in the Newton basis
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            m = int(rng.integers(1, 13))
+            form = NewtonForm(tuple(rng.uniform(0.0, 1.0, m)),
+                              tuple(rng.standard_normal(m)))
+            u = float(rng.uniform(0.0, 1.0))
+            naive = math.fsum(
+                c * math.prod(u - z for z in form.u_nodes[:j])
+                for j, c in enumerate(form.divided_differences))
+            assert form.at_u(u) == pytest.approx(naive, rel=1e-12, abs=1e-12)
+
+    def test_vectorized_eval(self):
+        # an array of any shape evaluates entry by entry, bitwise as scalars
+        form = NewtonForm((0.1, 0.4, 0.4, 0.9), (1.0, -0.5, 2.0, 0.25))
+        ts = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        values = form(ts)
+        assert values.shape == ts.shape
+        assert values.ravel().tolist() == [form(float(t)) for t in ts.ravel()]
 
     def test_scalar_and_array_evaluation(self):
         form = NewtonForm((0.25, 0.25, 1.0), (1.0, -2.0, 0.5))
