@@ -18,11 +18,9 @@ extremization screen leaves out the O(N^2) pair rows x_i +- x_j unless
 the potential may have a cusp at orthogonality (polarization._screen).
 Both run in the row blocks of _row_blocks, as does the ratio test of
 the covering search's vertex ascent: each temporary holds at most
-BLOCK_ENTRIES entries, so it stays in L2 cache and a GEMM on it runs on
-one OpenBLAS thread (n <= 16).  The per-row arithmetic does not depend on
-the block, so the results are bitwise those of one pass.  The ratio test
-selects without a branch: np.where mispredicted on its half-true mask in
-no pattern, 340 us per 17 x 8 x 240 block (88 us sorted), half the ascent.
+BLOCK_ENTRIES entries (fewer for n > 16), so it stays in L2 cache and a
+GEMM on it runs on one OpenBLAS thread.  The per-row arithmetic does not
+depend on the block, so the results are bitwise those of one pass.
 SphericalCode.from_points finds repeated points with a k-d tree.
 """
 
@@ -50,9 +48,10 @@ _DUP_TOL = 1e-12
 # (OpenBLAS 0.3.31, Haswell) on the 42,375 x 200 cosh screen of a random
 # code in R^3: 4096-row blocks take 63 ms wall and 125 ms CPU, 2^15-entry
 # blocks 45 ms of each; at n = 16, 2^16 entries run two threads again.
-# Within a block the ratio test selects without a branch: np.where on its
-# half-true mask took 340 us of a 17 x 8 x 240 block, 88 us if sorted.
 BLOCK_ENTRIES = 2 ** 15
+# rows deeper than this take 16 / n of the entries, as OpenBLAS threads by m n k,
+# and fill up a short last block, as from n = 32 on few rows sum in another order
+_BLOCK_DEPTH = 16
 # Qhull is not started when the Upper Bound Theorem allows the hull of +-C
 # more facets than this: its time and memory grow with the facet count
 # (a random 120-point code in R^8 has about 4e5 facets and takes 15 s).
@@ -64,21 +63,22 @@ _ASCENT_STARTS = 48
 _MAX_PIVOTS = 100
 
 
-def _row_blocks(size: int, width: int):
-    """Slices covering rows 0..size-1 of a kernel against width columns, in
-    order, of at most max(2, BLOCK_ENTRIES // width) rows each."""
-    step = max(2, BLOCK_ENTRIES // width)
+def _row_blocks(size: int, width: int, depth: int):
+    """Slices covering rows 0..size-1 of a kernel against width columns of
+    depth entries, in order, of max(2, BLOCK_ENTRIES * min(1, 16 / depth) // width)."""
+    step = max(2, BLOCK_ENTRIES * _BLOCK_DEPTH // max(depth, _BLOCK_DEPTH) // width)
+    least = 2 if depth <= _BLOCK_DEPTH else step
     for start in range(0, size, step):
-        # a lone last row would take numpy's gemv path, whose sums differ
-        # from gemm's in the last bits: take it with the row before
-        yield slice(min(start, max(size - 2, 0)), start + step)
+        # a short last block takes rows of the one before: numpy sends a lone
+        # row to gemv, whose sums differ from gemm's in the last bits
+        yield slice(min(start, max(size - least, 0)), start + step)
 
 
 def _row_reduce(points: np.ndarray, mat: np.ndarray, reduce) -> np.ndarray:
     """reduce(mat[rows] @ points.T) over the row blocks of _row_blocks, one
     value per row, bitwise that of one pass; reduce may overwrite its input."""
     out = np.empty(len(mat))
-    for rows in _row_blocks(len(mat), len(points)):
+    for rows in _row_blocks(len(mat), len(points), points.shape[1]):
         out[rows] = reduce(mat[rows] @ points.T)
     return out
 
@@ -311,14 +311,15 @@ def _ratio_test(rows: np.ndarray, ys: np.ndarray, dirs: np.ndarray,
     mask mispredicted, 340 us per 17 x 8 x 240 block (88 us sorted)."""
     step = np.empty(dirs.shape[:2])
     stopper = np.empty(dirs.shape[:2], dtype=int)
+    # one product for all starts: from n = 32 on, few rows sum in another order
+    slack = np.maximum(1.0 - ys @ rows.T, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for at in _row_blocks(len(ys), dirs.shape[1] * len(rows)):
-            slack = np.maximum(1.0 - ys[at] @ rows.T, 0.0)[:, None, :]
+        for at in _row_blocks(len(ys), dirs.shape[1] * len(rows), rows.shape[1]):
             rate = dirs[at] @ rows.T
             rate[np.arange(len(rate))[:, None], :, basis[at]] = np.nan
             floor = 8.0 * np.finfo(float).eps * np.linalg.norm(dirs[at], axis=2)
             bar = np.logical_not(rate > floor[:, :, None]) * np.inf
-            ratio = np.fmax(slack / rate, bar, out=bar)
+            ratio = np.fmax(slack[at, None, :] / rate, bar, out=bar)
             stopper[at] = np.argmin(ratio, axis=2)
             step[at] = np.take_along_axis(ratio, stopper[at, :, None], axis=2)[:, :, 0]
     return step, stopper

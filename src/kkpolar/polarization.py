@@ -253,8 +253,7 @@ def _squares(dots: np.ndarray) -> np.ndarray:
 
 def _u_batch(points: np.ndarray, pot: Potential, mat: np.ndarray) -> np.ndarray:
     """U at each row of mat, by the blocked kernel codes._row_reduce."""
-    return _row_reduce(points, mat,
-                       lambda d: np.sum(pot.eval_g(_squares(d)), axis=1))
+    return _row_reduce(points, mat, lambda d: pot.eval_g(_squares(d)).sum(axis=1))
 
 
 def potential_U(x, code: SphericalCode, pot: Potential) -> float:
@@ -289,9 +288,9 @@ def _fg(points: np.ndarray, pot: Potential, signs: np.ndarray):
             d = xs @ points.T
             u = _squares(d.copy())
             zero = u == 0.0
-            values = sgn * np.sum(pot.eval_g(u), axis=1)
+            values = sgn * pot.eval_g(u).sum(axis=1)
             curvature = pot.eval_h2(u)
-            if np.count_nonzero(zero):
+            if zero.any():
                 slopes = pot.eval_g_prime(np.where(zero, 0.5, u))
                 terms = np.where(zero, 0.0, slopes * d)
                 curvature = np.where(zero & ~np.isfinite(curvature), 0.0, curvature)

@@ -19,15 +19,13 @@ def tangent_component(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v - (v @ x) * x
 
 
-def _householder_bases(xs: np.ndarray) -> np.ndarray:
+def _householder_bases(xs: np.ndarray, eye: np.ndarray) -> np.ndarray:
     """Orthonormal tangent bases at the unit rows of xs, shape (B, n, n-1):
-    columns 2..n of the Householder reflector that maps e_1 to -+x."""
+    columns 2..n of the Householder reflector that maps e_1 to -+x; eye = np.eye(n)."""
     v = xs.copy()
     v[:, 0] += np.where(xs[:, 0] >= 0.0, 1.0, -1.0)
-    scale = 2.0 / np.sum(v * v, axis=1)
-    reflector = np.eye(xs.shape[1]) - scale[:, None, None] * (
-        v[:, :, None] * v[:, None, :])
-    return reflector[:, :, 1:]
+    scale = 2.0 / (v * v).sum(axis=1)
+    return eye[:, 1:] - scale[:, None, None] * (v[:, :, None] * v[:, None, 1:])
 
 
 _GTOL = 1e-12
@@ -48,30 +46,29 @@ def _backtrack(fgh, rows: np.ndarray, x: np.ndarray, step: np.ndarray,
     the spacing of floats at f; rows holds the index in x0 of each row.
     One values-only call of fgh tries alpha = 1, a second all the halvings
     at once for the rows that failed: the steps of sequential halving in 2
-    calls instead of up to _HALVINGS + 1.  Returns
-    alpha, the value and the point per row; where no step passed, alpha
-    is NaN and the rest is that of alpha = 1."""
-    alpha = np.full(f.size, np.nan)
-    pending = np.arange(f.size)
-    for alphas in (_LADDER[:1], _LADDER[1:]):
-        cand = x[pending][:, None, :] + alphas[None, :, None] * step[pending][:, None, :]
-        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-        value = fgh(cand.reshape(-1, x.shape[1]), np.repeat(rows[pending], alphas.size),
-                    values_only=True).reshape(pending.size, alphas.size)
-        if alphas.size == 1:
-            f_new, ends = value[:, 0].copy(), cand[:, 0].copy()
-        ok = ((value <= f[pending, None] + _ARMIJO_C1 * alphas * slope[pending, None])
-              & (value < f[pending, None]))
-        took = np.any(ok, axis=1)
-        hit = np.argmax(ok[took], axis=1)
-        chosen = pending[took]
-        alpha[chosen] = alphas[hit]
-        f_new[chosen] = value[took, hit]
-        ends[chosen] = cand[took, hit]
-        pending = pending[~took]
-        if pending.size == 0:
-            break
-    return alpha, f_new, ends
+    calls instead of up to _HALVINGS + 1.  Returns whether each row moved,
+    its value and point, those of alpha = 1 where no step passed."""
+    ends = x + step
+    ends /= np.sqrt((ends * ends).sum(axis=1))[:, None]
+    f_new = fgh(ends, rows, values_only=True)
+    moved = (f_new <= f + _ARMIJO_C1 * slope) & (f_new < f)
+    if moved.all():
+        return moved, f_new, ends
+    pending = np.flatnonzero(~moved)
+    alphas = _LADDER[1:]
+    cand = x[pending][:, None, :] + alphas[None, :, None] * step[pending][:, None, :]
+    cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+    value = fgh(cand.reshape(-1, x.shape[1]), np.repeat(rows[pending], alphas.size),
+                values_only=True).reshape(pending.size, alphas.size)
+    ok = ((value <= f[pending, None] + _ARMIJO_C1 * alphas * slope[pending, None])
+          & (value < f[pending, None]))
+    took = ok.any(axis=1)
+    hit = ok[took].argmax(axis=1)
+    chosen = pending[took]
+    moved[chosen] = True
+    f_new[chosen] = value[took, hit]
+    ends[chosen] = cand[took, hit]
+    return moved, f_new, ends
 
 
 def tangent_newton(fgh, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,46 +90,49 @@ def tangent_newton(fgh, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     component falls to _GTOL, when no trial step strictly decreases its
     value (after a last full step where values are too coarse to judge
     it), or after _NEWTON_ITERATIONS.  Returns (values (B,), points (B, n))
-    with the points on the sphere."""
+    with the points on the sphere.  Rows are gathered only when one stops;
+    fgh sees the same batches, and every GEMM, ufunc and reduction the same
+    operands, as when all rows are gathered anew each iteration, so the bits
+    are those of tests/helpers.reference_tangent_newton."""
     xs = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
-    n = xs.shape[1]
+    eye = np.eye(xs.shape[1])
     rows = np.arange(xs.shape[0])
     values, grads, hessians = fgh(xs, rows)
+    x, f = xs, values  # of the rows still searching
     for _ in range(_NEWTON_ITERATIONS):
-        x = xs[rows]
-        bases = _householder_bases(x)
+        bases = _householder_bases(x, eye)
         g = np.einsum("bij,bi->bj", bases, grads)
-        hess = np.swapaxes(bases, 1, 2) @ hessians @ bases
-        hess -= np.sum(x * grads, axis=1)[:, None, None] * np.eye(n - 1)
-        live = (np.isfinite(values[rows]) & np.all(np.isfinite(hess), axis=(1, 2))
-                & (np.max(np.abs(g), axis=1) > _GTOL))
-        if not np.any(live):
+        hess = bases.swapaxes(1, 2) @ hessians @ bases
+        hess -= (x * grads).sum(axis=1)[:, None, None] * eye[1:, 1:]
+        live = (np.isfinite(f) & np.isfinite(hess).all(axis=(1, 2))
+                & (np.abs(g).max(axis=1) > _GTOL))
+        if not live.any():
             break
-        rows, x, bases, g, hess = rows[live], x[live], bases[live], g[live], hess[live]
+        if not live.all():
+            rows, x, f, bases, g, hess = (a[live] for a in (rows, x, f, bases, g, hess))
         lam, vec = np.linalg.eigh(hess)
         lam = np.abs(lam)
-        lam = np.maximum(lam, 1e-8 * np.max(lam, axis=1, keepdims=True) + np.finfo(float).tiny)
+        lam = np.maximum(lam, 1e-8 * lam.max(axis=1, keepdims=True) + np.finfo(float).tiny)
         z = -np.einsum("bij,bj->bi", vec, np.einsum("bji,bj->bi", vec, g) / lam)
-        z /= np.maximum(1.0, np.linalg.norm(z, axis=1))[:, None]
+        z /= np.maximum(1.0, np.sqrt((z * z).sum(axis=1)))[:, None]
         step = np.einsum("bij,bj->bi", bases, z)
-        f, slope = values[rows], np.sum(z * g, axis=1)
-        alpha, f_new, ends = _backtrack(fgh, rows, x, step, f, slope)
-        moved = ~np.isnan(alpha)
-        # where the model's decrease and the full step's change of value are
-        # both below the resolution of f, values cannot judge the step: the
-        # row takes it, as Newton brings it closer to the extremum, and stops
-        noise = _RESOLUTION * np.abs(f)
-        level = ~moved & (-slope <= noise) & (np.abs(f_new - f) <= noise)
-        xs[rows[level]] = ends[level]
-        values[rows[level]] = f_new[level]
-        rows = rows[moved]
-        if rows.size == 0:
-            break
-        xs[rows] = ends[moved]
+        slope = (z * g).sum(axis=1)
+        moved, f_new, ends = _backtrack(fgh, rows, x, step, f, slope)
+        if not moved.all():
+            # where the model's decrease and the full step's change of value are
+            # both below the resolution of f, values cannot judge the step: the
+            # row takes it, as Newton brings it closer to the extremum, and stops
+            noise = _RESOLUTION * np.abs(f)
+            level = ~moved & (-slope <= noise) & (np.abs(f_new - f) <= noise)
+            xs[rows[level]], values[rows[level]] = ends[level], f_new[level]
+            rows, ends, f_new = rows[moved], ends[moved], f_new[moved]
+            if rows.size == 0:
+                break
         # the line search's values, so that each row's values fall strictly
         # even where a call on another batch shape rounds them differently
-        values[rows] = f_new[moved]
-        _, grads, hessians = fgh(xs[rows], rows)
+        xs[rows], values[rows] = ends, f_new
+        x, f = ends, f_new
+        _, grads, hessians = fgh(x, rows)
     return values, xs
 
 

@@ -17,6 +17,8 @@ from kkpolar.polynomials import NewtonForm, monomial_moment
 from kkpolar.potentials import Potential, SignState, certify_sign, eval_h
 from kkpolar.quadrature import QuadratureRule, rule_alpha, rule_beta
 from kkpolar.signed_measure import rule_lambda
+from kkpolar.sphere_opt import (_ARMIJO_C1, _GTOL, _LADDER, _NEWTON_ITERATIONS,
+                                _RESOLUTION)
 
 
 def negate(pot: Potential) -> Potential:
@@ -218,7 +220,7 @@ def reference_ratio_test(rows: np.ndarray, ys: np.ndarray, dirs: np.ndarray,
     became branch-free, in the same row blocks, kept as its reference."""
     step = np.empty(dirs.shape[:2])
     stopper = np.empty(dirs.shape[:2], dtype=int)
-    for at in _row_blocks(len(ys), dirs.shape[1] * len(rows)):
+    for at in _row_blocks(len(ys), dirs.shape[1] * len(rows), rows.shape[1]):
         slack = np.maximum(1.0 - ys[at] @ rows.T, 0.0)[:, None, :]
         rate = dirs[at] @ rows.T
         floor = 8.0 * np.finfo(float).eps * np.linalg.norm(dirs[at], axis=2)
@@ -228,6 +230,95 @@ def reference_ratio_test(rows: np.ndarray, ys: np.ndarray, dirs: np.ndarray,
         stopper[at] = np.argmin(ratio, axis=2)
         step[at] = np.take_along_axis(ratio, stopper[at, :, None], axis=2)[:, :, 0]
     return step, stopper
+
+
+# Riemannian Newton as it was before its bookkeeping was trimmed (the same
+# fgh calls, GEMMs, ufuncs and reductions on the same operands), kept as
+# the reference for sphere_opt.tangent_newton
+
+
+def _reference_householder_bases(xs: np.ndarray) -> np.ndarray:
+    """sphere_opt._householder_bases as it was: the whole n x n reflector
+    of each row, built on a fresh np.eye(n), sliced to columns 2..n."""
+    v = xs.copy()
+    v[:, 0] += np.where(xs[:, 0] >= 0.0, 1.0, -1.0)
+    scale = 2.0 / np.sum(v * v, axis=1)
+    reflector = np.eye(xs.shape[1]) - scale[:, None, None] * (
+        v[:, :, None] * v[:, None, :])
+    return reflector[:, :, 1:]
+
+
+def _reference_backtrack(fgh, rows: np.ndarray, x: np.ndarray, step: np.ndarray,
+                         f: np.ndarray, slope: np.ndarray):
+    """sphere_opt._backtrack as it was: alpha = 1 on (rows, 1, n) arrays,
+    then every halving at once for the rows that failed."""
+    alpha = np.full(f.size, np.nan)
+    pending = np.arange(f.size)
+    for alphas in (_LADDER[:1], _LADDER[1:]):
+        cand = x[pending][:, None, :] + alphas[None, :, None] * step[pending][:, None, :]
+        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+        value = fgh(cand.reshape(-1, x.shape[1]), np.repeat(rows[pending], alphas.size),
+                    values_only=True).reshape(pending.size, alphas.size)
+        if alphas.size == 1:
+            f_new, ends = value[:, 0].copy(), cand[:, 0].copy()
+        ok = ((value <= f[pending, None] + _ARMIJO_C1 * alphas * slope[pending, None])
+              & (value < f[pending, None]))
+        took = np.any(ok, axis=1)
+        hit = np.argmax(ok[took], axis=1)
+        chosen = pending[took]
+        alpha[chosen] = alphas[hit]
+        f_new[chosen] = value[took, hit]
+        ends[chosen] = cand[took, hit]
+        pending = pending[~took]
+        if pending.size == 0:
+            break
+    return alpha, f_new, ends
+
+
+def reference_tangent_newton(fgh, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sphere_opt.tangent_newton as it was, with the same contract: every
+    row gathered anew each iteration, np.eye built per iteration, the
+    step's norms through np.linalg.norm."""
+    xs = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
+    n = xs.shape[1]
+    rows = np.arange(xs.shape[0])
+    values, grads, hessians = fgh(xs, rows)
+    for _ in range(_NEWTON_ITERATIONS):
+        x = xs[rows]
+        bases = _reference_householder_bases(x)
+        g = np.einsum("bij,bi->bj", bases, grads)
+        hess = np.swapaxes(bases, 1, 2) @ hessians @ bases
+        hess -= np.sum(x * grads, axis=1)[:, None, None] * np.eye(n - 1)
+        live = (np.isfinite(values[rows]) & np.all(np.isfinite(hess), axis=(1, 2))
+                & (np.max(np.abs(g), axis=1) > _GTOL))
+        if not np.any(live):
+            break
+        rows, x, bases, g, hess = rows[live], x[live], bases[live], g[live], hess[live]
+        lam, vec = np.linalg.eigh(hess)
+        lam = np.abs(lam)
+        lam = np.maximum(lam, 1e-8 * np.max(lam, axis=1, keepdims=True) + np.finfo(float).tiny)
+        z = -np.einsum("bij,bj->bi", vec, np.einsum("bji,bj->bi", vec, g) / lam)
+        z /= np.maximum(1.0, np.linalg.norm(z, axis=1))[:, None]
+        step = np.einsum("bij,bj->bi", bases, z)
+        f, slope = values[rows], np.sum(z * g, axis=1)
+        alpha, f_new, ends = _reference_backtrack(fgh, rows, x, step, f, slope)
+        moved = ~np.isnan(alpha)
+        # where the model's decrease and the full step's change of value are
+        # both below the resolution of f, values cannot judge the step: the
+        # row takes it, as Newton brings it closer to the extremum, and stops
+        noise = _RESOLUTION * np.abs(f)
+        level = ~moved & (-slope <= noise) & (np.abs(f_new - f) <= noise)
+        xs[rows[level]] = ends[level]
+        values[rows[level]] = f_new[level]
+        rows = rows[moved]
+        if rows.size == 0:
+            break
+        xs[rows] = ends[moved]
+        # the line search's values, so that each row's values fall strictly
+        # even where a call on another batch shape rounds them differently
+        values[rows] = f_new[moved]
+        _, grads, hessians = fgh(xs[rows], rows)
+    return values, xs
 
 
 def reference_margin(p, pot: Potential, side: Side,

@@ -658,6 +658,54 @@ class TestRatioTest:
         assert witness.tobytes() == ref_witness.tobytes()
 
 
+class TestDeepRowBlocks:
+    """Above n = 16 a row block holds BLOCK_ENTRIES * 16 / n entries, so
+    that its GEMM runs on one OpenBLAS thread, and a short last block takes
+    rows of the block before up to a full block; _row_reduce and the ratio
+    test stay bitwise those of one pass."""
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_blocks_shrink_only_above_16(self, n):
+        step = BLOCK_ENTRIES * 16 // n // 200
+        assert list(codes._row_blocks(2 * step + 1, 200, n)) == [
+            slice(0, step), slice(step, 2 * step), slice(step + 1, 3 * step)]
+        for shallow in (3, 8, 16):
+            step = BLOCK_ENTRIES // 200
+            assert list(codes._row_blocks(2 * step + 1, 200, shallow)) == [
+                slice(0, step), slice(step, 2 * step), slice(2 * step - 1, 3 * step)]
+
+    @pytest.mark.parametrize("n", [24, 32])
+    @pytest.mark.parametrize("last", [1, 2, 5, 40])
+    def test_row_reduce_one_pass(self, monkeypatch, n, last):
+        # last: the rows past the last full block
+        rng = np.random.default_rng(n + last)
+        points = unit_rows(rng, 200, n)
+        mat = unit_rows(rng, 3 * (BLOCK_ENTRIES * 16 // n // 200) + last, n)
+        whole = mat @ points.T
+        for reduce in (lambda d: np.sum(d, axis=1), lambda d: np.max(d, axis=1)):
+            blocked = codes._row_reduce(points, mat, reduce)
+            assert blocked.tobytes() == reduce(whole.copy()).tobytes()
+        monkeypatch.setattr(codes, "BLOCK_ENTRIES", 2 ** 62)
+        assert blocked.tobytes() == codes._row_reduce(points, mat, reduce).tobytes()
+
+    @pytest.mark.parametrize("n", [24, 32])
+    @pytest.mark.parametrize("edges", [1, "n"])
+    def test_ratio_test_one_pass(self, monkeypatch, n, edges):
+        # the vertex ascent's two shapes: one direction per start while it
+        # collects its basis, n edges per start at a vertex
+        edges = n if edges == "n" else edges
+        rng = np.random.default_rng(100 + n + edges)
+        size = 120 if edges > 1 else 1000
+        args = random_ratio_block(rng, n, size, 17, edges)
+        assert len(list(codes._row_blocks(17, edges * 2 * size, n))) > 1
+        step, stopper = _ratio_test(*args)
+        monkeypatch.setattr(codes, "BLOCK_ENTRIES", 2 ** 62)
+        whole_step, whole_stopper = _ratio_test(*args)
+        assert step.tobytes() == whole_step.tobytes()
+        assert np.array_equal(stopper, whole_stopper)
+        assert np.mean(np.isfinite(step)) > 0.5
+
+
 class TestWelch:
     @pytest.mark.parametrize("n,size,seed", [(2, 9, 10), (3, 14, 11), (5, 30, 12)])
     def test_lower_bound_random(self, n, size, seed):

@@ -391,8 +391,8 @@ class TestScreenBlocks:
         calls = []
         row_blocks = codes._row_blocks
 
-        def recording(size, width):
-            new = list(row_blocks(size, width))
+        def recording(size, width, depth):
+            new = list(row_blocks(size, width, depth))
             calls.append(new)
             return iter(new)
 

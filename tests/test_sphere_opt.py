@@ -10,6 +10,8 @@ from kkpolar.codes import SphericalCode
 from kkpolar.potentials import parse_potential, user_potential
 from kkpolar.sphere_opt import tangent_component, tangent_newton
 
+from helpers import reference_tangent_newton
+
 
 def test_tangent_component_is_orthogonal():
     x = np.array([0.6, 0.0, 0.8])
@@ -88,23 +90,32 @@ def test_batched_rows_converge_independently(n):
         assert np.max(np.abs(solo_xs[0] - xs[row])) <= 1e-7
 
 
+def with_signs(fgh, signs):
+    """fgh with the objective of each row times signs[rows]."""
+
+    def signed(xs, rows, values_only=False):
+        out = fgh(xs, rows, values_only)
+        if values_only:
+            return signs[rows] * out
+        return tuple(signs[rows].reshape((-1,) + (1,) * (part.ndim - 1)) * part
+                     for part in out)
+
+    return signed
+
+
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_rows_carry_their_own_objective(n):
     # one run minimizes x . A x from some starts and -x . A x from the
     # others: fgh reads each row's sign from the index of its start, in
     # the full calls and in the line search's values-only calls alike
     q, fg = rayleigh(n, 20 + n)
-    fgh = with_hessian(fg, n)
     signs = np.tile([1.0, -1.0], 5)
+    fgh = with_signs(with_hessian(fg, n), signs)
     seen = set()
 
     def signed(xs, rows, values_only=False):
         seen.update(rows.tolist())
-        out = fgh(xs, rows, values_only)
-        if values_only:
-            return signs[rows] * out
-        return tuple(signs[rows].reshape((-1,) + (1,) * (part.ndim - 1)) * part
-                     for part in out)
+        return fgh(xs, rows, values_only)
 
     starts = np.random.default_rng(n).standard_normal((signs.size, n))
     values, xs = tangent_newton(signed, starts)
@@ -206,3 +217,61 @@ def test_batched_rows_match_solo_runs(n, size, pot):
         solo = [tangent_newton(fgh, x0[None])[0][0] for x0 in starts]
         best, reference = np.min(values), np.min(solo)
         assert abs(best - reference) <= 1e-12 * abs(reference)
+
+
+def recording(fgh, calls):
+    """fgh that appends (kind, rows) to calls for each call."""
+
+    def wrapped(xs, rows, values_only=False):
+        calls.append(("values" if values_only else "full", np.asarray(rows).tolist()))
+        return fgh(xs, rows, values_only)
+
+    return wrapped
+
+
+def assert_same_as_reference(fgh, starts):
+    """tangent_newton against the loop whose bookkeeping it trimmed: values
+    and points bitwise the same, from the same fgh calls, in kind, batch
+    and row order."""
+    calls, reference_calls = [], []
+    values, xs = tangent_newton(recording(fgh, calls), starts.copy())
+    ref_values, ref_xs = reference_tangent_newton(
+        recording(fgh, reference_calls), starts.copy())
+    assert values.tobytes() == ref_values.tobytes()
+    assert xs.tobytes() == ref_xs.tobytes()
+    assert calls == reference_calls
+
+
+def rayleigh_problems():
+    """The Rayleigh fixtures above as (fgh, starts): starts around the
+    minimizer, next to the maximum, and with a sign per row."""
+    for n in (2, 3, 5, 8):
+        q, fg = rayleigh(n, n)
+        rng = np.random.default_rng(n)
+        yield (with_hessian(fg, n),
+               q[:, 0] + 0.3 * rng.standard_normal((8, n)))
+        yield (with_hessian(fg, n),
+               np.vstack([q[:, 0], q[:, -1] + 1e-3 * q[:, 0],
+                          rng.standard_normal((6, n))]))
+        yield (with_signs(with_hessian(fg, n), np.tile([1.0, -1.0], 5)),
+               rng.standard_normal((10, n)))
+
+
+@pytest.mark.parametrize("n, size, pot", CASES + P_HALF_CASES)
+@pytest.mark.parametrize("batching", ["batched", "row_by_row"])
+def test_same_as_reference_on_survivors(n, size, pot, batching):
+    for fgh, starts in survivor_problems(n, size, pot):
+        assert_same_as_reference(fgh if batching == "batched" else row_by_row(fgh),
+                                 starts)
+
+
+def test_same_as_reference_on_rayleigh_quotients():
+    for fgh, starts in rayleigh_problems():
+        assert_same_as_reference(fgh, starts)
+        assert_same_as_reference(row_by_row(fgh), starts)
+
+
+def test_same_as_reference_when_no_step_passes():
+    # every row fails its line search on the first iteration
+    for rows in (1, 3):
+        assert_same_as_reference(flat_objective([]), np.full((rows, 4), 0.5))
