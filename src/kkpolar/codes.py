@@ -49,8 +49,7 @@ _DUP_TOL = 1e-12
 # code in R^3: 4096-row blocks take 63 ms wall and 125 ms CPU, 2^15-entry
 # blocks 45 ms of each; at n = 16, 2^16 entries run two threads again.
 BLOCK_ENTRIES = 2 ** 15
-# rows deeper than this take 16 / n of the entries, as OpenBLAS threads by m n k,
-# and fill up a short last block, as from n = 32 on few rows sum in another order
+# rows deeper than this take 16 / n of the entries, as OpenBLAS threads by m n k
 _BLOCK_DEPTH = 16
 # Qhull is not started when the Upper Bound Theorem allows the hull of +-C
 # more facets than this: its time and memory grow with the facet count
@@ -67,11 +66,11 @@ def _row_blocks(size: int, width: int, depth: int):
     """Slices covering rows 0..size-1 of a kernel against width columns of
     depth entries, in order, of max(2, BLOCK_ENTRIES * min(1, 16 / depth) // width)."""
     step = max(2, BLOCK_ENTRIES * _BLOCK_DEPTH // max(depth, _BLOCK_DEPTH) // width)
-    least = 2 if depth <= _BLOCK_DEPTH else step
     for start in range(0, size, step):
-        # a short last block takes rows of the one before: numpy sends a lone
-        # row to gemv, whose sums differ from gemm's in the last bits
-        yield slice(min(start, max(size - least, 0)), start + step)
+        # a short last block takes rows of the one before up to a full block:
+        # numpy sends a lone row to gemv, and from n = 32 on a few rows to
+        # kernels whose sums differ from those of a full block in the last bits
+        yield slice(min(start, max(size - step, 0)), start + step)
 
 
 def _row_reduce(points: np.ndarray, mat: np.ndarray, reduce) -> np.ndarray:
